@@ -1,8 +1,11 @@
 """Dense small-matrix and scalar kernels.
 
-Everything here delegates to numpy/scipy in binary64 or to mpmath when
-extended precision is requested.  The rest of the package goes through
-these wrappers so the precision policy lives in one place.
+Matrix kernels run in binary64 through numpy/scipy; only polynomial
+roots can be asked for in extended precision (mpmath).  Extended
+precision elsewhere in the package is scalar work at EXTENDED_DPS digits:
+the Newton polish of the binary64 pole eigenvalues, the residues and the
+moments.  The rest of the package goes through these wrappers so the
+precision policy lives in one place.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ from .errors import NumericalError
 #: unit roundoff of binary64
 U = 2.0 ** -52
 
-#: decimal digits used for extended-precision eigenproblems (>= 32 required,
+#: decimal digits of the extended-precision scalar work (>= 32 required,
 #: i.e. at least twice binary64)
 EXTENDED_DPS = 40
 
@@ -33,15 +36,14 @@ def smallest_singular_vector(A):
     return Vh[-1].conj()
 
 
-def dense_eigenvalues(A, B=None, extended=False):
-    """Generalized eigenvalues of the pencil (A, B).
+def dense_eigenvalues(A, B=None):
+    """Generalized eigenvalues of the pencil (A, B) in binary64.
 
     Returns ``(finite, n_infinite)`` where ``finite`` is an array of the
     finite eigenvalues and ``n_infinite`` counts infinite eigenvalues
-    (from a singular B), which are excluded.  With ``extended=True`` the
-    solve is carried out in mpmath at EXTENDED_DPS digits; this path
-    requires a diagonal B (which is all the pole eigenproblem needs) and
-    falls back to a shift-and-invert transformation otherwise.
+    (from a singular B), which are excluded.  Callers that need more than
+    binary64 accuracy polish the eigenvalues themselves, as
+    ``tame.extract_poles`` does.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -52,95 +54,10 @@ def dense_eigenvalues(A, B=None, extended=False):
     B = np.asarray(B, dtype=complex)
     if B.shape != A.shape:
         raise ValueError("A and B must have the same shape")
-
-    if not extended:
-        alpha, beta = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
-        infinite = np.abs(beta) < 1e3 * U * np.maximum(np.abs(alpha), 1.0)
-        finite = alpha[~infinite] / beta[~infinite]
-        return finite, int(np.count_nonzero(infinite))
-
-    return _dense_eigenvalues_extended(A, B)
-
-
-def _dense_eigenvalues_extended(A, B):
-    n = A.shape[0]
-    diag_B = np.diag(B)
-    is_diagonal = np.allclose(B, np.diag(diag_B), atol=0.0)
-    with mpmath.workdps(EXTENDED_DPS):
-        if is_diagonal:
-            try:
-                return _extended_schur_path(A, diag_B, n)
-            except ZeroDivisionError:
-                pass  # singular corner block; use shift-and-invert below
-        return _extended_shift_invert(A, B, n)
-
-
-def _extended_schur_path(A, diag_B, n):
-    # Split by zero/nonzero diagonal of B: det(A - x B) = 0 reduces to
-    # a standard eigenproblem for the Schur complement on the nonzero
-    # block, with one infinite eigenvalue per zero diagonal entry.
-    zero = np.abs(diag_B) == 0.0
-    idx0 = np.flatnonzero(zero)
-    idx1 = np.flatnonzero(~zero)
-    if idx1.size == 0:
-        return np.empty(0, dtype=complex), n
-    A22 = _to_mp(A[np.ix_(idx1, idx1)])
-    if idx0.size:
-        A11 = _to_mp(A[np.ix_(idx0, idx0)])
-        A12 = _to_mp(A[np.ix_(idx0, idx1)])
-        A21 = _to_mp(A[np.ix_(idx1, idx0)])
-        S = A22 - A21 * _mp_solve(A11, A12)
-    else:
-        S = A22
-    D = mpmath.diag([mpmath.mpc(d) for d in diag_B[idx1]])
-    M = mpmath.inverse(D) * S
-    vals = _mp_eigvals(M)
-    finite = np.array([complex(v) for v in vals])
-    return finite, int(idx0.size)
-
-
-def _mp_eigvals(M):
-    vals = mpmath.eig(M, left=False, right=False)
-    if isinstance(vals, tuple):  # 1x1 matrices ignore the flags
-        vals = vals[0]
-    return vals
-
-
-def _mp_solve(A, B):
-    """Solve A X = B column-by-column in mpmath."""
-    cols = []
-    for j in range(B.cols):
-        cols.append(mpmath.lu_solve(A, B[:, j]))
-    X = mpmath.zeros(B.rows, B.cols)
-    for j, c in enumerate(cols):
-        for i in range(B.rows):
-            X[i, j] = c[i]
-    return X
-
-
-def _extended_shift_invert(A, B, n):
-    # Generic B: shift-and-invert.  Eigenvalues of M = (A - s B)^{-1} B
-    # are 1/(x - s); infinite x maps to 0.
-    shift = 1.0 + np.max(np.abs(A)) / max(np.max(np.abs(B)), 1.0)
-    Am = _to_mp(A) - mpmath.mpf(shift) * _to_mp(B)
-    M = mpmath.inverse(Am) * _to_mp(B)
-    mus = _mp_eigvals(M)
-    scale = max(abs(m) for m in mus)
-    if scale == 0:
-        return np.empty(0, dtype=complex), n
-    finite = []
-    n_inf = 0
-    for m in mus:
-        if m == 0 or abs(m) < 1e3 * mpmath.mpf(10) ** (-EXTENDED_DPS) * scale:
-            n_inf += 1
-        else:
-            finite.append(complex(shift + 1 / m))
-    return np.array(finite, dtype=complex), n_inf
-
-
-def _to_mp(A):
-    return mpmath.matrix([[mpmath.mpc(A[i, j]) for j in range(A.shape[1])]
-                          for i in range(A.shape[0])])
+    alpha, beta = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
+    infinite = np.abs(beta) < 1e3 * U * np.maximum(np.abs(alpha), 1.0)
+    finite = alpha[~infinite] / beta[~infinite]
+    return finite, int(np.count_nonzero(infinite))
 
 
 def symmetric_eigen_range(S):

@@ -5,8 +5,11 @@ augmenting the barycentric denominator with a constant term u0:
 
     r(z) = (sum_k u_k f_k / (z - z_k)) / (u0 + sum_k u_k / (z - z_k))
 
-The greedy loop runs in binary64 (which acts as a safeguard against weight
-growth); only the pole eigenproblem is solved in extended precision.
+The greedy loop and the pole eigenproblem run in binary64 (the loop's
+working precision acts as a safeguard against weight growth).  Each
+binary64 pole is then polished by Newton's method on the barycentric
+denominator in extended precision, and the residues are computed in
+extended precision too.
 """
 
 import os
@@ -70,7 +73,7 @@ def _is_real_point(z):
     return abs(z.imag) <= 1e-12 * (1.0 + abs(z))
 
 
-def aaa_fit(target, Z, max_order, tol=0.0, loop_precision="working"):
+def aaa_fit(target, Z, max_order, tol=0.0):
     """Greedy AAA fit of ``target`` on the discretization Z.
 
     Support points are added at the residual argmax (lowest index on
@@ -79,8 +82,6 @@ def aaa_fit(target, Z, max_order, tol=0.0, loop_precision="working"):
     reason ``no_room_for_pair`` if only one slot is left.  Returns
     ``(BarycentricApproximant, AAAReport)``.
     """
-    if loop_precision != "working":
-        raise ValueError("only binary64 loop arithmetic is supported")
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
     pts = Z.points if isinstance(Z, Discretization) else np.asarray(Z, complex)
@@ -180,11 +181,19 @@ def aaa_fit(target, Z, max_order, tol=0.0, loop_precision="working"):
     return b, report
 
 
-def extract_poles(b):
-    """Poles of r as the K finite eigenvalues of the arrowhead pencil.
+#: Newton steps allowed per pole before the polish gives up
+POLISH_STEPS = 8
 
-    The pencil is solved in extended precision; the two structurally
-    infinite eigenvalues are discarded.
+
+def extract_poles(b):
+    """Poles of r: the K finite eigenvalues of the arrowhead pencil.
+
+    The pencil is solved in binary64 and its two structurally infinite
+    eigenvalues are discarded.  Each eigenvalue is then polished by
+    Newton's method on the denominator d(z) = u0 + sum_k u_k/(z - z_k) at
+    EXTENDED_DPS digits and rounded back to binary64.  Raises
+    NumericalError if a pole does not converge within POLISH_STEPS steps
+    or two poles coincide.
     """
     K = len(b.support)
     u = b.weights
@@ -200,14 +209,47 @@ def extract_poles(b):
         A[2 + k, 0] = 1.0
         A[2 + k, 2 + k] = b.support[k]
     B = np.diag([0.0, 0.0] + [1.0] * K).astype(complex)
-    finite, _ = dense_eigenvalues(A, B, extended=True)
+    finite, _ = dense_eigenvalues(A, B)
     if len(finite) != K:
         raise NumericalError(
             f"expected {K} finite eigenvalues, got {len(finite)}")
+    poles = _polish_poles(b, finite)
+    for i, p in enumerate(poles):
+        if np.any(np.abs(poles[i + 1:] - p) <= 1e-12 * (1.0 + abs(p))):
+            raise NumericalError(f"poles merge near {p}")
     if _support_symmetric(b):
-        poles, _ = pair_conjugates(finite, finite)
+        poles, _ = pair_conjugates(poles, poles)
         return np.asarray(poles, dtype=complex)
-    return np.sort_complex(finite)
+    return np.sort_complex(poles)
+
+
+def _polish_poles(b, guesses):
+    """Newton on the barycentric denominator at EXTENDED_DPS digits."""
+    out = np.empty(len(guesses), dtype=complex)
+    with mpmath.workdps(EXTENDED_DPS):
+        u0 = mpmath.mpc(b.weights[0])
+        us = [mpmath.mpc(x) for x in b.weights[1:]]
+        zs = [mpmath.mpc(x) for x in b.support]
+        tol = mpmath.mpf(10) ** (8 - EXTENDED_DPS)
+        for i, guess in enumerate(guesses):
+            z = mpmath.mpc(guess)
+            for _ in range(POLISH_STEPS):
+                try:
+                    inv = [1 / (z - zk) for zk in zs]
+                    d = u0 + mpmath.fsum(uk * q for uk, q in zip(us, inv))
+                    step = -d / mpmath.fsum(uk * q * q
+                                            for uk, q in zip(us, inv))
+                except ZeroDivisionError:
+                    raise NumericalError(
+                        f"pole polish hit a singularity from {guess}") from None
+                z -= step
+                if abs(step) <= tol * (1 + abs(z)):
+                    break
+            else:
+                raise NumericalError(
+                    f"pole polish did not converge from {guess}")
+            out[i] = complex(z)
+    return out
 
 
 def _support_symmetric(b):
@@ -290,7 +332,8 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000, prune=True):
                 floor = max(tol, 1e2 * U * float(np.max(np.abs(np.exp(Z.points)))))
                 hit = [k for k, r in enumerate(report.residuals, start=1)
                        if r <= floor]
-                cap = hit[0] if hit else max_order - 2
+                cap = (_support_count(report, hit[0]) if hit
+                       else max_order - 2)
                 max_order = min(max_order - 2, max(2, cap))
             else:
                 max_order -= 2
@@ -319,6 +362,15 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000, prune=True):
     meta = make_metadata(eps, maxw, domain)
     method = to_reduced(full) if symmetric else full
     return method, meta, report
+
+
+def _support_count(report, iterations):
+    """Support points after the first ``iterations`` AAA iterations; an
+    iteration adds one real point or a conjugate pair."""
+    n = 0
+    for _ in range(iterations):
+        n += 1 if _is_real_point(report.support_order[n]) else 2
+    return n
 
 
 def _epsilon_on(full_method, pts):

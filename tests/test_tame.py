@@ -2,16 +2,60 @@ import json
 import os
 import shutil
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from awilt.domains import Disc, ImagSegment, RealSegment, discretize, distance_to
-from awilt.errors import PoleInsideDomainError
-from awilt.methods import to_full
+from awilt.errors import NumericalError, PoleInsideDomainError
+from awilt.methods import load_method, pair_conjugates, to_full
+from awilt.numerics import EXTENDED_DPS
 from awilt.tame import (PRESET_ROWS, AAAReport, BarycentricApproximant,
                         aaa_fit, barycentric_eval, build_presets, build_tame,
                         extract_poles, extract_residues, preset_entry,
                         preset_filename, preset_tame)
+
+
+def _reference_poles(b):
+    """Poles from mpmath.eig at EXTENDED_DPS digits, rounded to binary64.
+
+    The finite eigenvalues of the arrowhead pencil are those of its Schur
+    complement diag(z) - 1 u^T / u0 on the support block.
+    """
+    K = len(b.support)
+    with mpmath.workdps(EXTENDED_DPS):
+        u0 = mpmath.mpc(b.weights[0])
+        M = mpmath.matrix(K, K)
+        for i in range(K):
+            for k in range(K):
+                M[i, k] = -mpmath.mpc(b.weights[1 + k]) / u0
+            M[i, i] += mpmath.mpc(b.support[i])
+        vals = mpmath.eig(M, left=False, right=False)
+        if isinstance(vals, tuple):  # 1x1 matrices ignore the flags
+            vals = vals[0]
+        return np.array([complex(v) for v in vals])
+
+
+def _random_symmetric_approximant(rng):
+    """1-2 real support points and 0-2 conjugate pairs, weights O(1)."""
+    def signed(n):
+        return rng.choice([-1.0, 1.0], n) * rng.uniform(0.2, 2.0, n)
+
+    n_real, n_pair = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+    support = list(rng.uniform(-3, 3, n_real))
+    weights = list(signed(n_real))
+    for _ in range(n_pair):
+        z = complex(rng.uniform(-3, 3), rng.uniform(0.5, 3))
+        w = complex(*signed(2))
+        support += [z, z.conjugate()]
+        weights += [w, w.conjugate()]
+    u0 = float(signed(1)[0])
+    return BarycentricApproximant(
+        support=np.array(support, dtype=complex),
+        values=np.ones(len(support), dtype=complex),
+        weights=np.array([u0] + weights, dtype=complex))
 
 
 def _single_pole_approximant(pole=1.0):
@@ -110,11 +154,6 @@ class TestAAAFit:
         with pytest.raises(ValueError):
             aaa_fit(np.exp, Z, max_order=10)
 
-    def test_rejects_extended_loop(self):
-        Z = discretize(Disc(complex(0.0), 1.0), 100)
-        with pytest.raises(ValueError):
-            aaa_fit(np.exp, Z, max_order=4, loop_precision="extended")
-
 
 class TestExtractPoles:
     def test_single_pole(self):
@@ -133,6 +172,26 @@ class TestExtractPoles:
         assert np.max(np.abs(poles - np.array([-1j, 1j]))) < 1e-12
         # conjugate pairing is exact, not just close
         assert poles[0] == poles[1].conjugate()
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_extended_eig(self, seed):
+        b = _random_symmetric_approximant(np.random.default_rng(seed))
+        ref = _reference_poles(b)
+        gaps = np.abs(ref[:, None] - ref[None, :]) + np.eye(len(ref))
+        assume(np.min(gaps) > 1e-6)  # simple poles only
+        want, _ = pair_conjugates(ref, ref)
+        got = extract_poles(b)
+        assert np.array_equal(got, np.asarray(want, dtype=complex))
+
+    def test_double_pole_rejected(self):
+        # d(z) = 1 - 0.5/z + 0.5/(z-2) = (z-1)^2 / (z(z-2))
+        b = BarycentricApproximant(
+            support=np.array([0.0 + 0j, 2.0 + 0j]),
+            values=np.array([1.0 + 0j, 1.0 + 0j]),
+            weights=np.array([1.0 + 0j, -0.5 + 0j, 0.5 + 0j]))
+        with pytest.raises(NumericalError):
+            extract_poles(b)
 
     def test_u0_zero_rejected(self):
         b = BarycentricApproximant(support=np.array([0.0 + 0j]),
@@ -204,6 +263,15 @@ class TestBuildTame:
         m, meta, _ = build_tame(Disc(complex(-0.5), 0.5), 12, count=600)
         assert meta.epsilon < 1e-12
 
+    def test_refit_cap_counts_support_points(self):
+        # The order-26 fit degenerates; the refit must be capped at the
+        # support points (not the iterations) the residual history needed.
+        dom = Disc(complex(-31.6), 31.6)
+        _, meta10, _ = build_tame(dom, 10)
+        m, meta, _ = build_tame(dom, 13)
+        assert m.n_entries >= 10
+        assert meta.epsilon <= 10 * meta10.epsilon
+
 
 class TestPresets:
     def test_rows_are_sorted(self):
@@ -249,3 +317,20 @@ class TestPresets:
         monkeypatch.setenv("AW_PRESET_DIR", str(tmp_path))
         with pytest.raises(OSError):
             preset_entry(0.5)
+
+    def test_rebuild_matches_shipped(self, tmp_path):
+        # A rebuild can differ from the shipped files by up to ~5e-7
+        # relative in the weights on another machine, so compare within
+        # tolerances rather than byte for byte.
+        import awilt
+        shipped = os.path.join(os.path.dirname(awilt.__file__), "presets")
+        for path in build_presets(str(tmp_path)):
+            m, meta = load_method(path)
+            m0, meta0 = load_method(
+                os.path.join(shipped, os.path.basename(path)))
+            assert m.n_entries == m0.n_entries
+            for got, want, rtol in ((m.nodes, m0.nodes, 1e-6),
+                                    (m.weights, m0.weights, 1e-5)):
+                got, want = np.asarray(got), np.asarray(want)
+                assert np.all(np.abs(got - want) <= rtol * np.abs(want))
+            assert 0.5 <= meta.epsilon / meta0.epsilon <= 2.0
