@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import catalog, diagnostics
-from .domains import Disc, ImagSegment, RealSegment, discretize, parse_domain
+from .domains import (Disc, ImagSegment, RealSegment, _fmt, discretize,
+                      parse_domain)
 from .errors import NumericalError
 from .invert import Transform, invert, invert_curve
 from .methods import (euler_method, gaver_method, load_method, save_method,
@@ -24,10 +25,6 @@ from .numerics import U, matrix_exponential
 from .queueing import (FluidQueueModel, GeneratorMatrix, fluid_psi_transform,
                        make_experiment_model, psi_infinity)
 from .tame import PRESET_ROWS, build_tame, preset_entry, preset_tame
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _fail(obj):
@@ -457,21 +454,20 @@ def _bench_c(args, out_dir):
 
 
 def _curve_rows(m, entry, ts):
-    rows = []
-    cache = {}
-    for t in ts:
-        t = float(t)
+    kept = []
+    for t in map(float, ts):
         try:
-            ref = entry.f(t)
+            kept.append((t, entry.f(t)))
         except ValueError:
             continue  # ground truth undefined at a jump point
-        try:
-            val = invert(m, entry.transform, t, _cache=cache)
-        except NumericalError as exc:
-            _fail({"notice": f"t={t}: {exc}"})
+    rows = []
+    points = invert_curve(m, entry.transform, [t for t, _ in kept])
+    for (t, ref), p in zip(kept, points):
+        if p.error is not None:
+            _fail({"notice": f"t={t}: {p.error}"})
             rows.append([t, None, ref, None])
-            continue
-        rows.append([t, val, ref, abs(val - ref)])
+        else:
+            rows.append([t, p.value, ref, abs(p.value - ref)])
     return rows
 
 

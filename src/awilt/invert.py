@@ -1,11 +1,17 @@
 """Evaluate an Abate-Whitt method against a Laplace-transform callable."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NodeCollisionError, NumericalError
-from .methods import to_full
+
+#: transform failures that flag a point of a curve instead of aborting it
+_FLAGGED = (NumericalError, FloatingPointError, ZeroDivisionError,
+            OverflowError)
+
+#: elements of one node-singularity distance block in the collision check
+_COLLISION_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -15,70 +21,146 @@ class Transform:
     ``conjugate_symmetric`` declares 𝓛f(conj s) = conj 𝓛f(s), which holds
     whenever f is real-valued; it is required for reduced-form inversion.
     ``singularities`` lists known poles/branch points of 𝓛f used for
-    node-collision checks.  ``concurrency_safe`` declares whether the
-    evaluator may be called from several threads at once (this package
-    evaluates sequentially, but callers may not).
+    node-collision checks.
     """
     evaluator: object
     conjugate_symmetric: bool = False
     singularities: tuple = ()
-    concurrency_safe: bool = True
     name: str = ""
 
     def __call__(self, s):
         return self.evaluator(s)
 
 
-def _check_collisions(m, transform, t):
-    sing = transform.singularities
+def _scaled_nodes(m, ts):
+    """The (T x N) array of beta_n / t.
+
+    Rounded as CPython's ``complex / float`` (which divides by t + 0j):
+    the ``* 0.0`` terms only set the sign of a zero part.
+    """
+    b = np.asarray(m.nodes)
+    S = np.empty((len(ts), len(b)), dtype=complex)
+    S.real = (b.real + b.imag * 0.0) / ts[:, None]
+    S.imag = (b.imag - b.real * 0.0) / ts[:, None]
+    return S
+
+
+def _collisions(m, transform, S, ts, errors):
+    """Flag in ``errors`` each row of S where a scaled node, or for reduced
+    methods its conjugate, lies within 1e-10 max(1, |s0|) of a declared
+    singularity s0."""
+    sing = list(transform.singularities)
     if not sing:
         return
-    for b in m.nodes:
-        s = b / t
-        for s0 in sing:
-            if abs(s - s0) <= 1e-10 * max(1.0, abs(s0)):
-                raise NodeCollisionError(
-                    f"node {b}/t collides with singularity {s0} at t={t}")
-        if m.reduced:
-            sc = s.conjugate()
-            for s0 in sing:
-                if abs(sc - s0) <= 1e-10 * max(1.0, abs(s0)):
-                    raise NodeCollisionError(
-                        f"node conj({b})/t collides with singularity {s0} "
-                        f"at t={t}")
+    tol = np.array([1e-10 * max(1.0, abs(s0)) for s0 in sing])
+    targets = np.asarray(sing, dtype=complex)
+    if m.reduced:
+        # |conj(s) - s0| == |s - conj(s0)| exactly
+        targets = np.concatenate([targets, targets.conjugate()])
+        tol = np.concatenate([tol, tol])
+    T, N = S.shape
+    rows = max(1, _COLLISION_BLOCK // (N * len(targets)))
+    for lo in range(0, T, rows):
+        near = np.abs(S[lo:lo + rows, :, None] - targets) <= tol
+        for i in np.flatnonzero(near.any(axis=(1, 2))):
+            r = lo + i
+            # the first node that collides, its direct hits before its
+            # conjugate ones
+            j = int(np.argmax(near[i].any(axis=1)))
+            k = int(np.argmax(near[i, j]))
+            b, t = m.nodes[j], ts[r]
+            if k < len(sing):
+                msg = f"node {b}/t collides with singularity {sing[k]}"
+            else:
+                msg = (f"node conj({b})/t collides with singularity "
+                       f"{sing[k - len(sing)]}")
+            errors[r] = NodeCollisionError(f"{msg} at t={t}")
 
 
-def invert(m, transform, t, _cache=None):
-    """f_N(t): full form sum (w/t) F(b/t); reduced form sum Re((w'/t) F(b/t)).
+def _grid(m, transform, ts):
+    """The weighted sums of m at every t of ts, and the failure of each.
 
-    Returns a real scalar / real array for reduced methods, a complex
-    scalar / complex array for full-form methods.
+    Returns ``(values, errors)``, one entry per t.  A failed t has value
+    None and, as its error, the exception it raised: a node collision, a
+    transform failure of a type in ``_FLAGGED``, or a non-finite transform
+    value.  The transform is called in t-by-node order, once per distinct
+    s = beta/t; a t stops at its first failing node, and an s that failed
+    is tried again by each later t that reaches it.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
     if m.reduced and not transform.conjugate_symmetric:
         raise ValueError("reduced-form inversion needs a conjugate-symmetric "
                          "transform")
-    _check_collisions(m, transform, t)
-    cache = _cache if _cache is not None else {}
-    vals = []
-    for b in m.nodes:
-        s = complex(b) / t
-        key = (s.real, s.imag)
-        if key not in cache:
-            cache[key] = np.asarray(transform(s))
-        vals.append(cache[key])
+    tv = np.asarray(ts, dtype=float)
+    S = _scaled_nodes(m, tv)
+    T, N = S.shape
+    errors = [None] * T
+    _collisions(m, transform, S, ts, errors)
+
+    points = S.ravel().tolist()
+    # first appearances, by complex equality (so -0.0 and 0.0 are one s)
+    distinct = list(dict.fromkeys(points))
+    if len(distinct) == len(points):
+        ids = range(len(points))
+    else:
+        index = {s: u for u, s in enumerate(distinct)}
+        ids = [index[s] for s in points]
+    raw = [None] * len(distinct)
+    for r in range(T):
+        if errors[r] is not None:
+            continue
+        for u in ids[r * N:(r + 1) * N]:
+            if raw[u] is None:
+                try:
+                    raw[u] = transform(distinct[u])
+                except _FLAGGED as exc:
+                    errors[r] = exc
+                    break
+    shape = np.shape(next((v for v in raw if v is not None), 0j))
+    if shape:
+        zero = np.zeros(shape, dtype=complex)
+        F = np.stack([zero if v is None else np.asarray(v, dtype=complex)
+                      for v in raw])
+        finite = np.isfinite(F).all(axis=tuple(range(1, F.ndim)))
+    else:
+        F = np.array([0j if v is None else v for v in raw], dtype=complex)
+        finite = np.isfinite(F)
+    idx = np.array(ids).reshape(T, N)
+    for r in np.flatnonzero(~finite[idx].all(axis=1)):
+        if errors[r] is None:
+            u = idx[r, np.argmin(finite[idx[r]])]
+            errors[r] = NumericalError(f"transform value at s={distinct[u]} "
+                                       f"is not finite (t={ts[r]})")
+    F[~finite] = 0.0  # only flagged t use them
+
     w = np.asarray(m.weights)
-    if vals[0].ndim == 0:
-        terms = w * np.array([complex(v) for v in vals])
-        if m.reduced:
-            return float(np.sum(terms.real) / t)
-        return complex(np.sum(terms) / t)
-    stack = np.stack([np.asarray(v, dtype=complex) for v in vals])
-    terms = w.reshape((-1,) + (1,) * vals[0].ndim) * stack
-    if m.reduced:
-        return np.sum(terms.real, axis=0) / t
-    return np.sum(terms, axis=0) / t
+    if not shape:
+        terms = w * F[idx]
+        sums = np.sum(terms.real if m.reduced else terms, axis=1) / tv
+        values = sums.tolist()
+    else:
+        wcol = w.reshape((-1,) + (1,) * len(shape))
+        values = []
+        for r in range(T):
+            terms = wcol * F[idx[r]]
+            values.append(np.sum(terms.real if m.reduced else terms, axis=0)
+                          / tv[r])
+    return [None if e is not None else v
+            for v, e in zip(values, errors)], errors
+
+
+def invert(m, transform, t):
+    """f_N(t): full form sum (w/t) F(b/t); reduced form sum Re((w'/t) F(b/t)).
+
+    Returns a real scalar / real array for reduced methods, a complex
+    scalar / complex array for full-form methods.  A node collision or a
+    non-finite transform value raises a `NumericalError`.
+    """
+    if not t > 0:
+        raise ValueError("t must be positive")
+    (value,), (error,) = _grid(m, transform, [t])
+    if error is not None:
+        raise error
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,21 +171,23 @@ class CurvePoint:
 
 
 def invert_curve(m, transform, ts):
-    """Pointwise inversion over a t-grid; per-point failures are flagged
-    in the output instead of aborting the curve.  Transform evaluations
-    are cached across the whole call keyed by the exact value of b/t."""
+    """Inversion over a t-grid, with the values of :func:`invert`.
+
+    All of ts is done at once: the (T x N) array of scaled nodes, the
+    collision check, one transform evaluation per distinct s = beta/t
+    (exactly equal values share it), and the weighted sum.  A t whose
+    inversion fails is flagged in the output (``error`` set, ``value``
+    None) instead of aborting the curve: a node collision, a non-finite
+    transform value, or a transform that raises `NumericalError`,
+    `FloatingPointError`, `ZeroDivisionError` or `OverflowError`.  Other
+    exceptions propagate.
+    """
     ts = list(ts)
     if not ts:
         raise ValueError("empty t-grid")
     if any(not t > 0 for t in ts):
         raise ValueError("all t must be positive")
-    cache = {}
-    out = []
-    for t in ts:
-        try:
-            out.append(CurvePoint(t=float(t),
-                                  value=invert(m, transform, t, _cache=cache)))
-        except (NumericalError, FloatingPointError, ZeroDivisionError,
-                OverflowError) as exc:
-            out.append(CurvePoint(t=float(t), error=str(exc)))
-    return out
+    values, errors = _grid(m, transform, ts)
+    return [CurvePoint(t=float(t), value=v,
+                       error=None if e is None else str(e))
+            for t, v, e in zip(ts, values, errors)]

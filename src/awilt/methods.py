@@ -17,6 +17,7 @@ import mpmath
 import numpy as np
 
 from . import domains
+from .domains import _fmt
 from .numerics import EXTENDED_DPS, U, polynomial_roots
 
 #: |Im| <= REAL_SNAP_TOL * (1 + |Re|) counts as real for reduced entries
@@ -273,10 +274,6 @@ def to_full(m):
 # -- persistence -------------------------------------------------------------
 
 _SCHEMA = 1
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _scalar_json(z):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awilt.errors import NodeCollisionError
+from awilt.errors import NodeCollisionError, NumericalError
 from awilt.invert import Transform, invert, invert_curve
 from awilt.methods import (euler_method, gaver_method, talbot_method, to_full,
                            zakian_method)
 from awilt.numerics import U
-from awilt.tame import preset_tame
+from awilt.tame import PRESET_ROWS, preset_tame
 
 ONE_OVER_S = Transform(lambda s: 1.0 / s, conjugate_symmetric=True,
                        singularities=(0.0,))
@@ -149,3 +149,153 @@ class TestInvertCurve:
         m = zakian_method(1)  # node 1: t and 2t share s=1 when t doubles
         invert_curve(m, Transform(F), [1.0, 1.0, 1.0])
         assert len(seen) == 1  # same s evaluated once thanks to the cache
+
+    def test_collision_flags_only_its_row(self):
+        m = zakian_method(1)  # node 1: 1/t hits the pole 0.5 at t = 2 only
+        F = Transform(lambda s: 1.0 / (s - 0.5), singularities=(0.5,))
+        pts = invert_curve(m, F, [1.0, 2.0, 4.0])
+        assert [p.error is None for p in pts] == [True, False, True]
+        assert pts[1].error == ("node (1+0j)/t collides with singularity "
+                                "0.5 at t=2.0")
+
+    def test_conjugate_collision_flags_only_its_row(self):
+        m = euler_method(3)  # nodes a, a + i pi
+        sing = m.nodes[1].conjugate() / 2.0  # conj(node)/t at t = 2
+        F = Transform(lambda s: 1.0 / (s - sing), conjugate_symmetric=True,
+                      singularities=(sing,))
+        pts = invert_curve(m, F, [1.0, 2.0, 3.0])
+        assert [p.error is None for p in pts] == [True, False, True]
+        assert pts[1].error.startswith(f"node conj({m.nodes[1]})/t collides")
+
+    def test_non_finite_value_is_flagged(self):
+        m = zakian_method(1)  # node 1: s = 1 exactly at t = 1
+        F = Transform(lambda s: math.nan if s == 1.0 else 1.0 / s)
+        pts = invert_curve(m, F, [0.5, 1.0, 2.0])
+        assert [p.error is None for p in pts] == [True, False, True]
+        assert pts[1].value is None and "not finite" in pts[1].error
+        with pytest.raises(NumericalError, match="not finite"):
+            invert(m, F, 1.0)
+        Q = np.array([[-1.0, 1.0], [0.0, -2.0]])
+        G = Transform(lambda s: np.full((2, 2), math.inf) if s == 1.0
+                      else np.linalg.inv(s * np.eye(2) - Q))
+        pts = invert_curve(m, G, [0.5, 1.0, 2.0])
+        assert [p.error is None for p in pts] == [True, False, True]
+
+
+# -- the per-t loop that invert_curve replaced, kept as the reference -------
+
+def _old_check_collisions(m, transform, t):
+    sing = transform.singularities
+    if not sing:
+        return
+    for b in m.nodes:
+        s = b / t
+        for s0 in sing:
+            if abs(s - s0) <= 1e-10 * max(1.0, abs(s0)):
+                raise NodeCollisionError(
+                    f"node {b}/t collides with singularity {s0} at t={t}")
+        if m.reduced:
+            sc = s.conjugate()
+            for s0 in sing:
+                if abs(sc - s0) <= 1e-10 * max(1.0, abs(s0)):
+                    raise NodeCollisionError(
+                        f"node conj({b})/t collides with singularity {s0} "
+                        f"at t={t}")
+
+
+def _old_invert(m, transform, t, cache):
+    _old_check_collisions(m, transform, t)
+    vals = []
+    for b in m.nodes:
+        s = complex(b) / t
+        key = (s.real, s.imag)
+        if key not in cache:
+            cache[key] = np.asarray(transform(s))
+        vals.append(cache[key])
+    w = np.asarray(m.weights)
+    if vals[0].ndim == 0:
+        terms = w * np.array([complex(v) for v in vals])
+        if m.reduced:
+            return float(np.sum(terms.real) / t)
+        return complex(np.sum(terms) / t)
+    stack = np.stack([np.asarray(v, dtype=complex) for v in vals])
+    terms = w.reshape((-1,) + (1,) * vals[0].ndim) * stack
+    if m.reduced:
+        return np.sum(terms.real, axis=0) / t
+    return np.sum(terms, axis=0) / t
+
+
+def _old_curve(m, transform, ts):
+    cache = {}
+    out = []
+    for t in ts:
+        try:
+            with np.errstate(invalid="ignore"):
+                out.append((_old_invert(m, transform, t, cache), None))
+        except (NumericalError, FloatingPointError, ZeroDivisionError,
+                OverflowError) as exc:
+            out.append((None, str(exc)))
+    return out
+
+
+_METHODS = st.one_of(
+    st.integers(1, 7).map(lambda k: euler_method(2 * k + 1)),
+    st.integers(2, 20).map(talbot_method),
+    st.integers(1, 6).map(lambda k: gaver_method(2 * k)),
+    st.integers(1, 8).map(zakian_method),
+    st.sampled_from([r for r, _ in PRESET_ROWS]).map(preset_tame))
+
+_Q = np.array([[-2.0, 1.5], [0.5, -1.0]])
+
+
+def _scalar(s):
+    if s.real > 40.0:
+        raise OverflowError(f"synthetic overflow at {s}")
+    if s.imag > 25.0:
+        return complex(math.nan, 0.0)
+    return 1.0 / (s + 1.0) - 0.5 / (s + 2.0)
+
+
+def _matrix(s):
+    if s.real > 40.0:
+        raise ZeroDivisionError(f"synthetic failure at {s}")
+    if s.imag > 25.0:
+        return np.full((2, 2), math.inf)
+    return np.linalg.inv(s * np.eye(2) - _Q)
+
+
+_TRANSFORMS = {
+    "scalar": Transform(_scalar, conjugate_symmetric=True,
+                        singularities=(-1.0, -2.0)),
+    "matrix": Transform(_matrix, conjugate_symmetric=True,
+                        singularities=tuple(np.linalg.eigvals(_Q))),
+}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@given(_METHODS, st.booleans(), st.sampled_from(sorted(_TRANSFORMS)),
+       st.lists(st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+                          st.floats(0.02, 30.0)), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_curve_matches_per_t_loop(m, full, kind, ts):
+    """invert_curve equals the old per-t loop bit for bit, flags included;
+    where that loop returned a non-finite value, the point is flagged."""
+    if full:
+        m = to_full(m)
+    F = _TRANSFORMS[kind]
+    got = invert_curve(m, F, ts)
+    want = _old_curve(m, F, ts)
+    for t, p, (value, error) in zip(ts, got, want):
+        assert p.t == t
+        if p.error is not None and "not finite" in p.error:
+            assert error is None and not np.all(np.isfinite(value))
+            continue
+        assert p.error == error
+        if error is None:
+            assert type(p.value) is type(value)
+            assert _same_bits(p.value, value)
