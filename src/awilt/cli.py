@@ -85,7 +85,9 @@ def cmd_gen(args):
                           "n": m.n_full, "epsilon": meta.epsilon,
                           "max_abs_weight": meta.max_abs_weight,
                           "eta": meta.eta,
-                          "termination": report.termination}))
+                          "termination": report.termination,
+                          "refits": list(report.refits),
+                          "pruned": report.pruned}))
         return 0
     if args.method not in _GENERATORS:
         raise ValueError(f"unknown method {args.method!r}")

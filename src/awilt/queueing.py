@@ -1,12 +1,16 @@
 """CTMC utilities, phase-type distributions, and fluid-queue transforms.
 
 The fluid-queue first-return density transform psi_hat(s) is the minimal
-solution of a nonsymmetric algebraic Riccati equation, obtained here from
-the stable invariant subspace of a 2x2-block matrix followed by two Newton
-refinement steps.
+solution of a nonsymmetric algebraic Riccati equation.  For Re(s) >= 0 it
+comes from the stable invariant subspace of a 2x2-block matrix, followed by
+2 to 5 Newton refinement steps that stop once the residual is within 1e-12
+of the scale of the equation's terms; for Re(s) < 0 that solution is
+continued along an arc of constant |s| (see :func:`solve_psi`).
 """
 
-from dataclasses import dataclass, field
+import cmath
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -14,6 +18,11 @@ import scipy.linalg
 from .errors import RiccatiError, SpectralGapError
 from .invert import Transform
 from .numerics import matrix_exponential
+
+#: relative eigenvalue gap below which the sorted subspace split is ambiguous
+GAP_RTOL = 1e-8
+#: the continuation's step count beyond which step halving gives up
+MAX_ARC_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -148,6 +157,8 @@ def _riccati_blocks(model, s):
 
 def _newton_refine(blocks, X, s, max_steps=5, min_steps=2):
     App, Apm, Amp, Amm = blocks
+    n_pm, n_pp, n_mm, n_mp = (np.linalg.norm(B, np.inf)
+                              for B in (Apm, App, Amm, Amp))
 
     def residual(X):
         return Apm + App @ X + X @ Amm + X @ Amp @ X
@@ -158,10 +169,7 @@ def _newton_refine(blocks, X, s, max_steps=5, min_steps=2):
         # is much larger than ||A|| when ||X|| is large (continuation at
         # Re s < 0 can make X big).
         nx = np.linalg.norm(X, np.inf)
-        return (np.linalg.norm(Apm, np.inf)
-                + np.linalg.norm(App, np.inf) * nx
-                + nx * np.linalg.norm(Amm, np.inf)
-                + nx * np.linalg.norm(Amp, np.inf) * nx)
+        return n_pm + n_pp * nx + nx * n_mm + nx * n_mp * nx
 
     for k in range(max_steps):
         R = residual(X)
@@ -181,7 +189,7 @@ def _newton_refine(blocks, X, s, max_steps=5, min_steps=2):
     return X
 
 
-def _solve_psi_sorted(model, s, gap_rtol=1e-8):
+def _solve_psi_sorted(model, s):
     """Subspace solve selecting the d- eigenvalues of smallest real part.
 
     This is the minimal solution for Re(s) >= 0; for Re(s) < 0 the sorted
@@ -195,7 +203,7 @@ def _solve_psi_sorted(model, s, gap_rtol=1e-8):
     order = np.argsort(vals.real, kind="stable")
     spread = max(float(vals.real.max() - vals.real.min()), 1.0)
     gap = vals.real[order[dm]] - vals.real[order[dm - 1]]
-    if gap <= gap_rtol * spread:
+    if gap <= GAP_RTOL * spread:
         raise SpectralGapError(
             f"ambiguous eigenvalue splitting at s={s}: gap {gap:.3e}")
     V = vecs[:, order[:dm]]
@@ -206,36 +214,46 @@ def _solve_psi_sorted(model, s, gap_rtol=1e-8):
     return _newton_refine((App, Apm, Amp, Amm), X, s)
 
 
-def solve_psi(model, s, gap_rtol=1e-8):
+def solve_psi(model, s):
     """psi_hat(s): the d+ x d- minimal-solution matrix of the NARE.
 
     Solves A_pm + A_pp X + X A_mm + X A_mp X = 0 where A(s) is
     C^{-1}(Q - sI) partitioned by rate sign, C = diag(|r_i|).  For
     Re(s) >= 0 the solution comes from the invariant subspace of
     H = [[A_mm, A_mp], [-A_pm, -A_pp]] for the d- eigenvalues of smallest
-    real part, refined by Newton steps (Sylvester solves).  For
-    Re(s) < 0 that splitting no longer tracks the analytic continuation
-    of psi_hat, so the solution is continued from |s| along the
-    constant-radius arc to s, Newton-refining at each step.
+    real part, refined by Newton steps (Sylvester solves).
+
+    For Re(s) < 0 that splitting no longer tracks the analytic continuation
+    of psi_hat.  The sorted solve is then taken at z0 = +-i|s|, where the
+    arc |z| = |s| crosses the imaginary axis on the side of s (the sign of
+    Im s, -0.0 included), and continued along that arc to s, refined by
+    Newton at each step.  This is the branch that continuing from |s| on
+    the real axis gives: the arc from |s| to z0 stays in Re z >= 0, where
+    psi_hat is analytic and the sorted solve is the minimal solution.  The
+    angular step is at most |arg s|/16; a step where Newton fails is
+    halved, up to MAX_ARC_STEPS steps, and the last step ends at s itself.
     """
     s = complex(s)
     if s.real >= 0:
-        return _solve_psi_sorted(model, s, gap_rtol=gap_rtol)
+        return _solve_psi_sorted(model, s)
     radius = abs(s)
-    theta = np.angle(s)
-    X = _solve_psi_sorted(model, complex(radius), gap_rtol=gap_rtol)
-    blocks = None
-    steps = 16
+    theta = math.atan2(s.imag, s.real)
+    start = math.copysign(math.pi / 2, theta)
+    X = _solve_psi_sorted(model, complex(0.0, math.copysign(radius, theta)))
+    steps = max(1, math.ceil(16 * (abs(theta) - math.pi / 2) / abs(theta)))
     k = 0
     while k < steps:
         k += 1
-        sk = radius * np.exp(1j * theta * k / steps)
+        angle = start + (theta - start) * k / steps
+        sk = s if k == steps else radius * cmath.exp(1j * angle)
         blocks = _riccati_blocks(model, sk)[:4]
         try:
             X = _newton_refine(blocks, X, sk, max_steps=12, min_steps=1)
-        except RiccatiError:
-            if steps >= 4096:
-                raise
+        except RiccatiError as exc:
+            if steps >= MAX_ARC_STEPS:
+                raise RiccatiError(
+                    f"continuation to s={s} failed at z={sk} with {steps} "
+                    f"arc steps: {exc}") from exc
             # halve the step size and restart the failed step
             k = 2 * (k - 1)
             steps *= 2

@@ -13,7 +13,7 @@ extended precision too.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import mpmath
@@ -42,6 +42,8 @@ class AAAReport:
     epsilon: float
     support_order: tuple      # support points in the order they were chosen
     termination: str          # tolerance | max_order | no_room_for_pair
+    refits: tuple = ()        # support-point budgets build_tame abandoned
+    pruned: int = 0           # poles build_tame's prune dropped
 
 
 def barycentric_eval(b, z):
@@ -308,13 +310,16 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000, prune=True):
     pole must end up strictly outside the closed domain.  Returns
     ``(method, metadata, report)`` with the method in reduced form when
     the domain is symmetric about the real axis (full form otherwise) and
-    the metadata's epsilon re-measured on a 4x finer boundary grid.
+    the metadata's epsilon re-measured on a 4x finer boundary grid.  The
+    report is that of the final fit; its ``refits`` lists the support-point
+    budgets whose fit failed in the pole solve (the failed fit's report is
+    not kept), and ``pruned`` counts the poles dropped for tiny weights.
     """
     if n_reduced_target < 1:
         raise ValueError("n_reduced_target must be >= 1")
     Z = discretize(domain, count)
     max_order = 2 * n_reduced_target
-    first_failure = True
+    refits = []
     while True:
         b, report = aaa_fit(np.exp, Z, max_order=max_order, tol=tol)
         try:
@@ -327,8 +332,8 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000, prune=True):
             # then step down by 2 if that is still too optimistic.
             if max_order <= 2:
                 raise
-            if first_failure:
-                first_failure = False
+            refits.append(max_order)
+            if len(refits) == 1:
                 floor = max(tol, 1e2 * U * float(np.max(np.abs(np.exp(Z.points)))))
                 hit = [k for k, r in enumerate(report.residuals, start=1)
                        if r <= floor]
@@ -340,8 +345,10 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000, prune=True):
             continue
         break
     weights = extract_residues(b, poles)
+    pruned = 0
     if prune and len(weights):
         keep = np.abs(weights) >= 1e2 * U * np.max(np.abs(weights))
+        pruned = len(weights) - int(np.count_nonzero(keep))
         poles, weights = poles[keep], weights[keep]
     symmetric = _domain_symmetric(domain)
     if symmetric:
@@ -361,6 +368,7 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000, prune=True):
     maxw = max(abs(w) for w in full.weights)
     meta = make_metadata(eps, maxw, domain)
     method = to_reduced(full) if symmetric else full
+    report = replace(report, refits=tuple(refits), pruned=pruned)
     return method, meta, report
 
 

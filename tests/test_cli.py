@@ -38,6 +38,7 @@ class TestGen:
         assert info["epsilon"] < 1e-11
         assert info["termination"] in ("max_order", "tolerance",
                                        "no_room_for_pair")
+        assert info["refits"] == [] and info["pruned"] == 0
         m, meta = load_method(out)
         assert meta.epsilon == pytest.approx(info["epsilon"])
 

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from awilt.errors import SpectralGapError
+from awilt import queueing
+from awilt.errors import RiccatiError, SpectralGapError
 from awilt.invert import invert, invert_curve
-from awilt.methods import talbot_method
-from awilt.queueing import (FluidQueueModel, GeneratorMatrix, PhaseType,
-                            fluid_psi_transform, make_experiment_model,
-                            phase_type_ground_truth, phase_type_transform,
-                            psi_infinity, solve_psi)
+from awilt.methods import talbot_method, to_full
+from awilt.queueing import (MAX_ARC_STEPS, FluidQueueModel, GeneratorMatrix,
+                            PhaseType, _newton_refine, _riccati_blocks,
+                            _solve_psi_sorted, fluid_psi_transform,
+                            make_experiment_model, phase_type_ground_truth,
+                            phase_type_transform, psi_infinity, solve_psi)
 from awilt.tame import preset_tame
 
 
@@ -28,6 +32,52 @@ def _nare_residual(model, s, X):
     Amp = A[np.ix_(im, ip)]
     Amm = A[np.ix_(im, im)]
     return np.linalg.norm(Apm + App @ X + X @ Amm + X @ Amp @ X, np.inf)
+
+
+def _residual_ok(model, s, X):
+    # The check of test_residual_small_left_halfplane, on the scale of
+    # A = C^-1 (Q - sI) rather than of Q - sI: random models have rates
+    # near 0, so C^-1 can be large.
+    scale = (np.linalg.norm(model.gen.Q, np.inf) + abs(s)) / np.min(
+        np.abs(model.rates))
+    nx = np.linalg.norm(X, np.inf)
+    return _nare_residual(model, s, X) < 1e-10 * scale * max(1.0, nx) ** 2
+
+
+def _cold_start_arc(model, s):
+    """The continuation as it was before it started on the imaginary axis:
+    sorted solve at |s|, then 16 (or, halving, more) steps along the arc."""
+    radius = abs(s)
+    theta = np.angle(s)
+    X = _solve_psi_sorted(model, complex(radius))
+    steps = 16
+    k = 0
+    while k < steps:
+        k += 1
+        sk = radius * np.exp(1j * theta * k / steps)
+        blocks = _riccati_blocks(model, sk)[:4]
+        try:
+            X = _newton_refine(blocks, X, sk, max_steps=12, min_steps=1)
+        except RiccatiError:
+            if steps >= 4096:
+                raise
+            k = 2 * (k - 1)
+            steps *= 2
+    return X
+
+
+def _condition(model, s, X):
+    """NARE term scale over sep of the Newton (Sylvester) operator, per
+    max(1, ||X||): how far a residual within the Newton gate can move X."""
+    App, Apm, Amp, Amm, _ = _riccati_blocks(model, s)
+    A, B = App + X @ Amp, Amm + Amp @ X
+    L = np.kron(np.eye(len(B)), A) + np.kron(B.T, np.eye(len(A)))
+    sep = np.linalg.svd(L, compute_uv=False)[-1]
+    nx = np.linalg.norm(X, np.inf)
+    n_pm, n_pp, n_mm, n_mp = (np.linalg.norm(M, np.inf)
+                              for M in (Apm, App, Amm, Amp))
+    scale = n_pm + n_pp * nx + nx * n_mm + nx * n_mp * nx
+    return scale / sep / max(1.0, nx)
 
 
 class TestGeneratorMatrix:
@@ -133,6 +183,71 @@ class TestSolvePsi:
             nx = np.linalg.norm(X, np.inf)
             assert _nare_residual(model, s, X) < 1e-10 * scale * max(
                 1.0, nx) ** 2
+
+    def test_left_halfplane_oracle(self):
+        # (1+s) - sqrt(s) sqrt(s+2), a product of principal roots, is the
+        # continuation of psi_hat to C minus [-2, 0]; the form
+        # sqrt((1+s)^2 - 1) jumps on Re s = -1.  Its product with
+        # (1+s) + sqrt(s) sqrt(s+2) is 1, so the reciprocal of that is the
+        # same function without the cancellation at large |s|.
+        model = _scalar_model(1.0, 1.0)
+        pts = [-0.5 + 1e-3j, -3.0 + 0.1j, -10.0 - 5.0j, -100.0 + 0.5j]
+        for t in (1.0, 3.0, 10.0, 30.0):
+            for m in (talbot_method(24), preset_tame(model.gen.lam * t)):
+                pts += [complex(b) / t for b in to_full(m).nodes
+                        if complex(b).real < 0]
+        assert len(pts) > 50
+        for s in pts:
+            x = complex(solve_psi(model, s)[0, 0])
+            want = 1.0 / ((1.0 + s) + np.sqrt(s) * np.sqrt(s + 2.0))
+            # The 1e-12 residual gate allows about 2.3e-12 relative at
+            # s = -3+0.1j, where the error is 1.5e-12.
+            assert abs(x - want) <= 2e-12 * abs(want), s
+
+    @settings(max_examples=100, deadline=None)
+    @given(d_plus=st.integers(1, 5), d_minus=st.integers(1, 5),
+           seed=st.integers(0, 2**16),
+           log_radius=st.floats(-1.5, 1.5),
+           angle=st.one_of(st.floats(0.5 * math.pi, math.pi,
+                                     exclude_min=True),
+                           st.just(math.pi)),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_continuation_matches_cold_start(self, d_plus, d_minus, seed,
+                                             log_radius, angle, sign):
+        model = make_experiment_model(d_plus, d_minus, seed)
+        r = 10.0 ** log_radius
+        s = (complex(-r, sign * 0.0) if angle == math.pi
+             else complex(r * math.cos(angle), sign * r * math.sin(angle)))
+        X = solve_psi(model, s)
+        ref = _cold_start_arc(model, s)
+        nx = np.linalg.norm(X, np.inf)
+        # Both solves pass the same 1e-12 residual gate, so they can differ
+        # by about 1e-12 times the condition number; near a branch point of
+        # psi_hat (condition 300 to 3000 in 4000 random draws) that reaches
+        # 2e-10.
+        tol = 1e-10 * max(1.0, nx) * max(1.0, _condition(model, s, X) / 50)
+        assert np.max(np.abs(X - ref)) <= tol
+        assert _residual_ok(model, s, X)
+
+    def test_continuation_failure_names_both_points(self, monkeypatch):
+        calls = []
+
+        def failing(blocks, X, s, max_steps=5, min_steps=2):
+            calls.append(s)
+            raise RiccatiError(f"Newton step failed at s={s}")
+
+        monkeypatch.setattr(queueing, "_solve_psi_sorted",
+                            lambda model, s: np.zeros((1, 1), complex))
+        monkeypatch.setattr(queueing, "_newton_refine", failing)
+        s = complex(-2.0, 0.0)
+        with pytest.raises(RiccatiError) as info:
+            solve_psi(_scalar_model(), s)
+        # a quarter arc starts at 8 steps: 8, 16, ..., 4096 is 10 attempts
+        assert MAX_ARC_STEPS == 4096 and len(calls) == 10
+        msg = str(info.value)
+        assert f"s={s}" in msg
+        assert f"z={calls[-1]}" in msg
+        assert f"{MAX_ARC_STEPS} arc steps" in msg
 
     def test_spectral_gap_detected_at_zero(self):
         # symmetric scalar model: double root of the NARE at s = 0

@@ -260,17 +260,27 @@ class TestBuildTame:
     def test_oversized_budget_survives_degeneracy(self):
         # asking for far more entries than the roundoff floor supports
         # must still return a valid method, not crash on u0 -> 0
-        m, meta, _ = build_tame(Disc(complex(-0.5), 0.5), 12, count=600)
+        m, meta, report = build_tame(Disc(complex(-0.5), 0.5), 12, count=600)
         assert meta.epsilon < 1e-12
+        # the spurious poles are pruned, and counted: K support points
+        # give K poles
+        assert report.refits == ()
+        assert report.pruned > 0
+        assert report.pruned + len(to_full(m).nodes) == len(
+            report.support_order)
 
     def test_refit_cap_counts_support_points(self):
         # The order-26 fit degenerates; the refit must be capped at the
         # support points (not the iterations) the residual history needed.
         dom = Disc(complex(-31.6), 31.6)
-        _, meta10, _ = build_tame(dom, 10)
-        m, meta, _ = build_tame(dom, 13)
+        _, meta10, report10 = build_tame(dom, 10)
+        m, meta, report = build_tame(dom, 13)
         assert m.n_entries >= 10
         assert meta.epsilon <= 10 * meta10.epsilon
+        # the abandoned 26-point budget is reported, not silent
+        assert report10.refits == ()
+        assert report.refits == (26,)
+        assert len(report.support_order) == 24
 
 
 class TestPresets:
