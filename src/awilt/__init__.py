@@ -21,9 +21,9 @@ from .tame import (AAAReport, BarycentricApproximant, aaa_fit, barycentric_eval,
                    build_tame, extract_poles, extract_residues, preset_entry,
                    preset_tame, PRESET_ROWS)
 from .invert import CurvePoint, Transform, invert, invert_curve
-from .diagnostics import (ErrorBoundReport, MomentSet, bound_fluid,
-                          bound_fluid_cdf, bound_ls, bound_lipschitz, bound_me,
-                          bound_phase_type, bound_se, dirac_eval, dirac_l1_norm,
+from .diagnostics import (MomentSet, bound_fluid, bound_fluid_cdf, bound_ls,
+                          bound_lipschitz, bound_me, bound_phase_type,
+                          bound_se, dirac_eval, dirac_l1_norm,
                           epsilon_accuracy, eta_proxy, moment_error_estimate,
                           moments, nu2_tilde, rational_approximant)
 from .queueing import (FluidQueueModel, GeneratorMatrix, PhaseType,

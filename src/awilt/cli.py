@@ -2,10 +2,17 @@
 fluid-queue queries, and the benchmark experiment harness.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  Failures are
-reported as one-line JSON objects on stderr.
+reported as one-line JSON objects on stderr, and so are notices about
+rows or points left out of an otherwise successful output.
+
+The experiments: A (fluid psi/Psi) and C (matrix exponential) compare
+methods against a reference matrix at one t (`_error_rows`), B sweeps
+TAME budgets over t, and D (waves) and E (Black-Scholes) compare
+inverted curves against ground truth (`_curve_csv`).
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -16,12 +23,13 @@ import numpy as np
 
 from . import catalog, diagnostics
 from .domains import (Disc, ImagSegment, RealSegment, _fmt, discretize,
-                      parse_domain)
+                      fov_circle_bound, fov_hermitian_bound,
+                      fov_rectangle_bound, parse_domain)
 from .errors import NumericalError
 from .invert import Transform, invert, invert_curve
 from .methods import (euler_method, gaver_method, load_method, save_method,
                       talbot_method, to_full, zakian_method)
-from .numerics import U, matrix_exponential
+from .numerics import matrix_exponential
 from .queueing import (FluidQueueModel, GeneratorMatrix, fluid_psi_transform,
                        make_experiment_model, psi_infinity)
 from .tame import PRESET_ROWS, build_tame, preset_entry, preset_tame
@@ -29,6 +37,35 @@ from .tame import PRESET_ROWS, build_tame, preset_entry, preset_tame
 
 def _fail(obj):
     print(json.dumps(obj), file=sys.stderr)
+
+
+def _cell(x):
+    if isinstance(x, float):
+        return _fmt(x)
+    if x is None:
+        return ""
+    return x if isinstance(x, (str, int)) else repr(x)
+
+
+def _write_csv(path, header, rows):
+    """CSV to path, or to stdout when path is None.  Cells: None empty,
+    str and int as they are, float by `_fmt`, anything else (the complex
+    values of full-form methods) as its repr."""
+    with (open(path, "w", newline="") if path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_cell(x) for x in row])
+    return path
+
+
+def _write_text(path, text):
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _parse_tgrid(text):
@@ -74,34 +111,35 @@ def _parse_method(spec, r_hint=None):
 # -- gen ---------------------------------------------------------------------
 
 def cmd_gen(args):
+    meta, build = None, {}
     if args.method == "tame":
         if args.domain is None:
             raise ValueError("gen --method tame needs --domain")
         domain = parse_domain(args.domain)
         m, meta, report = build_tame(domain, args.nprime, tol=args.tol,
                                      count=args.count)
-        save_method(args.out, m, meta)
-        print(json.dumps({"out": args.out, "entries": m.n_entries,
-                          "n": m.n_full, "epsilon": meta.epsilon,
-                          "max_abs_weight": meta.max_abs_weight,
-                          "eta": meta.eta,
-                          "termination": report.termination,
-                          "refits": list(report.refits),
-                          "pruned": report.pruned}))
-        return 0
-    if args.method not in _GENERATORS:
+        build = {"epsilon": meta.epsilon,
+                 "max_abs_weight": meta.max_abs_weight, "eta": meta.eta,
+                 "termination": report.termination,
+                 "refits": list(report.refits), "pruned": report.pruned}
+    elif args.method in _GENERATORS:
+        m = _GENERATORS[args.method](args.nprime)
+    else:
         raise ValueError(f"unknown method {args.method!r}")
-    m = _GENERATORS[args.method](args.nprime)
-    save_method(args.out, m)
+    save_method(args.out, m, meta)
     print(json.dumps({"out": args.out, "entries": m.n_entries,
-                      "n": m.n_full}))
+                      "n": m.n_full, **build}))
     return 0
 
 
 # -- invert ------------------------------------------------------------------
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
+def _curve_notices(points):
+    """Yield the points, with a notice for each flagged t."""
+    for p in points:
+        if p.error is not None:
+            _fail({"notice": f"t={p.t}: {p.error}"})
+        yield p
 
 
 def cmd_invert(args):
@@ -110,31 +148,11 @@ def cmd_invert(args):
     if (args.t is None) == (args.t_grid is None):
         raise ValueError("give exactly one of --t and --t-grid")
     if args.t is not None:
-        val = invert(m, transform, args.t)
-        out = _fmt(val) if isinstance(val, float) else repr(val)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(out + "\n")
-        else:
-            print(out)
+        _write_text(args.out, _cell(invert(m, transform, args.t)))
         return 0
-    ts = _parse_tgrid(args.t_grid)
-    points = invert_curve(m, transform, ts)
-    fh = _open_out(args.out)
-    try:
-        w = csv.writer(fh)
-        w.writerow(["t", "value"])
-        for p in points:
-            if p.error is not None:
-                _fail({"notice": f"t={p.t}: {p.error}"})
-                w.writerow([_fmt(p.t), ""])
-            else:
-                v = p.value
-                w.writerow([_fmt(p.t),
-                            _fmt(v) if isinstance(v, float) else repr(v)])
-    finally:
-        if args.out:
-            fh.close()
+    points = invert_curve(m, transform, _parse_tgrid(args.t_grid))
+    _write_csv(args.out, ["t", "value"],
+               ([p.t, p.value] for p in _curve_notices(points)))
     return 0
 
 
@@ -205,16 +223,9 @@ def _eval_bound(m, spec):
 def cmd_diag(args):
     m, _ = load_method(args.params)
     if args.dirac_grid:
-        ys = _parse_tgrid(args.dirac_grid)
-        fh = _open_out(args.out)
-        try:
-            w = csv.writer(fh)
-            w.writerow(["y", "value"])
-            for y in ys:
-                w.writerow([_fmt(y), _fmt(diagnostics.dirac_eval(m, float(y)))])
-        finally:
-            if args.out:
-                fh.close()
+        _write_csv(args.out, ["y", "value"],
+                   ([y, diagnostics.dirac_eval(m, float(y))]
+                    for y in _parse_tgrid(args.dirac_grid)))
         return 0
     report = {"name": m.name, "entries": m.n_entries, "n": m.n_full}
     if args.domain:
@@ -230,12 +241,7 @@ def cmd_diag(args):
                              "nu2": mom.nu2, "scv": mom.scv}
     if args.bounds:
         report["bounds"] = [_eval_bound(m, spec) for spec in args.bounds]
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_text(args.out, json.dumps(report, indent=2))
     return 0
 
 
@@ -267,148 +273,119 @@ def cmd_fluid(args):
     psi, Psi = fluid_psi_transform(model)
     transform = psi if args.quantity == "psi" else Psi
     m = _parse_method(args.method, r_hint=model.gen.lam * args.t)
-    val = invert(m, transform, args.t)
-    val = np.asarray(val)
+    val = np.asarray(invert(m, transform, args.t)).real
     if args.entry != "all":
         i, j = (int(p) for p in args.entry.split(":"))
-        print(_fmt(val[i, j].real if np.iscomplexobj(val) else val[i, j]))
+        print(_fmt(val[i, j]))
         return 0
-    fh = _open_out(args.out)
-    try:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "value"])
-        for i in range(val.shape[0]):
-            for j in range(val.shape[1]):
-                v = val[i, j]
-                w.writerow([i, j, _fmt(v.real if np.iscomplexobj(val) else v)])
-    finally:
-        if args.out:
-            fh.close()
+    _write_csv(args.out, ["i", "j", "value"],
+               ([i, j, v] for i, row in enumerate(val.tolist())
+                for j, v in enumerate(row)))
     return 0
 
 
 # -- bench -------------------------------------------------------------------
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(["" if x is None else
-                        (x if isinstance(x, (str, int)) else _fmt(x))
-                        for x in row])
-    return path
-
-
-def _classical_sweep(nprimes):
-    """Yield (label, method) over the built-in generators, skipping node
-    counts a generator does not support (parity constraints)."""
-    for label, gen in _GENERATORS.items():
-        for np_ in nprimes:
-            try:
-                yield label, gen(np_)
-            except ValueError:
-                continue
+_ERROR_HEADER = ["method", "nprime", "n", "error", "bound", "estimate"]
 
 
 def _matrix_err(ref, val):
     return float(np.linalg.norm(np.asarray(ref) - np.asarray(val), np.inf))
 
 
-def _estimate(m, f_norm, fprime_norm, t):
-    try:
-        return diagnostics.moment_error_estimate(m, f_norm, fprime_norm, t)
-    except (ValueError, NumericalError):
-        return None
-
-
-def _cme_method(args):
+def _fixed_methods(args):
+    """(label, method, None) for each built-in generator at each N' it
+    supports, then the --cme-params method or a notice that it is absent."""
+    methods = []
+    for label, gen in _GENERATORS.items():
+        for np_ in range(1, (6 if args.quick else args.nprime_max) + 1):
+            try:
+                methods.append((label, gen(np_), None))
+            except ValueError:
+                continue
     if args.cme_params:
-        return load_method(args.cme_params)[0]
-    _fail({"notice": "no --cme-params file given; CME rows omitted"})
-    return None
+        methods.append(("cme", load_method(args.cme_params)[0], None))
+    else:
+        _fail({"notice": "no --cme-params file given; CME rows omitted"})
+    return methods
+
+
+def _error_rows(transform, t, ref, dref_norm, methods):
+    """Rows of `_ERROR_HEADER` for each (label, method, bound): the
+    inf-norm error at t against ref and the moment error estimate (None
+    where undefined).  A method whose inversion fails gets a notice."""
+    ref_norm = float(np.linalg.norm(ref, np.inf))
+    rows = []
+    for label, m, bound in methods:
+        try:
+            err = _matrix_err(ref, invert(m, transform, t))
+        except NumericalError as exc:
+            _fail({"notice": f"{label} N'={m.n_entries}: {exc}"})
+            continue
+        try:
+            estimate = diagnostics.moment_error_estimate(m, ref_norm,
+                                                         dref_norm, t)
+        except (ValueError, NumericalError):
+            estimate = None
+        rows.append([label, m.n_entries, m.n_full, err, bound, estimate])
+    return rows
 
 
 def _bench_a(args, out_dir):
     model = make_experiment_model(5, 10, args.seed)
     lam = model.gen.lam
     t = 1.0
-    psi, Psi = fluid_psi_transform(model)
     ref_m = talbot_method(32)
-    refs = {"pdf": (psi, invert(ref_m, psi, t)),
-            "cdf": (Psi, invert(ref_m, Psi, t))}
-    # reference time-derivative for the moment estimate, by a central
-    # difference of the reference curve (display aid only)
-    h = 1e-3
-    dref = {k: (invert(ref_m, tr, t + h) - invert(ref_m, tr, t - h)) / (2 * h)
-            for k, (tr, _) in refs.items()}
     psi_inf_norm = float(np.linalg.norm(psi_infinity(model), np.inf))
-    nprimes = range(1, (6 if args.quick else args.nprime_max) + 1)
-    tame_max = 4 if args.quick else args.tame_nprime_max
-    cme = _cme_method(args)
+    fixed = _fixed_methods(args)
+    tame = []
+    for np_ in range(1, (4 if args.quick else args.tame_nprime_max) + 1):
+        m, meta, _ = build_tame(Disc(complex(-lam * t), lam * t), np_)
+        tame.append((m, diagnostics.bound_fluid(meta.eta, lam, psi_inf_norm)))
     paths = []
-    for key in ("pdf", "cdf"):
-        transform, ref = refs[key]
-        ref_norm = float(np.linalg.norm(ref, np.inf))
-        dref_norm = float(np.linalg.norm(dref[key], np.inf))
-        rows = []
-
-        def add(label, m, bound=None):
-            try:
-                err = _matrix_err(ref, invert(m, transform, t))
-            except NumericalError as exc:
-                _fail({"notice": f"{label} N'={m.n_entries}: {exc}"})
-                return
-            rows.append([label, m.n_entries, m.n_full, err, bound,
-                         _estimate(m, ref_norm, dref_norm, t)])
-
-        for label, m in _classical_sweep(nprimes):
-            add(label, m)
-        if cme is not None:
-            add("cme", cme)
-        for np_ in range(1, tame_max + 1):
-            m, meta, _ = build_tame(Disc(complex(-lam * t), lam * t), np_)
-            bound = (diagnostics.bound_fluid(meta.eta, lam, psi_inf_norm)
-                     if key == "pdf" else None)
-            add("tame", m, bound)
-        paths.append(_write_csv(
-            os.path.join(out_dir, f"expA_{key}.csv"),
-            ["method", "nprime", "n", "error", "bound", "estimate"], rows))
+    for key, transform in zip(("pdf", "cdf"), fluid_psi_transform(model)):
+        ref = invert(ref_m, transform, t)
+        # reference time-derivative for the moment estimate, by a central
+        # difference of the reference curve (display aid only)
+        h = 1e-3
+        dref = (invert(ref_m, transform, t + h)
+                - invert(ref_m, transform, t - h)) / (2 * h)
+        methods = fixed + [("tame", m, bound if key == "pdf" else None)
+                           for m, bound in tame]
+        rows = _error_rows(transform, t, ref,
+                           float(np.linalg.norm(dref, np.inf)), methods)
+        paths.append(_write_csv(os.path.join(out_dir, f"expA_{key}.csv"),
+                                _ERROR_HEADER, rows))
     return paths
 
 
 def _bench_b(args, out_dir):
     model = make_experiment_model(5, 10, args.seed)
-    lam = model.gen.lam
     psi, _ = fluid_psi_transform(model)
     ts = (1.0, 3.0) if args.quick else (1.0, 3.0, 10.0, 30.0, 100.0)
     radii = (0.5, 1.0) if args.quick else (0.5, 1.0, 3.0, 10.0, 100.0)
     nprimes = (4, 8) if args.quick else (4, 8, 12, 16)
     refs = {t: invert(talbot_method(24), psi, t) for t in ts}
+    # (label, r, requested N', method): budgets can build the same count
+    methods = [("tame", r, np_, build_tame(Disc(complex(-r), r), np_)[0])
+               for r in radii for np_ in nprimes]
+    methods += [("tame_preset", r_max, np_, preset_entry(r_max)[0])
+                for r_max, np_ in PRESET_ROWS]
     rows = []
-    methods = []
-    for r in radii:
-        for np_ in nprimes:
-            m, _, _ = build_tame(Disc(complex(-r), r), np_)
-            methods.append(("tame", r, m))
-    for r_max, np_ in PRESET_ROWS:
-        m, _, _ = preset_entry(r_max)
-        methods.append(("tame_preset", r_max, m))
     for t in ts:
-        for label, r, m in methods:
+        for label, r, budget, m in methods:
             try:
                 err = _matrix_err(refs[t], invert(m, psi, t))
             except NumericalError as exc:
                 _fail({"notice": f"{label} r={r} t={t}: {exc}"})
                 continue
-            rows.append([label, r, t, m.n_entries, err])
+            rows.append([label, r, t, m.n_entries, err, budget])
     return [_write_csv(os.path.join(out_dir, "expB.csv"),
-                       ["method", "r", "t", "nprime", "error"], rows)]
+                       ["method", "r", "t", "nprime", "error", "budget"],
+                       rows)]
 
 
 def _bench_c(args, out_dir):
-    from .domains import (fov_circle_bound, fov_hermitian_bound,
-                          fov_rectangle_bound)
     model = make_experiment_model(5, 10, args.seed)
     Q = model.gen.Q
     lam = model.gen.lam
@@ -420,57 +397,39 @@ def _bench_c(args, out_dir):
         conjugate_symmetric=True,
         singularities=tuple(np.linalg.eigvals(Q)), name="resolvent")
     ref = matrix_exponential(t * Q).real
-    ref_norm = float(np.linalg.norm(ref, np.inf))
-    dref_norm = float(np.linalg.norm(Q @ ref, np.inf))
-    rows = []
-
-    def add(label, m, bound=None):
-        try:
-            err = _matrix_err(ref, invert(m, transform, t))
-        except NumericalError as exc:
-            _fail({"notice": f"{label} N'={m.n_entries}: {exc}"})
-            return
-        rows.append([label, m.n_entries, m.n_full, err, bound,
-                     _estimate(m, ref_norm, dref_norm, t)])
-
-    nprimes = range(1, (6 if args.quick else args.nprime_max) + 1)
-    for label, m in _classical_sweep(nprimes):
-        add(label, m)
-    cme = _cme_method(args)
-    if cme is not None:
-        add("cme", cme)
-    for r_max, np_ in (PRESET_ROWS[:2] if args.quick else PRESET_ROWS):
-        m, meta, _ = preset_entry(r_max)
-        add("tame_preset", m)
-    tame_sweep = (2, 4) if args.quick else (2, 4, 6, 8, 10, 12)
+    methods = _fixed_methods(args)
+    methods += [("tame_preset", preset_entry(r_max)[0], None)
+                for r_max, _ in (PRESET_ROWS[:2] if args.quick
+                                 else PRESET_ROWS)]
     variants = (("tame_circle", fov_circle_bound(d, lam)),
                 ("tame_rect", fov_rectangle_bound(d, lam)),
                 ("tame_fov", fov_hermitian_bound(t * Q, generator=True)))
     for label, domain in variants:
-        for np_ in tame_sweep:
+        for np_ in (2, 4) if args.quick else (2, 4, 6, 8, 10, 12):
             m, meta, _ = build_tame(domain, np_)
-            add(label, m, bound=(1 + math.sqrt(2)) * meta.eta)
-    return [_write_csv(os.path.join(out_dir, "expC.csv"),
-                       ["method", "nprime", "n", "error", "bound",
-                        "estimate"], rows)]
+            methods.append((label, m, (1 + math.sqrt(2)) * meta.eta))
+    rows = _error_rows(transform, t, ref,
+                       float(np.linalg.norm(Q @ ref, np.inf)), methods)
+    return [_write_csv(os.path.join(out_dir, "expC.csv"), _ERROR_HEADER,
+                       rows)]
 
 
-def _curve_rows(m, entry, ts):
+def _curve_csv(path, m, entry, ts):
+    """Invert the entry's transform on ts and write t, value, reference
+    and error; a t where the ground truth is undefined (a jump point) is
+    left out, and a flagged t gets empty value and error cells."""
     kept = []
     for t in map(float, ts):
         try:
             kept.append((t, entry.f(t)))
         except ValueError:
-            continue  # ground truth undefined at a jump point
-    rows = []
-    points = invert_curve(m, entry.transform, [t for t, _ in kept])
-    for (t, ref), p in zip(kept, points):
-        if p.error is not None:
-            _fail({"notice": f"t={t}: {p.error}"})
-            rows.append([t, None, ref, None])
-        else:
-            rows.append([t, p.value, ref, abs(p.value - ref)])
-    return rows
+            continue
+    points = _curve_notices(invert_curve(m, entry.transform,
+                                         [t for t, _ in kept]))
+    return _write_csv(path, ["t", "value", "reference", "error"],
+                      ([t, p.value, ref,
+                        None if p.error is not None else abs(p.value - ref)]
+                       for (t, ref), p in zip(kept, points)))
 
 
 def _offset_grid(upper, n):
@@ -478,32 +437,22 @@ def _offset_grid(upper, n):
 
 
 def _bench_d(args, out_dir):
-    n = 100 if args.quick else 600
-    ts = _offset_grid(6.0, n)
+    ts = _offset_grid(6.0, 100 if args.quick else 600)
     # the long imaginary segment needs a denser boundary sampling than the
     # default for the fit to resolve the oscillatory target
     m, _, _ = build_tame(ImagSegment(80.0), 20, count=4000)
-    paths = []
-    for name in ("triangular_wave", "square_wave"):
-        e = catalog.entry(name)
-        paths.append(_write_csv(
-            os.path.join(out_dir, f"expD_{name.split('_')[0]}.csv"),
-            ["t", "value", "reference", "error"], _curve_rows(m, e, ts)))
-    return paths
+    return [_curve_csv(os.path.join(out_dir, f"expD_{name.split('_')[0]}.csv"),
+                       m, catalog.entry(name), ts)
+            for name in ("triangular_wave", "square_wave")]
 
 
 def _bench_e(args, out_dir):
-    n = 50 if args.quick else 500
-    ts = _offset_grid(50.0, n)
+    ts = _offset_grid(50.0, 50 if args.quick else 500)
     e = catalog.entry("bs_call", {"q_price": 80.0, "strike": 100.0,
                                   "rate": 0.05, "sigma": 0.1})
     tame, _, _ = build_tame(RealSegment(100.0), 33)
-    paths = []
-    for label, m in (("talbot", talbot_method(20)), ("tame", tame)):
-        paths.append(_write_csv(
-            os.path.join(out_dir, f"expE_{label}.csv"),
-            ["t", "value", "reference", "error"], _curve_rows(m, e, ts)))
-    return paths
+    return [_curve_csv(os.path.join(out_dir, f"expE_{label}.csv"), m, e, ts)
+            for label, m in (("talbot", talbot_method(20)), ("tame", tame))]
 
 
 _EXPERIMENTS = {"A": _bench_a, "B": _bench_b, "C": _bench_c,

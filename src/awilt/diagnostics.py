@@ -31,17 +31,6 @@ class MomentSet:
     scv: float = None
 
 
-@dataclass(frozen=True)
-class ErrorBoundReport:
-    tag: str          # SE | ME | phase_type_pdf | ... | moment_estimate
-    bound: float
-    ingredients: dict
-
-    def __post_init__(self):
-        if not self.bound >= 0:
-            raise ValueError("bound must be nonnegative")
-
-
 def rational_approximant(m, z):
     """sum w_n / (beta_n - z) of the full-form method.
 

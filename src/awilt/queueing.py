@@ -279,22 +279,21 @@ def psi_infinity(model, s=1e-8):
     return solve_psi(model, s)
 
 
-def make_experiment_model(d_plus, d_minus, seed, normalize=True):
+def make_experiment_model(d_plus, d_minus, seed):
     """Reproducible random fluid-queue model.
 
     Off-diagonal rates are |N(0,1)| draws (numpy default_rng, portable),
-    diagonals are set for zero row sums; fluid rates are uniform on (0, 1]
-    for the first d_plus states and [-1, 0) for the rest.  With
-    ``normalize=True`` the generator is rescaled in time so that the
-    uniformization rate is 1, matching the reference experiment setup.
+    diagonals are set for zero row sums, and the generator is rescaled in
+    time so that the uniformization rate is 1, matching the reference
+    experiment setup; fluid rates are uniform on (0, 1] for the first
+    d_plus states and [-1, 0) for the rest.
     """
     rng = np.random.default_rng(seed)
     d = d_plus + d_minus
     Q = np.abs(rng.standard_normal((d, d)))
     np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -Q.sum(axis=1))
-    if normalize:
-        Q = Q / np.max(np.abs(np.diag(Q)))
+    Q = Q / np.max(np.abs(np.diag(Q)))
     rates = np.concatenate([1.0 - rng.random(d_plus),
                             -(1.0 - rng.random(d_minus))])
     return FluidQueueModel(gen=GeneratorMatrix(Q, kind="generator"),

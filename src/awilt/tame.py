@@ -19,6 +19,7 @@ from importlib import resources
 import mpmath
 import numpy as np
 
+from .diagnostics import epsilon_accuracy
 from .domains import (Disc, Discretization, ImagSegment, RealSegment,
                       Rectangle, discretize, distance_to, domain_scale,
                       format_domain)
@@ -302,14 +303,15 @@ def _domain_symmetric(domain):
     return False
 
 
-def build_tame(domain, n_reduced_target, tol=0.0, count=1000, prune=True):
+def build_tame(domain, n_reduced_target, tol=0.0, count=1000):
     """Fit e^z on the domain boundary and package poles/residues as a method.
 
+    The domain must be symmetric about the real axis (a ValueError
+    otherwise): the fit adds non-real support points in conjugate pairs.
     ``n_reduced_target`` is the targeted number of reduced-form entries;
     the AAA loop gets a budget of twice that many support points.  Every
     pole must end up strictly outside the closed domain.  Returns
-    ``(method, metadata, report)`` with the method in reduced form when
-    the domain is symmetric about the real axis (full form otherwise) and
+    ``(method, metadata, report)`` with the method in reduced form and
     the metadata's epsilon re-measured on a 4x finer boundary grid.  The
     report is that of the final fit; its ``refits`` lists the support-point
     budgets whose fit failed in the pole solve (the failed fit's report is
@@ -317,6 +319,9 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000, prune=True):
     """
     if n_reduced_target < 1:
         raise ValueError("n_reduced_target must be >= 1")
+    if not _domain_symmetric(domain):
+        raise ValueError(f"{domain} is not symmetric about the real axis "
+                         "(a rect domain needs y0 = -y1)")
     Z = discretize(domain, count)
     max_order = 2 * n_reduced_target
     refits = []
@@ -346,15 +351,11 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000, prune=True):
         break
     weights = extract_residues(b, poles)
     pruned = 0
-    if prune and len(weights):
+    if len(weights):
         keep = np.abs(weights) >= 1e2 * U * np.max(np.abs(weights))
         pruned = len(weights) - int(np.count_nonzero(keep))
         poles, weights = poles[keep], weights[keep]
-    symmetric = _domain_symmetric(domain)
-    if symmetric:
-        nodes, ws = pair_conjugates(poles, weights)
-    else:
-        nodes, ws = list(poles), list(weights)
+    nodes, ws = pair_conjugates(poles, weights)
     scale = domain_scale(domain)
     for p in nodes:
         if distance_to(domain, complex(p)) <= 1e-10 * scale:
@@ -364,12 +365,11 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000, prune=True):
     full = AWMethod(name=name, weights=tuple(ws), nodes=tuple(nodes),
                     reduced=False)
     fine = discretize(domain, 4 * count)
-    eps = _epsilon_on(full, fine.points)
+    eps = epsilon_accuracy(full, fine)
     maxw = max(abs(w) for w in full.weights)
     meta = make_metadata(eps, maxw, domain)
-    method = to_reduced(full) if symmetric else full
     report = replace(report, refits=tuple(refits), pruned=pruned)
-    return method, meta, report
+    return to_reduced(full), meta, report
 
 
 def _support_count(report, iterations):
@@ -379,13 +379,6 @@ def _support_count(report, iterations):
     for _ in range(iterations):
         n += 1 if _is_real_point(report.support_order[n]) else 2
     return n
-
-
-def _epsilon_on(full_method, pts):
-    w = np.asarray(full_method.weights)
-    beta = np.asarray(full_method.nodes)
-    R = (w[None, :] / (beta[None, :] - pts[:, None])).sum(axis=1)
-    return float(np.max(np.abs(np.exp(pts) - R)))
 
 
 # -- Table of precomputed quasi-optimal methods ------------------------------

@@ -42,6 +42,17 @@ class TestGen:
         m, meta = load_method(out)
         assert meta.epsilon == pytest.approx(info["epsilon"])
 
+    def test_tame_rejects_asymmetric_domain(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "gen", "--method", "tame",
+                              "--nprime", "4", "--domain", "rect:-5:1:-2:3",
+                              "--out", str(tmp_path / "x.json"))
+        assert code == 2
+        err = json.loads(stderr.splitlines()[0])
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("Rectangle(")
+        assert "not symmetric" in err["message"]
+        assert not (tmp_path / "x.json").exists()
+
     def test_tame_requires_domain(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "gen", "--method", "tame",
                               "--nprime", "5", "--out",
@@ -88,6 +99,26 @@ class TestInvert:
         for r in rows:
             assert float(r["value"]) == pytest.approx(
                 math.exp(-float(r["t"])), abs=1e-5)
+
+    def test_grid_full_form_to_stdout(self, tmp_path, capsys):
+        # zakian:1 is a full-form method: its values are complex and are
+        # written as repr; its node collides with the pole at t = 1
+        params = tmp_path / "z1.json"
+        run(capsys, "gen", "--method", "zakian", "--nprime", "1",
+            "--out", str(params))
+        code, stdout, stderr = run(capsys, "invert", "--params", str(params),
+                                   "--transform", "builtin:exp_sum:c=1,a=1",
+                                   "--t-grid", "0.5:2.0:4")
+        assert code == 0
+        rows = list(csv.reader(stdout.splitlines()))
+        assert rows[0] == ["t", "value"]
+        assert [r[0] for r in rows[1:]] == ["0.5", "1", "1.5", "2"]
+        assert rows[2][1] == ""
+        for r in rows[1:2] + rows[3:]:
+            assert r[1].startswith("(") and r[1].endswith("j)")
+            assert complex(r[1]).imag == 0.0
+        notices = [json.loads(line)["notice"] for line in stderr.splitlines()]
+        assert len(notices) == 1 and notices[0].startswith("t=1.0:")
 
     def test_requires_exactly_one_time_spec(self, euler_params, capsys):
         code, _, _ = run(capsys, "invert", "--params", euler_params,
@@ -217,6 +248,46 @@ class TestBench:
         tame_errs = [float(r["error"]) for r in rows if r["method"] == "tame"]
         assert min(tame_errs) < 1e-8
 
+    def test_quick_experiment_b(self, tmp_path, capsys):
+        out_dir = tmp_path / "bench"
+        code, _, _ = run(capsys, "bench", "--experiment", "B",
+                         "--out-dir", str(out_dir), "--quick")
+        assert code == 0
+        with open(os.path.join(out_dir, "expB.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["method", "r", "t", "nprime", "error",
+                                 "budget"]
+        # two budgets can build the same entry count; the requested
+        # budget tells their rows apart
+        built = {(r["method"], r["r"], r["t"], r["nprime"]) for r in rows}
+        assert len(built) < len(rows)
+        keys = [(r["method"], r["r"], r["t"], r["budget"]) for r in rows]
+        assert len(set(keys)) == len(keys)
+        tame = [r for r in rows if r["method"] == "tame"]
+        assert {r["budget"] for r in tame} == {"4", "8"}
+        assert all(int(r["nprime"]) <= int(r["budget"]) for r in tame)
+        presets = [r for r in rows if r["method"] == "tame_preset"]
+        assert presets and all(int(r["nprime"]) <= int(r["budget"])
+                               for r in presets)
+
+    def test_quick_experiment_c(self, tmp_path, capsys):
+        out_dir = tmp_path / "bench"
+        code, stdout, stderr = run(capsys, "bench", "--experiment", "C",
+                                   "--out-dir", str(out_dir), "--quick")
+        assert code == 0
+        assert json.loads(stdout)["files"] == [
+            os.path.join(str(out_dir), "expC.csv")]
+        assert any("cme" in line.lower() for line in stderr.splitlines())
+        with open(os.path.join(out_dir, "expC.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        methods = {r["method"] for r in rows}
+        assert {"talbot", "tame_preset", "tame_circle", "tame_rect",
+                "tame_fov"} <= methods
+        bounded = [r for r in rows if r["bound"]]
+        assert len(bounded) == 6
+        for r in bounded:
+            assert float(r["error"]) <= float(r["bound"])
+
     def test_quick_experiment_d(self, tmp_path, capsys):
         out_dir = tmp_path / "bench"
         code, stdout, _ = run(capsys, "bench", "--experiment", "D",
@@ -227,3 +298,18 @@ class TestBench:
         assert rows
         errs = [float(r["error"]) for r in rows if r["error"]]
         assert max(errs) < 0.2
+
+    def test_quick_experiment_e(self, tmp_path, capsys):
+        out_dir = tmp_path / "bench"
+        code, stdout, _ = run(capsys, "bench", "--experiment", "E",
+                              "--out-dir", str(out_dir), "--quick")
+        assert code == 0
+        assert len(json.loads(stdout)["files"]) == 2
+        for label in ("talbot", "tame"):
+            with open(os.path.join(out_dir, f"expE_{label}.csv")) as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 50
+            for r in rows:
+                assert abs(float(r["value"]) - float(r["reference"])) == \
+                    pytest.approx(float(r["error"]), abs=1e-12)
+            assert max(float(r["error"]) for r in rows) < 1e-10

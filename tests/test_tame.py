@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from awilt.domains import Disc, ImagSegment, RealSegment, discretize, distance_to
+from awilt.diagnostics import epsilon_accuracy
+from awilt.domains import (Disc, ImagSegment, RealSegment, Rectangle,
+                           discretize, distance_to)
 from awilt.errors import NumericalError, PoleInsideDomainError
 from awilt.methods import load_method, pair_conjugates, to_full
 from awilt.numerics import EXTENDED_DPS
@@ -256,6 +258,19 @@ class TestBuildTame:
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             build_tame(Disc(complex(-1.0), 1.0), 0)
+
+    @pytest.mark.parametrize("dom", [Rectangle(-5.0, 1.0, -2.0, 3.0),
+                                     Disc(complex(-1.0, 0.5), 1.0)])
+    def test_asymmetric_domain_rejected(self, dom):
+        # the fit adds non-real support points in conjugate pairs, so a
+        # domain not symmetric about the real axis is refused up front
+        with pytest.raises(ValueError, match="not symmetric"):
+            build_tame(dom, 4)
+
+    def test_epsilon_is_diagnostics_epsilon(self):
+        dom = Disc(complex(-4.0), 4.0)
+        m, meta, _ = build_tame(dom, 5, count=500)
+        assert meta.epsilon == epsilon_accuracy(m, discretize(dom, 2000))
 
     def test_oversized_budget_survives_degeneracy(self):
         # asking for far more entries than the roundoff floor supports
