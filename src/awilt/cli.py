@@ -14,6 +14,7 @@ inverted curves against ground truth (`_curve_csv`).
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -223,9 +224,10 @@ def _eval_bound(m, spec):
 def cmd_diag(args):
     m, _ = load_method(args.params)
     if args.dirac_grid:
-        _write_csv(args.out, ["y", "value"],
-                   ([y, diagnostics.dirac_eval(m, float(y))]
-                    for y in _parse_tgrid(args.dirac_grid)))
+        # the whole grid first, so a failure leaves no file
+        ys = _parse_tgrid(args.dirac_grid)
+        values = diagnostics.dirac_eval(m, ys)
+        _write_csv(args.out, ["y", "value"], zip(ys.tolist(), values.tolist()))
         return 0
     report = {"name": m.name, "entries": m.n_entries, "n": m.n_full}
     if args.domain:
@@ -468,7 +470,10 @@ def cmd_bench(args):
 
 # -- entry point ---------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The `aw` parser, built once per process (parse_args keeps no state
+    in it)."""
     p = argparse.ArgumentParser(
         prog="aw", description="Inverse Laplace transforms with "
         "Abate-Whitt methods")

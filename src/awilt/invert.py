@@ -116,14 +116,9 @@ def _grid(m, transform, ts):
                     errors[r] = exc
                     break
     shape = np.shape(next((v for v in raw if v is not None), 0j))
-    if shape:
-        zero = np.zeros(shape, dtype=complex)
-        F = np.stack([zero if v is None else np.asarray(v, dtype=complex)
-                      for v in raw])
-        finite = np.isfinite(F).all(axis=tuple(range(1, F.ndim)))
-    else:
-        F = np.array([0j if v is None else v for v in raw], dtype=complex)
-        finite = np.isfinite(F)
+    zero = np.zeros(shape, dtype=complex)
+    F = np.array([zero if v is None else v for v in raw], dtype=complex)
+    finite = np.isfinite(F).all(axis=tuple(range(1, F.ndim)))
     idx = np.array(ids).reshape(T, N)
     for r in np.flatnonzero(~finite[idx].all(axis=1)):
         if errors[r] is None:
@@ -132,18 +127,12 @@ def _grid(m, transform, ts):
                                        f"is not finite (t={ts[r]})")
     F[~finite] = 0.0  # only flagged t use them
 
-    w = np.asarray(m.weights)
-    if not shape:
-        terms = w * F[idx]
-        sums = np.sum(terms.real if m.reduced else terms, axis=1) / tv
-        values = sums.tolist()
-    else:
-        wcol = w.reshape((-1,) + (1,) * len(shape))
-        values = []
-        for r in range(T):
-            terms = wcol * F[idx[r]]
-            values.append(np.sum(terms.real if m.reduced else terms, axis=0)
-                          / tv[r])
+    # terms (T x N x value shape), summed over the node axis
+    trail = (1,) * len(shape)
+    terms = np.asarray(m.weights).reshape((-1,) + trail) * F[idx]
+    sums = (np.sum(terms.real if m.reduced else terms, axis=1)
+            / tv.reshape((-1,) + trail))
+    values = list(sums) if shape else sums.tolist()
     return [None if e is not None else v
             for v, e in zip(values, errors)], errors
 

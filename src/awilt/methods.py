@@ -180,7 +180,7 @@ def zakian_method(n):
     if n < 1:
         raise ValueError("zakian_method needs n >= 1")
     num, den = _pade_exp_coeffs(n)
-    roots = polynomial_roots([float(c) for c in den], extended=True)
+    roots = polynomial_roots([float(c) for c in den])
     with mpmath.workdps(EXTENDED_DPS):
         num_mp = [mpmath.mpf(c.numerator) / c.denominator for c in num]
         den_mp = [mpmath.mpf(c.numerator) / c.denominator for c in den]
@@ -237,6 +237,8 @@ def _snap_real(w):
 # -- reduced <-> full --------------------------------------------------------
 
 def to_reduced(m):
+    """Reduced form of m: each conjugate pair (exact in a full-form AWMethod)
+    becomes its +Im entry with doubled weight."""
     if m.reduced:
         return m
     weights, nodes, paired = [], [], []
@@ -249,8 +251,6 @@ def to_reduced(m):
             weights.append(2.0 * w)
             nodes.append(b)
             paired.append(True)
-        elif b.conjugate() not in m.nodes:
-            raise ValueError("non-real node without a conjugate partner")
     return AWMethod(name=m.name, weights=tuple(weights), nodes=tuple(nodes),
                     reduced=True, paired=tuple(paired))
 

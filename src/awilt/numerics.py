@@ -1,11 +1,11 @@
 """Dense small-matrix and scalar kernels.
 
-Matrix kernels run in binary64 through numpy/scipy; only polynomial
-roots can be asked for in extended precision (mpmath).  Extended
-precision elsewhere in the package is scalar work at EXTENDED_DPS digits:
-the Newton polish of the binary64 pole eigenvalues, the residues and the
-moments.  The rest of the package goes through these wrappers so the
-precision policy lives in one place.
+Matrix kernels run in binary64 through numpy/scipy; polynomial roots
+are found in extended precision (mpmath).  Extended precision elsewhere
+in the package is scalar work at EXTENDED_DPS digits: the Newton polish
+of the binary64 pole eigenvalues, the residues and the moments.  The
+rest of the package goes through these wrappers so the precision policy
+lives in one place.
 """
 
 import numpy as np
@@ -80,20 +80,18 @@ def matrix_exponential(A):
     return scipy.linalg.expm(A)
 
 
-def polynomial_roots(coeffs, extended=False):
-    """Roots of sum_k coeffs[k] z^k (ascending order, leading coeff nonzero)."""
+def polynomial_roots(coeffs):
+    """Roots of sum_k coeffs[k] z^k (ascending order, leading coeff nonzero),
+    found by mpmath at EXTENDED_DPS digits and rounded to binary64."""
     coeffs = list(coeffs)
     if len(coeffs) < 2:
         raise ValueError("need degree >= 1")
     if coeffs[-1] == 0:
         raise ValueError("leading coefficient is zero")
-    if extended:
-        with mpmath.workdps(EXTENDED_DPS):
-            desc = [mpmath.mpmathify(c) for c in reversed(coeffs)]
-            roots = mpmath.polyroots(desc, maxsteps=200, extraprec=80)
-            out = np.array([complex(r) for r in roots])
-    else:
-        out = np.roots(np.asarray(coeffs, dtype=complex)[::-1])
+    with mpmath.workdps(EXTENDED_DPS):
+        desc = [mpmath.mpmathify(c) for c in reversed(coeffs)]
+        roots = mpmath.polyroots(desc, maxsteps=200, extraprec=80)
+        out = np.array([complex(r) for r in roots])
 
     maxc = max(abs(complex(c)) for c in coeffs)
     p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=complex))

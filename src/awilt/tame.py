@@ -5,6 +5,10 @@ augmenting the barycentric denominator with a constant term u0:
 
     r(z) = (sum_k u_k f_k / (z - z_k)) / (u0 + sum_k u_k / (z - z_k))
 
+The fit is conjugate-symmetric by contract, as e^z is real: `aaa_fit` and
+`build_tame` refuse a grid not closed under conjugation or a target with
+f(conj z) != conj f(z), so support, weights, poles and residues pair up.
+
 The greedy loop and the pole eigenproblem run in binary64 (the loop's
 working precision acts as a safeguard against weight growth).  Each
 binary64 pole is then polished by Newton's method on the barycentric
@@ -20,9 +24,8 @@ import mpmath
 import numpy as np
 
 from .diagnostics import epsilon_accuracy
-from .domains import (Disc, Discretization, ImagSegment, RealSegment,
-                      Rectangle, discretize, distance_to, domain_scale,
-                      format_domain)
+from .domains import (Disc, Discretization, discretize, distance_to,
+                      domain_scale, format_domain)
 from .errors import NumericalError, PoleInsideDomainError
 from .methods import (AWMethod, load_method, make_metadata, pair_conjugates,
                       to_reduced)
@@ -76,14 +79,32 @@ def _is_real_point(z):
     return abs(z.imag) <= 1e-12 * (1.0 + abs(z))
 
 
+def _conjugate_partners(pts, F):
+    """For each point the index of the first point equal to its conjugate,
+    or None unless the points are closed under conjugation and
+    F(conj z) = conj F(z) on them to 1e-12 max(1, max |F|)."""
+    first_index = {}
+    for i, z in enumerate(pts.tolist()):
+        first_index.setdefault(z, i)
+    partner = [first_index.get(z.conjugate()) for z in pts.tolist()]
+    if None in partner:
+        return None
+    fscale = max(1.0, float(np.max(np.abs(F))))
+    if np.any(np.abs(F[partner] - F.conj()) > 1e-12 * fscale):
+        return None
+    return partner
+
+
 def aaa_fit(target, Z, max_order, tol=0.0):
     """Greedy AAA fit of ``target`` on the discretization Z.
 
-    Support points are added at the residual argmax (lowest index on
-    ties); a non-real point is added together with its conjugate so the
-    fit stays conjugate-symmetric, or the loop stops with termination
-    reason ``no_room_for_pair`` if only one slot is left.  Returns
-    ``(BarycentricApproximant, AAAReport)``.
+    Precondition (a ValueError otherwise): Z is closed under conjugation
+    and target(conj z) = conj target(z) on Z.  Support points are added at
+    the residual argmax (lowest index on ties); a non-real point is added
+    together with its conjugate, and the weights are symmetrised, so the
+    fit is conjugate-symmetric.  The loop stops with termination reason
+    ``no_room_for_pair`` if a pair is next and only one slot is left.
+    Returns ``(BarycentricApproximant, AAAReport)``.
     """
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
@@ -94,16 +115,10 @@ def aaa_fit(target, Z, max_order, tol=0.0):
     F = np.array([complex(target(complex(z))) for z in pts])
     if not np.all(np.isfinite(F)):
         raise ValueError("target is non-finite on Z")
-
-    first_index = {}
-    for i, z in enumerate(pts):
-        first_index.setdefault(complex(z), i)
-    fscale = max(1.0, float(np.max(np.abs(F))))
-    symmetric = all(complex(z).conjugate() in first_index for z in pts)
-    if symmetric:
-        symmetric = all(
-            abs(F[first_index[complex(z).conjugate()]] - F[i].conjugate())
-            <= 1e-12 * fscale for i, z in enumerate(pts))
+    partner = _conjugate_partners(pts, F)
+    if partner is None:
+        raise ValueError("Z is not closed under conjugation, or target is "
+                         "not conjugate-symmetric on Z")
 
     support = []          # indices into pts
     groups = []           # positions in `support` added together (1 or 2)
@@ -131,10 +146,7 @@ def aaa_fit(target, Z, max_order, tol=0.0):
             if len(support) + 2 > max_order:
                 termination = "no_room_for_pair"
                 break
-            jc = first_index.get(z_new.conjugate())
-            if jc is None or not active[jc]:
-                raise NumericalError("conjugate partner missing in Z")
-            new = [j, jc]
+            new = [j, partner[j]]
         pos = len(support)
         support.extend(new)
         groups.append(tuple(range(pos, pos + len(new))))
@@ -149,18 +161,17 @@ def aaa_fit(target, Z, max_order, tol=0.0):
         d2 = np.concatenate([[0.0], fs])
         Atil = F[rows, None] * Ct - Ct * d2[None, :]
         u = smallest_singular_vector(Atil)
-        if symmetric:
-            for g in groups:
-                if len(g) == 2:
-                    a = 0.5 * (u[1 + g[0]] + u[1 + g[1]].conjugate())
-                    u[1 + g[0]] = a
-                    u[1 + g[1]] = a.conjugate()
-                else:
-                    u[1 + g[0]] = complex(u[1 + g[0]].real)
-            u[0] = complex(u[0].real)
-            nrm = np.linalg.norm(u)
-            if nrm > 0:
-                u = u / nrm
+        for g in groups:
+            if len(g) == 2:
+                a = 0.5 * (u[1 + g[0]] + u[1 + g[1]].conjugate())
+                u[1 + g[0]] = a
+                u[1 + g[1]] = a.conjugate()
+            else:
+                u[1 + g[0]] = complex(u[1 + g[0]].real)
+        u[0] = complex(u[0].real)
+        nrm = np.linalg.norm(u)
+        if nrm > 0:
+            u = u / nrm
 
         with np.errstate(divide="ignore", invalid="ignore"):
             num = C @ (u[1:] * fs)
@@ -194,7 +205,9 @@ def extract_poles(b):
     The pencil is solved in binary64 and its two structurally infinite
     eigenvalues are discarded.  Each eigenvalue is then polished by
     Newton's method on the denominator d(z) = u0 + sum_k u_k/(z - z_k) at
-    EXTENDED_DPS digits and rounded back to binary64.  Raises
+    EXTENDED_DPS digits and rounded back to binary64.  The approximant
+    must be conjugate-symmetric, as `aaa_fit` makes it: the poles come
+    from `pair_conjugates`, real ones first, then exact pairs.  Raises
     NumericalError if a pole does not converge within POLISH_STEPS steps
     or two poles coincide.
     """
@@ -220,10 +233,8 @@ def extract_poles(b):
     for i, p in enumerate(poles):
         if np.any(np.abs(poles[i + 1:] - p) <= 1e-12 * (1.0 + abs(p))):
             raise NumericalError(f"poles merge near {p}")
-    if _support_symmetric(b):
-        poles, _ = pair_conjugates(poles, poles)
-        return np.asarray(poles, dtype=complex)
-    return np.sort_complex(poles)
+    poles, _ = pair_conjugates(poles, poles)
+    return np.asarray(poles, dtype=complex)
 
 
 def _polish_poles(b, guesses):
@@ -255,13 +266,11 @@ def _polish_poles(b, guesses):
     return out
 
 
-def _support_symmetric(b):
-    sup = set(complex(z) for z in b.support)
-    return all(z.conjugate() in sup for z in sup)
-
-
 def extract_residues(b, poles):
-    """Abate-Whitt weights w with r(z) = sum w / (pole - z), via d'."""
+    """Abate-Whitt weights w with r(z) = sum w / (pole - z), via d'.
+
+    For a conjugate-symmetric approximant, conjugate poles get conjugate
+    weights up to rounding; `pair_conjugates` makes them exact."""
     poles = np.asarray(poles, dtype=complex)
     for i, p in enumerate(poles):
         if np.min(np.abs(p - b.support)) <= 1e-12 * (1.0 + abs(p)):
@@ -282,32 +291,14 @@ def extract_residues(b, poles):
             n = mpmath.fsum(u * f * q for u, f, q in zip(us, fs, inv))
             dprime = -mpmath.fsum(u * q * q for u, q in zip(us, inv))
             w[i] = complex(-n / dprime)
-    # enforce exact conjugate residues at conjugate poles
-    for i, p in enumerate(poles):
-        if p.imag > 0:
-            match = np.flatnonzero(poles == p.conjugate())
-            if match.size:
-                j = int(match[0])
-                w[i] = 0.5 * (w[i] + w[j].conjugate())
-                w[j] = w[i].conjugate()
     return w
-
-
-def _domain_symmetric(domain):
-    if isinstance(domain, Disc):
-        return domain.center.imag == 0.0
-    if isinstance(domain, (RealSegment, ImagSegment)):
-        return True
-    if isinstance(domain, Rectangle):
-        return domain.y_min == -domain.y_max
-    return False
 
 
 def build_tame(domain, n_reduced_target, tol=0.0, count=1000):
     """Fit e^z on the domain boundary and package poles/residues as a method.
 
     The domain must be symmetric about the real axis (a ValueError
-    otherwise): the fit adds non-real support points in conjugate pairs.
+    otherwise), so that its grid meets `aaa_fit`'s precondition.
     ``n_reduced_target`` is the targeted number of reduced-form entries;
     the AAA loop gets a budget of twice that many support points.  Every
     pole must end up strictly outside the closed domain.  Returns
@@ -319,10 +310,10 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000):
     """
     if n_reduced_target < 1:
         raise ValueError("n_reduced_target must be >= 1")
-    if not _domain_symmetric(domain):
+    Z = discretize(domain, count)
+    if _conjugate_partners(Z.points, np.exp(Z.points)) is None:
         raise ValueError(f"{domain} is not symmetric about the real axis "
                          "(a rect domain needs y0 = -y1)")
-    Z = discretize(domain, count)
     max_order = 2 * n_reduced_target
     refits = []
     while True:
@@ -349,13 +340,12 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000):
                 max_order -= 2
             continue
         break
-    weights = extract_residues(b, poles)
-    pruned = 0
-    if len(weights):
-        keep = np.abs(weights) >= 1e2 * U * np.max(np.abs(weights))
-        pruned = len(weights) - int(np.count_nonzero(keep))
-        poles, weights = poles[keep], weights[keep]
-    nodes, ws = pair_conjugates(poles, weights)
+    nodes, ws = map(np.array,
+                    pair_conjugates(poles, extract_residues(b, poles)))
+    # |w| is equal on a conjugate pair, so a pair is kept or dropped whole
+    keep = np.abs(ws) >= 1e2 * U * np.max(np.abs(ws), initial=0.0)
+    pruned = len(ws) - int(np.count_nonzero(keep))
+    nodes, ws = nodes[keep], ws[keep]
     scale = domain_scale(domain)
     for p in nodes:
         if distance_to(domain, complex(p)) <= 1e-10 * scale:

@@ -190,6 +190,30 @@ class TestDiag:
         assert len(rows) == 30
         assert {"y", "value"} <= set(rows[0])
 
+    def test_dirac_grid_failure_writes_no_file(self, tmp_path, capsys):
+        # Talbot nodes have Re(beta) <= 0, so the Dirac approximant fails
+        params, out = tmp_path / "t8.json", tmp_path / "d.csv"
+        run(capsys, "gen", "--method", "talbot", "--nprime", "8",
+            "--out", str(params))
+        code, _, stderr = run(capsys, "diag", "--params", str(params),
+                              "--dirac-grid", "0.1:1:5", "--out", str(out))
+        assert code == 2
+        assert json.loads(stderr.splitlines()[0])["error"] == "ValueError"
+        assert not out.exists()
+
+    def test_repeated_calls_do_not_share_arguments(self, zakian_params,
+                                                   capsys):
+        # the parser is built once per process; parsed values must not leak
+        code, stdout, _ = run(capsys, "diag", "--params", zakian_params,
+                              "--bounds", "se:eps=1e-12,c=2",
+                              "--bounds", "se:eps=1e-12,c=3")
+        assert code == 0 and len(json.loads(stdout)["bounds"]) == 2
+        code, stdout, _ = run(capsys, "diag", "--params", zakian_params,
+                              "--moments")
+        assert code == 0
+        rep = json.loads(stdout)
+        assert "bounds" not in rep and "moments" in rep
+
     def test_unknown_bound_class(self, zakian_params, capsys):
         code, _, _ = run(capsys, "diag", "--params", zakian_params,
                          "--bounds", "zz:eps=1")

@@ -156,6 +156,16 @@ class TestAAAFit:
         with pytest.raises(ValueError):
             aaa_fit(np.exp, Z, max_order=10)
 
+    @pytest.mark.parametrize("target,dom", [
+        # boundary not closed under conjugation
+        (np.exp, Disc(complex(-1.0, 0.5), 1.0)),
+        # target with f(conj z) != conj f(z)
+        (lambda z: np.exp(1j * z), Disc(complex(-1.0), 1.0)),
+    ])
+    def test_rejects_asymmetric_input(self, target, dom):
+        with pytest.raises(ValueError, match="conjugat"):
+            aaa_fit(target, discretize(dom, 200), max_order=8)
+
 
 class TestExtractPoles:
     def test_single_pole(self):
