@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Write a fixed set of method builds, for a byte-for-byte comparison.
+
+Usage: PYTHONPATH=src python scripts/snapshot_builds.py OUT_DIR
+
+Writes the rebuilt preset family to OUT_DIR/presets/ and, for each
+`aw gen --method tame` build listed below, its method file NAME.json and
+NAME.out (exit code, stdout and stderr of the command) to OUT_DIR.  BLAS
+is held to one thread.  Two source trees made the same builds when
+`diff -r OUT_A OUT_B` prints nothing.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import awilt.cli
+from awilt.domains import (fov_circle_bound, fov_hermitian_bound,
+                           fov_rectangle_bound)
+from awilt.queueing import make_experiment_model
+from awilt.tame import build_presets
+
+#: (name, domain spec, N', extra `aw gen` arguments)
+BUILDS = (
+    ("iseg80_n20_count4000", "iseg:80", 20, ["--count", "4000"]),
+    ("rseg100_n33", "rseg:100", 33, []),
+    ("disc31.6_n13", "disc:-31.6:31.6", 13, []),
+    ("rect3_n4", "rect:-3:0:-2:2", 4, []),
+    ("disc0.5_n12", "disc:-0.5:0.5", 12, []),
+)
+#: field-of-values domains of make_experiment_model(5, 10, seed) at t = 1
+FOV_SEEDS = (1, 12, 14)
+FOV_NPRIMES = (2, 3, 4, 6)
+
+
+def fov_specs(seed):
+    """Domain specs of the circle, rectangle and Hermitian box at t = 1."""
+    gen = make_experiment_model(5, 10, seed).gen
+    circle = fov_circle_bound(gen.dim, gen.lam)
+    specs = {"circle": f"disc:{circle.center.real!r}:{circle.radius!r}"}
+    for label, rect in (("rect", fov_rectangle_bound(gen.dim, gen.lam)),
+                        ("herm", fov_hermitian_bound(gen.Q, generator=True))):
+        specs[label] = (f"rect:{rect.x_min!r}:{rect.x_max!r}:"
+                        f"{rect.y_min!r}:{rect.y_max!r}")
+    return specs
+
+
+def gen(name, spec, nprime, extra):
+    """Run one `aw gen --method tame` in-process; write NAME.out."""
+    argv = ["gen", "--method", "tame", "--domain", spec,
+            "--nprime", str(nprime), *extra, "--out", f"{name}.json"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = awilt.cli.main(argv)
+    with open(f"{name}.out", "w") as fh:
+        fh.write(f"$ aw {' '.join(argv)}\nexit {code}\n"
+                 f"-- stdout\n{out.getvalue()}-- stderr\n{err.getvalue()}")
+
+
+def main():
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    os.makedirs(sys.argv[1], exist_ok=True)
+    os.chdir(sys.argv[1])
+    for path in build_presets("presets"):
+        print(path)
+    builds = list(BUILDS)
+    for seed in FOV_SEEDS:
+        for label, spec in fov_specs(seed).items():
+            builds += [(f"model{seed}_fov_{label}_n{n}", spec, n, [])
+                       for n in FOV_NPRIMES]
+    for build in builds:
+        gen(*build)
+        print(f"{build[0]}.json")
+
+
+if __name__ == "__main__":
+    main()

@@ -245,6 +245,9 @@ def _polish_poles(b, guesses):
         us = [mpmath.mpc(x) for x in b.weights[1:]]
         zs = [mpmath.mpc(x) for x in b.support]
         tol = mpmath.mpf(10) ** (8 - EXTENDED_DPS)
+        # a step below 2^-60 |z| leaves, by quadratic convergence, an
+        # iterate far more accurate than binary64 can hold
+        trim = mpmath.mpf(2) ** -60
         for i, guess in enumerate(guesses):
             z = mpmath.mpc(guess)
             for _ in range(POLISH_STEPS):
@@ -257,7 +260,8 @@ def _polish_poles(b, guesses):
                     raise NumericalError(
                         f"pole polish hit a singularity from {guess}") from None
                 z -= step
-                if abs(step) <= tol * (1 + abs(z)):
+                if (abs(step) <= tol * (1 + abs(z))
+                        or abs(step) <= trim * abs(z)):
                     break
             else:
                 raise NumericalError(

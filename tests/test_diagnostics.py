@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awilt.diagnostics import (MomentSet, bound_fluid, bound_fluid_cdf,
                                bound_lipschitz, bound_ls, bound_me,
@@ -12,7 +14,8 @@ from awilt.diagnostics import (MomentSet, bound_fluid, bound_fluid_cdf,
                                moment_error_estimate, moments, nu2_tilde,
                                rational_approximant)
 from awilt.invert import Transform, invert
-from awilt.methods import euler_method, gaver_method, talbot_method, zakian_method
+from awilt.methods import (AWMethod, euler_method, gaver_method, talbot_method,
+                           to_full, zakian_method)
 from awilt.numerics import U
 from awilt.tame import preset_tame
 
@@ -74,6 +77,71 @@ class TestDirac:
             mom = moments(m)
             nt = nu2_tilde(m)
             assert nt >= abs(mom.nu2) - 1e-9
+
+
+def _quad_of_dirac_eval(m, shifted=False):
+    """Reference: quad over |dirac_eval(m, y)|, one scalar dirac_eval call
+    per y, on dirac_l1_norm's window (0, Y*].  dirac_eval starts with
+    to_full, so dirac_eval(to_full(m), y) is dirac_eval(m, y).
+    """
+    full = to_full(m)
+    w, b = np.asarray(full.weights), np.asarray(full.nodes)
+    total = float(np.abs(w).sum())
+    ystar = math.log(max(total, 1.0) / 1e-14) / float(b.real.min())
+    if shifted:
+        def f(y):
+            return (y - 1.0) ** 2 * abs(dirac_eval(full, y))
+    else:
+        def f(y):
+            return abs(dirac_eval(full, y))
+    return scipy.integrate.quad(f, 0.0, ystar, limit=2000, epsabs=1e-12)[0]
+
+
+@st.composite
+def right_halfplane_methods(draw):
+    """Full-form methods: real nodes, exact conjugate pairs, Re(beta) > 0."""
+    re = st.floats(2.0, 5.0)
+    coef = st.floats(-3.0, 3.0)
+    reals = draw(st.lists(st.tuples(re, coef), max_size=3))
+    pairs = draw(st.lists(st.tuples(re, st.floats(0.1, 3.0), coef, coef),
+                          min_size=0 if reals else 1, max_size=3))
+    weights = [complex(c) for _, c in reals]
+    nodes = [complex(r) for r, _ in reals]
+    for r, i, wr, wi in pairs:
+        weights += [complex(wr, wi), complex(wr, -wi)]
+        nodes += [complex(r, i), complex(r, -i)]
+    try:
+        return AWMethod(name="random", weights=weights, nodes=nodes,
+                        reduced=False)
+    except ValueError:  # two equal nodes
+        return draw(st.nothing())
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestDiracQuadBitwise:
+    """dirac_l1_norm and nu2_tilde return the floats of quad over
+    |dirac_eval| bit for bit: the prepared integrand changes no number."""
+
+    @given(right_halfplane_methods())
+    @settings(max_examples=25, deadline=None)
+    def test_random_methods(self, m):
+        assert dirac_l1_norm(m).hex() == _quad_of_dirac_eval(m).hex()
+        assert nu2_tilde(m).hex() == _quad_of_dirac_eval(m, True).hex()
+
+    @pytest.mark.parametrize("m", [
+        preset_tame(0.6), preset_tame(1.8), preset_tame(4.0), preset_tame(7.0),
+        euler_method(15), gaver_method(12), zakian_method(6),
+        zakian_method(10)], ids=lambda m: m.name)
+    def test_classical_and_preset_methods(self, m):
+        assert dirac_l1_norm(m).hex() == _quad_of_dirac_eval(m).hex()
+        assert nu2_tilde(m).hex() == _quad_of_dirac_eval(m, True).hex()
+
+    def test_imaginary_residue_raises(self):
+        m = AWMethod(name="x", weights=(1j,), nodes=(1.0,), reduced=False)
+        with pytest.raises(ValueError, match="imaginary residue"):
+            dirac_l1_norm(m)
+        with pytest.raises(ValueError, match="imaginary residue"):
+            nu2_tilde(m)
 
 
 class TestMoments:
