@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Write a fixed set of method builds, for a byte-for-byte comparison.
+"""Write a fixed set of method builds and fluid-queue inversions, for a
+byte-for-byte comparison.
 
 Usage: PYTHONPATH=src python scripts/snapshot_builds.py OUT_DIR
 
 Writes the rebuilt preset family to OUT_DIR/presets/ and, for each
 `aw gen --method tame` build listed below, its method file NAME.json and
-NAME.out (exit code, stdout and stderr of the command) to OUT_DIR.  BLAS
-is held to one thread.  Two source trees made the same builds when
+NAME.out (exit code, stdout and stderr of the command) to OUT_DIR.  Then
+writes to OUT_DIR/fluid/ the two models of FLUID_MODELS and, for each
+`aw fluid --entry all` run on them (psi and Psi, each t of FLUID_TS, each
+method of FLUID_METHODS), its CSV NAME.csv and NAME.out.  BLAS is held to
+one thread.  Two source trees made the same builds and inversions when
 `diff -r OUT_A OUT_B` prints nothing.
 """
 
@@ -19,10 +23,13 @@ import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
+
 import awilt.cli
 from awilt.domains import (fov_circle_bound, fov_hermitian_bound,
                            fov_rectangle_bound)
-from awilt.queueing import make_experiment_model
+from awilt.queueing import (FluidQueueModel, GeneratorMatrix,
+                            make_experiment_model)
 from awilt.tame import build_presets
 
 #: (name, domain spec, N', extra `aw gen` arguments)
@@ -36,6 +43,15 @@ BUILDS = (
 #: field-of-values domains of make_experiment_model(5, 10, seed) at t = 1
 FOV_SEEDS = (1, 12, 14)
 FOV_NPRIMES = (2, 3, 4, 6)
+#: the seeded 15-state model and the 2-state model with a closed form
+FLUID_MODELS = {
+    "model1": make_experiment_model(5, 10, 1),
+    "two_state": FluidQueueModel(
+        GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]])),
+        np.array([1.0, -1.0])),
+}
+FLUID_TS = (1.0, 3.0, 10.0, 30.0)
+FLUID_METHODS = ("talbot:24", "euler:15", "tame")
 
 
 def fov_specs(seed):
@@ -50,16 +66,38 @@ def fov_specs(seed):
     return specs
 
 
-def gen(name, spec, nprime, extra):
-    """Run one `aw gen --method tame` in-process; write NAME.out."""
-    argv = ["gen", "--method", "tame", "--domain", spec,
-            "--nprime", str(nprime), *extra, "--out", f"{name}.json"]
+def aw(name, argv):
+    """Run one `aw` command in-process; write NAME.out."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = awilt.cli.main(argv)
     with open(f"{name}.out", "w") as fh:
         fh.write(f"$ aw {' '.join(argv)}\nexit {code}\n"
                  f"-- stdout\n{out.getvalue()}-- stderr\n{err.getvalue()}")
+
+
+def gen(name, spec, nprime, extra):
+    """`aw gen --method tame` into NAME.json."""
+    aw(name, ["gen", "--method", "tame", "--domain", spec,
+              "--nprime", str(nprime), *extra, "--out", f"{name}.json"])
+
+
+def fluid():
+    """`aw fluid --entry all` into fluid/NAME.csv; yields the CSV paths."""
+    os.makedirs("fluid", exist_ok=True)
+    for label, model in FLUID_MODELS.items():
+        path = f"fluid/{label}.json"
+        awilt.cli.save_model(path, model)
+        # "cdf" for Psi: file names must not differ by case alone
+        for quantity, tag in (("psi", "psi"), ("Psi", "cdf")):
+            for t in FLUID_TS:
+                for method in FLUID_METHODS:
+                    name = (f"fluid/{label}_{tag}_t{t:g}_"
+                            f"{method.replace(':', '')}")
+                    aw(name, ["fluid", "--model", path, "--quantity",
+                              quantity, "--t", repr(t), "--entry", "all",
+                              "--method", method, "--out", f"{name}.csv"])
+                    yield f"{name}.csv"
 
 
 def main():
@@ -77,6 +115,8 @@ def main():
     for build in builds:
         gen(*build)
         print(f"{build[0]}.json")
+    for path in fluid():
+        print(path)
 
 
 if __name__ == "__main__":

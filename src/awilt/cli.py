@@ -272,12 +272,19 @@ def cmd_fluid(args):
     model = _load_model(args.model)
     if not args.t > 0:
         raise ValueError("t must be positive")
+    if args.entry != "all":
+        parts = args.entry.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"bad entry {args.entry!r}: expected i:j or all")
+        i, j = int(parts[0]), int(parts[1])
+        if not (0 <= i < model.d_plus and 0 <= j < model.d_minus):
+            raise ValueError(f"entry {args.entry!r} is outside the "
+                             f"{model.d_plus}x{model.d_minus} matrix")
     psi, Psi = fluid_psi_transform(model)
     transform = psi if args.quantity == "psi" else Psi
     m = _parse_method(args.method, r_hint=model.gen.lam * args.t)
     val = np.asarray(invert(m, transform, args.t)).real
     if args.entry != "all":
-        i, j = (int(p) for p in args.entry.split(":"))
         print(_fmt(val[i, j]))
         return 0
     _write_csv(args.out, ["i", "j", "value"],

@@ -2,10 +2,11 @@
 
 The fluid-queue first-return density transform psi_hat(s) is the minimal
 solution of a nonsymmetric algebraic Riccati equation.  For Re(s) >= 0 it
-comes from the stable invariant subspace of a 2x2-block matrix, followed by
-2 to 5 Newton refinement steps that stop once the residual is within 1e-12
-of the scale of the equation's terms; for Re(s) < 0 that solution is
-continued along an arc of constant |s| (see :func:`solve_psi`).
+comes from the stable invariant subspace of a 2x2-block matrix; for
+Re(s) < 0 that solution is continued along an arc of constant |s| (see
+:func:`solve_psi`).  Every solve ends in the same Newton refinement: at
+least one and at most NEWTON_STEPS steps, stopping once the residual is
+within 1e-12 of the scale of the equation's terms.
 """
 
 import cmath
@@ -23,6 +24,8 @@ from .numerics import matrix_exponential
 GAP_RTOL = 1e-8
 #: the continuation's step count beyond which step halving gives up
 MAX_ARC_STEPS = 4096
+#: Newton (Sylvester) steps beyond which a Riccati refinement gives up
+NEWTON_STEPS = 12
 
 
 @dataclass(frozen=True)
@@ -152,51 +155,45 @@ def _riccati_blocks(model, s):
     A = C_inv[:, None] * (Q - s * np.eye(model.gen.dim))
     ip, im = model.plus_idx, model.minus_idx
     return (A[np.ix_(ip, ip)], A[np.ix_(ip, im)],
-            A[np.ix_(im, ip)], A[np.ix_(im, im)], A)
+            A[np.ix_(im, ip)], A[np.ix_(im, im)])
 
 
-def _newton_refine(blocks, X, s, max_steps=5, min_steps=2):
+def _newton_refine(blocks, X, s):
     App, Apm, Amp, Amm = blocks
     n_pm, n_pp, n_mm, n_mp = (np.linalg.norm(B, np.inf)
                               for B in (Apm, App, Amm, Amp))
-
-    def residual(X):
-        return Apm + App @ X + X @ Amm + X @ Amp @ X
-
-    def term_scale(X):
+    for k in range(NEWTON_STEPS + 1):
+        R = Apm + App @ X + X @ Amm + X @ Amp @ X
+        res = np.linalg.norm(R, np.inf)
         # Backward-error denominator: the residual can only be expected to
         # reach roundoff relative to the magnitude of the NARE terms, which
         # is much larger than ||A|| when ||X|| is large (continuation at
         # Re s < 0 can make X big).
         nx = np.linalg.norm(X, np.inf)
-        return n_pm + n_pp * nx + nx * n_mm + nx * n_mp * nx
-
-    for k in range(max_steps):
-        R = residual(X)
-        if k >= min_steps and np.linalg.norm(R, np.inf) <= 1e-12 * term_scale(X):
-            break
+        scale = n_pm + n_pp * nx + nx * n_mm + nx * n_mp * nx
+        if k >= 1 and res <= 1e-12 * scale:
+            return X
+        if k == NEWTON_STEPS or not np.isfinite(res):
+            raise RiccatiError(
+                f"Riccati residual {res:.3e} exceeds 1e-12 of the term scale "
+                f"at s={s}")
         try:
             delta = scipy.linalg.solve_sylvester(App + X @ Amp,
                                                  Amm + Amp @ X, -R)
         except Exception as exc:
             raise RiccatiError(f"Newton step failed at s={s}: {exc}") from None
         X = X + delta
-    res = np.linalg.norm(residual(X), np.inf)
-    if not np.isfinite(res) or res > 1e-12 * term_scale(X):
-        raise RiccatiError(
-            f"Riccati residual {res:.3e} exceeds 1e-12 of the term scale "
-            f"at s={s}")
-    return X
 
 
 def _solve_psi_sorted(model, s):
-    """Subspace solve selecting the d- eigenvalues of smallest real part.
+    """Subspace solve selecting the d- eigenvalues of smallest real part,
+    then the Newton refinement every solve ends in (:func:`solve_psi`).
 
     This is the minimal solution for Re(s) >= 0; for Re(s) < 0 the sorted
     selection can silently pick a different branch than the analytic
     continuation, so callers use :func:`solve_psi` instead.
     """
-    App, Apm, Amp, Amm, _ = _riccati_blocks(model, s)
+    App, Apm, Amp, Amm = _riccati_blocks(model, s)
     dm = model.d_minus
     H = np.block([[Amm, Amp], [-Apm, -App]])
     vals, vecs = np.linalg.eig(H)
@@ -221,17 +218,20 @@ def solve_psi(model, s):
     C^{-1}(Q - sI) partitioned by rate sign, C = diag(|r_i|).  For
     Re(s) >= 0 the solution comes from the invariant subspace of
     H = [[A_mm, A_mp], [-A_pm, -A_pp]] for the d- eigenvalues of smallest
-    real part, refined by Newton steps (Sylvester solves).
+    real part, refined by Newton steps (Sylvester solves): at least one and
+    at most NEWTON_STEPS, stopping once the residual is within 1e-12 of the
+    scale of the equation's terms, else RiccatiError.
 
     For Re(s) < 0 that splitting no longer tracks the analytic continuation
     of psi_hat.  The sorted solve is then taken at z0 = +-i|s|, where the
     arc |z| = |s| crosses the imaginary axis on the side of s (the sign of
-    Im s, -0.0 included), and continued along that arc to s, refined by
-    Newton at each step.  This is the branch that continuing from |s| on
-    the real axis gives: the arc from |s| to z0 stays in Re z >= 0, where
-    psi_hat is analytic and the sorted solve is the minimal solution.  The
-    angular step is at most |arg s|/16; a step where Newton fails is
-    halved, up to MAX_ARC_STEPS steps, and the last step ends at s itself.
+    Im s, -0.0 included), and continued along that arc to s, with the same
+    Newton refinement at each point.  This is the branch that continuing
+    from |s| on the real axis gives: the arc from |s| to z0 stays in
+    Re z >= 0, where psi_hat is analytic and the sorted solve is the minimal
+    solution.  The angular step is at most |arg s|/16; a step where Newton
+    fails is halved, up to MAX_ARC_STEPS steps, and the last step ends at s
+    itself.
     """
     s = complex(s)
     if s.real >= 0:
@@ -246,9 +246,8 @@ def solve_psi(model, s):
         k += 1
         angle = start + (theta - start) * k / steps
         sk = s if k == steps else radius * cmath.exp(1j * angle)
-        blocks = _riccati_blocks(model, sk)[:4]
         try:
-            X = _newton_refine(blocks, X, sk, max_steps=12, min_steps=1)
+            X = _newton_refine(_riccati_blocks(model, sk), X, sk)
         except RiccatiError as exc:
             if steps >= MAX_ARC_STEPS:
                 raise RiccatiError(
@@ -274,9 +273,9 @@ def fluid_psi_transform(model):
                       singularities=(0.0,), name="fluid_Psi"))
 
 
-def psi_infinity(model, s=1e-8):
-    """Psi(inf) = lim_{s->0+} psi_hat(s), approximated at a small real s."""
-    return solve_psi(model, s)
+def psi_infinity(model):
+    """Psi(inf) = lim_{s->0+} psi_hat(s), approximated at s = 1e-8."""
+    return solve_psi(model, 1e-8)
 
 
 def make_experiment_model(d_plus, d_minus, seed):

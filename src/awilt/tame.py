@@ -27,8 +27,8 @@ from .diagnostics import epsilon_accuracy
 from .domains import (Disc, Discretization, discretize, distance_to,
                       domain_scale, format_domain)
 from .errors import NumericalError, PoleInsideDomainError
-from .methods import (AWMethod, load_method, make_metadata, pair_conjugates,
-                      to_reduced)
+from .methods import (AWMethod, _is_real, load_method, make_metadata,
+                      pair_conjugates, to_reduced)
 from .numerics import (EXTENDED_DPS, U, dense_eigenvalues,
                        smallest_singular_vector)
 
@@ -73,10 +73,6 @@ def barycentric_eval(b, z):
     for i in np.flatnonzero(hit):
         out[i] = b.values[int(np.argmax(exact[i]))]
     return complex(out[0]) if scalar else out
-
-
-def _is_real_point(z):
-    return abs(z.imag) <= 1e-12 * (1.0 + abs(z))
 
 
 def _conjugate_partners(pts, F):
@@ -140,7 +136,7 @@ def aaa_fit(target, Z, max_order, tol=0.0):
         masked[~np.isfinite(masked) & active] = np.inf  # pole hits first
         j = int(np.argmax(masked))
         z_new = complex(pts[j])
-        if _is_real_point(z_new):
+        if _is_real(z_new, 1e-12):
             new = [j]
         else:
             if len(support) + 2 > max_order:
@@ -371,7 +367,7 @@ def _support_count(report, iterations):
     iteration adds one real point or a conjugate pair."""
     n = 0
     for _ in range(iterations):
-        n += 1 if _is_real_point(report.support_order[n]) else 2
+        n += 1 if _is_real(report.support_order[n], 1e-12) else 2
     return n
 
 

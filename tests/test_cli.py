@@ -252,6 +252,18 @@ class TestFluid:
                          "--t", "-1.0")
         assert code == 2
 
+    @pytest.mark.parametrize("entry", ["2:0", "0:3", "9:0", "0:-1", "-1:0",
+                                       "1", "a:b", "0:1:2"])
+    def test_bad_entry(self, model_file, capsys, entry):
+        # psi is 2x3: an index outside it, a negative index (which numpy
+        # would wrap) and a malformed entry all exit 2, before inverting
+        code, stdout, stderr = run(capsys, "fluid", "--model", model_file,
+                                   "--t", "1.0", f"--entry={entry}",
+                                   "--method", "talbot:20")
+        assert code == 2
+        assert stdout == ""
+        assert json.loads(stderr)["error"] == "ValueError"
+
 
 class TestBench:
     def test_quick_experiment_a(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,9 +57,8 @@ def _cold_start_arc(model, s):
     while k < steps:
         k += 1
         sk = radius * np.exp(1j * theta * k / steps)
-        blocks = _riccati_blocks(model, sk)[:4]
         try:
-            X = _newton_refine(blocks, X, sk, max_steps=12, min_steps=1)
+            X = _newton_refine(_riccati_blocks(model, sk), X, sk)
         except RiccatiError:
             if steps >= 4096:
                 raise
@@ -66,10 +67,66 @@ def _cold_start_arc(model, s):
     return X
 
 
+def _two_option_refine(blocks, X, s, max_steps, min_steps):
+    """The Newton refinement when its policy was two options: at least
+    min_steps and at most max_steps steps, then the 1e-12 gate."""
+    App, Apm, Amp, Amm = blocks
+    n_pm, n_pp, n_mm, n_mp = (np.linalg.norm(B, np.inf)
+                              for B in (Apm, App, Amm, Amp))
+
+    def residual(X):
+        return Apm + App @ X + X @ Amm + X @ Amp @ X
+
+    def term_scale(X):
+        nx = np.linalg.norm(X, np.inf)
+        return n_pm + n_pp * nx + nx * n_mm + nx * n_mp * nx
+
+    for k in range(max_steps):
+        R = residual(X)
+        if (k >= min_steps
+                and np.linalg.norm(R, np.inf) <= 1e-12 * term_scale(X)):
+            break
+        X = X + scipy.linalg.solve_sylvester(App + X @ Amp, Amm + Amp @ X,
+                                             -R)
+    res = np.linalg.norm(residual(X), np.inf)
+    if not np.isfinite(res) or res > 1e-12 * term_scale(X):
+        raise RiccatiError(f"Riccati residual {res:.3e} at s={s}")
+    return X
+
+
+def _two_option_solve_psi(model, s):
+    """solve_psi under the two-option policy: 2 to 5 steps on the sorted
+    path, 1 to 12 at each arc point.  The first refinement of a solve is
+    the sorted one."""
+    calls = []
+
+    def refine(blocks, X, sk):
+        policy = (12, 1) if calls else (5, 2)
+        calls.append(sk)
+        return _two_option_refine(blocks, X, sk, *policy)
+
+    with mock.patch.object(queueing, "_newton_refine", refine):
+        return solve_psi(model, s)
+
+
+@pytest.fixture
+def sylvester_calls(monkeypatch):
+    """The arguments of every scipy.linalg.solve_sylvester call."""
+    calls = []
+    solve = scipy.linalg.solve_sylvester
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(scipy.linalg, "solve_sylvester", spy)
+    return calls
+
+
 def _condition(model, s, X):
     """NARE term scale over sep of the Newton (Sylvester) operator, per
     max(1, ||X||): how far a residual within the Newton gate can move X."""
-    App, Apm, Amp, Amm, _ = _riccati_blocks(model, s)
+    App, Apm, Amp, Amm = _riccati_blocks(model, s)
     A, B = App + X @ Amp, Amm + Amp @ X
     L = np.kron(np.eye(len(B)), A) + np.kron(B.T, np.eye(len(A)))
     sep = np.linalg.svd(L, compute_uv=False)[-1]
@@ -232,7 +289,7 @@ class TestSolvePsi:
     def test_continuation_failure_names_both_points(self, monkeypatch):
         calls = []
 
-        def failing(blocks, X, s, max_steps=5, min_steps=2):
+        def failing(blocks, X, s):
             calls.append(s)
             raise RiccatiError(f"Newton step failed at s={s}")
 
@@ -248,6 +305,44 @@ class TestSolvePsi:
         assert f"s={s}" in msg
         assert f"z={calls[-1]}" in msg
         assert f"{MAX_ARC_STEPS} arc steps" in msg
+
+    @pytest.mark.parametrize("s", [0.5, 2.0 + 3.0j, 1e-3 + 40.0j])
+    def test_sorted_solve_makes_one_newton_step(self, s, sylvester_calls):
+        # the subspace solution plus one step meets the gate, so a second
+        # Sylvester solve is not taken
+        model = make_experiment_model(5, 10, seed=1)
+        X = solve_psi(model, s)
+        assert len(sylvester_calls) == 1
+        assert _residual_ok(model, s, X)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_residual_raises_before_a_step(self, bad,
+                                                      sylvester_calls):
+        model = make_experiment_model(2, 3, seed=1)
+        s = 1.0 + 1.0j
+        X = np.full((2, 3), bad, dtype=complex)
+        with pytest.raises(RiccatiError, match="Riccati residual"):
+            _newton_refine(_riccati_blocks(model, s), X, s)
+        assert sylvester_calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(d_plus=st.integers(1, 5), d_minus=st.integers(1, 5),
+           seed=st.integers(0, 2**16),
+           log_radius=st.floats(-1.5, 1.5),
+           angle=st.floats(0.0, math.pi),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_matches_two_option_policy(self, d_plus, d_minus, seed,
+                                       log_radius, angle, sign):
+        model = make_experiment_model(d_plus, d_minus, seed)
+        r = 10.0 ** log_radius
+        s = complex(r * math.cos(angle), sign * r * math.sin(angle))
+        X = solve_psi(model, s)
+        ref = _two_option_solve_psi(model, s)
+        nx = np.linalg.norm(X, np.inf)
+        # the gate of test_continuation_matches_cold_start
+        tol = 1e-10 * max(1.0, nx) * max(1.0, _condition(model, s, X) / 50)
+        assert np.max(np.abs(X - ref)) <= tol
 
     def test_spectral_gap_detected_at_zero(self):
         # symmetric scalar model: double root of the NARE at s = 0
