@@ -9,9 +9,14 @@ Writes the rebuilt preset family to OUT_DIR/presets/ and, for each
 NAME.out (exit code, stdout and stderr of the command) to OUT_DIR.  Then
 writes to OUT_DIR/fluid/ the two models of FLUID_MODELS and, for each
 `aw fluid --entry all` run on them (psi and Psi, each t of FLUID_TS, each
-method of FLUID_METHODS), its CSV NAME.csv and NAME.out.  BLAS is held to
-one thread.  Two source trees made the same builds and inversions when
-`diff -r OUT_A OUT_B` prints nothing.
+method of FLUID_METHODS), its CSV NAME.csv and NAME.out.  Last, writes to
+OUT_DIR/diag/ the method files of DIAG_METHODS and, for them, the presets
+and the builds, the `aw diag --moments` output NAME_moments.out and, where
+every node has Re(beta) > 0, the `aw diag --bounds LS_BOUND` output
+NAME_ls.out.  Every warning is written, without its source location.
+BLAS is held to one thread.  Two source trees made the same
+builds, inversions and diagnostics when `diff -r OUT_A OUT_B` prints
+nothing.
 """
 
 import os
@@ -21,6 +26,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import io
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -28,6 +34,7 @@ import numpy as np
 import awilt.cli
 from awilt.domains import (fov_circle_bound, fov_hermitian_bound,
                            fov_rectangle_bound)
+from awilt.methods import load_method
 from awilt.queueing import (FluidQueueModel, GeneratorMatrix,
                             make_experiment_model)
 from awilt.tame import build_presets
@@ -52,6 +59,10 @@ FLUID_MODELS = {
 }
 FLUID_TS = (1.0, 3.0, 10.0, 30.0)
 FLUID_METHODS = ("talbot:24", "euler:15", "tame")
+#: classical methods for the diagnostics, as (method, N') of `aw gen`
+DIAG_METHODS = (("euler", 15), ("gaver", 12), ("zakian", 10), ("talbot", 20))
+#: the Laplace-Stieltjes bound with eps = 0 and eta = 1: 1 + ||delta_hat||_1
+LS_BOUND = "ls:eps=0,eta=1,mu_total=1"
 
 
 def fov_specs(seed):
@@ -69,7 +80,9 @@ def fov_specs(seed):
 def aw(name, argv):
     """Run one `aw` command in-process; write NAME.out."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("always")
         code = awilt.cli.main(argv)
     with open(f"{name}.out", "w") as fh:
         fh.write(f"$ aw {' '.join(argv)}\nexit {code}\n"
@@ -100,12 +113,37 @@ def fluid():
                     yield f"{name}.csv"
 
 
+def diag(paths):
+    """`aw diag` of the DIAG_METHODS and of each method file in paths into
+    diag/NAME_moments.out and, where every node has Re(beta) > 0,
+    diag/NAME_ls.out; yields the .out paths."""
+    os.makedirs("diag", exist_ok=True)
+    classical = []
+    for method, nprime in DIAG_METHODS:
+        name = f"diag/{method}{nprime}"
+        aw(name, ["gen", "--method", method, "--nprime", str(nprime),
+                  "--out", f"{name}.json"])
+        classical.append(f"{name}.json")
+    for path in classical + paths:
+        if not os.path.exists(path):  # a build that failed
+            continue
+        name = "diag/" + os.path.basename(path)[:-len(".json")]
+        aw(f"{name}_moments", ["diag", "--params", path, "--moments"])
+        yield f"{name}_moments.out"
+        if all(b.real > 0 for b in load_method(path)[0].nodes):
+            aw(f"{name}_ls", ["diag", "--params", path, "--bounds", LS_BOUND])
+            yield f"{name}_ls.out"
+
+
 def main():
+    warnings.formatwarning = (
+        lambda message, category, *_: f"{category.__name__}: {message}\n")
     if len(sys.argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
     os.makedirs(sys.argv[1], exist_ok=True)
     os.chdir(sys.argv[1])
-    for path in build_presets("presets"):
+    paths = build_presets("presets")
+    for path in paths:
         print(path)
     builds = list(BUILDS)
     for seed in FOV_SEEDS:
@@ -115,7 +153,10 @@ def main():
     for build in builds:
         gen(*build)
         print(f"{build[0]}.json")
+        paths.append(f"{build[0]}.json")
     for path in fluid():
+        print(path)
+    for path in diag(paths):
         print(path)
 
 

@@ -30,13 +30,14 @@ class CatalogEntry:
     domain_recipe: object = None  # t -> Domain suggestion
 
 
-def _conj_closed(pairs, tol=1e-12):
-    """True when the multiset of (c, a) pairs is closed under conjugation."""
+def _conj_closed(pairs):
+    """True when the multiset of (c, a) pairs is closed under conjugation,
+    each entry to within 1e-12 (1 + |entry|)."""
     left = list(pairs)
     for c, a in pairs:
         for j, (c2, a2) in enumerate(left):
-            if (abs(c2 - c.conjugate()) <= tol * (1 + abs(c))
-                    and abs(a2 - a.conjugate()) <= tol * (1 + abs(a))):
+            if (abs(c2 - c.conjugate()) <= 1e-12 * (1 + abs(c))
+                    and abs(a2 - a.conjugate()) <= 1e-12 * (1 + abs(a))):
                 left.pop(j)
                 break
         else:
@@ -258,15 +259,29 @@ def bs_call(q_price, strike, rate, sigma):
         domain_recipe=lambda t: RealSegment(max(1.0, 2.0 * t)))
 
 
+def _exp_e1(s):
+    """e^s E1(s).  For |s| > 50 the asymptotic series
+    (1/s) sum_k (-1)^k k!/s^k, summed until a term is below 2^-53 of the
+    sum; it never forms e^s, which overflows for Re s > 709.  At |s| > 50
+    the smallest term, about e^-|s| of the sum, is far below that."""
+    s = complex(s)
+    if abs(s) <= 50.0:
+        return complex(cmath.exp(s) * scipy.special.exp1(s))
+    term = total = 1.0 / s
+    k = 1
+    while abs(term) > 2.0 ** -53 * abs(total):
+        term *= -k / s
+        total += term
+        k += 1
+    return total
+
+
 def completely_monotone_demo():
     """f(t) = 1/(1+t) = integral exp(-x t) exp(-x) dx; transform e^s E1(s).
 
     A completely monotone example whose mixing measure exp(-x) dx has
     total mass 1 (relevant for the Laplace-Stieltjes error bound).
     """
-
-    def F(s):
-        return complex(cmath.exp(s) * scipy.special.exp1(complex(s)))
 
     def f(t):
         return 1.0 / (1.0 + t)
@@ -276,7 +291,7 @@ def completely_monotone_demo():
 
     return CatalogEntry(
         name="completely_monotone_demo", class_tag="ls",
-        transform=Transform(evaluator=F, conjugate_symmetric=True,
+        transform=Transform(evaluator=_exp_e1, conjugate_symmetric=True,
                             singularities=(0.0,),
                             name="completely_monotone_demo"),
         f=f, f_prime=f_prime,

@@ -477,11 +477,19 @@ def cmd_bench(args):
 
 # -- entry point ---------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, for `main` to report as one
+    JSON line with exit code 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser():
     """The `aw` parser, built once per process (parse_args keeps no state
     in it)."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="aw", description="Inverse Laplace transforms with "
         "Abate-Whitt methods")
     sub = p.add_subparsers(dest="command", required=True)
@@ -544,13 +552,11 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code
     except NumericalError as exc:
         _fail({"error": type(exc).__name__, "message": str(exc)})
         return 1

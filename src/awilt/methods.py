@@ -4,13 +4,15 @@ An Abate-Whitt method approximates f(t) by sum_n (w_n / t) * Lf(beta_n / t).
 Methods are stored either in *full* form (all N nodes listed, non-real ones
 in exact conjugate pairs) or in *reduced* form, where each conjugate pair is
 collapsed to a single entry with doubled weight and only Re(w' * Lf) is
-summed during inversion.
+summed during inversion.  A real node has a real weight in both forms, so
+in reduced form an entry stands for a conjugate pair exactly when its node
+is not real.
 """
 
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -18,14 +20,12 @@ import numpy as np
 
 from . import domains
 from .domains import _fmt
-from .numerics import EXTENDED_DPS, U, polynomial_roots
-
-#: |Im| <= REAL_SNAP_TOL * (1 + |Re|) counts as real for reduced entries
-REAL_SNAP_TOL = 1e2 * U
+from .numerics import EXTENDED_DPS, polynomial_roots
 
 
-def _is_real(z, tol=REAL_SNAP_TOL):
-    return abs(z.imag) <= tol * (1.0 + abs(z.real))
+def _is_real(z):
+    """|Im z| <= 1e-12 (1 + |Re z|): real up to solver noise."""
+    return abs(z.imag) <= 1e-12 * (1.0 + abs(z.real))
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class AWMethod:
     weights: tuple
     nodes: tuple
     reduced: bool
-    paired: tuple = None  # per-entry conjugate-pair flags (reduced form only)
 
     def __post_init__(self):
         w = tuple(complex(x) for x in self.weights)
@@ -43,15 +42,11 @@ class AWMethod:
         object.__setattr__(self, "nodes", b)
         if len(w) != len(b) or not w:
             raise ValueError("weights and nodes must be equal-length, nonempty")
-        if self.reduced:
-            if self.paired is None or len(self.paired) != len(b):
-                raise ValueError("reduced methods need a paired flag per entry")
-            object.__setattr__(self, "paired", tuple(bool(p) for p in self.paired))
-            for wi, bi, pi in zip(w, b, self.paired):
-                if not pi and not (_is_real(bi) and _is_real(wi)):
-                    raise ValueError("unpaired reduced entry is not real")
-        else:
-            object.__setattr__(self, "paired", None)
+        for wi, bi in zip(w, b):
+            if bi.imag == 0.0 and wi.imag != 0.0:
+                raise ValueError(f"real node {bi.real!r} has a non-real "
+                                 f"weight {wi!r}")
+        if not self.reduced:
             conj_pool = {}
             for wi, bi in zip(w, b):
                 if bi.imag != 0.0:
@@ -65,6 +60,14 @@ class AWMethod:
             for bj in b[i + 1:]:
                 if bi == bj:
                     raise ValueError("nodes must be pairwise distinct")
+
+    @property
+    def paired(self):
+        """Per-entry conjugate-pair flags of the reduced form (None in full
+        form): an entry is paired exactly when its node is not real."""
+        if not self.reduced:
+            return None
+        return tuple(b.imag != 0.0 for b in self.nodes)
 
     @property
     def n_full(self):
@@ -84,14 +87,6 @@ class MethodMetadata:
     max_abs_weight: float = None
     eta: float = None
     domain: object = None
-
-
-def make_metadata(epsilon, max_abs_weight, domain=None):
-    eta = None
-    if epsilon is not None and max_abs_weight is not None:
-        eta = epsilon + U * max_abs_weight
-    return MethodMetadata(epsilon=epsilon, max_abs_weight=max_abs_weight,
-                          eta=eta, domain=domain)
 
 
 # -- classical generators ----------------------------------------------------
@@ -117,9 +112,8 @@ def euler_method(n_reduced):
     weights = tuple(scale * (-1) ** (n - 1) * float(xi[n - 1])
                     for n in range(1, np_ + 1))
     nodes = tuple(complex(a, math.pi * (n - 1)) for n in range(1, np_ + 1))
-    paired = tuple(n > 1 for n in range(1, np_ + 1))
     return AWMethod(name=f"euler{np_}", weights=weights, nodes=nodes,
-                    reduced=True, paired=paired)
+                    reduced=True)
 
 
 def talbot_method(n_reduced):
@@ -137,9 +131,8 @@ def talbot_method(n_reduced):
         w = 0.4 * complex(1.0, theta * (1.0 + cot * cot) - cot) * cmath.exp(beta)
         nodes.append(beta)
         weights.append(w)
-    paired = tuple(n > 1 for n in range(1, np_ + 1))
     return AWMethod(name=f"talbot{np_}", weights=tuple(weights),
-                    nodes=tuple(nodes), reduced=True, paired=paired)
+                    nodes=tuple(nodes), reduced=True)
 
 
 def gaver_method(n_reduced):
@@ -158,9 +151,8 @@ def gaver_method(n_reduced):
                     * math.comb(j, n - j))
         weights.append((-1) ** (m + n) * ln2 * float(acc))
     nodes = tuple(complex(n * ln2) for n in range(1, np_ + 1))
-    paired = (False,) * np_
     return AWMethod(name=f"gaver{np_}", weights=tuple(weights), nodes=nodes,
-                    reduced=True, paired=paired)
+                    reduced=True)
 
 
 def _pade_exp_coeffs(n):
@@ -196,11 +188,12 @@ def zakian_method(n):
                     nodes=tuple(nodes), reduced=False)
 
 
-def pair_conjugates(nodes, weights, tol=1e-8):
+def pair_conjugates(nodes, weights):
     """Snap near-real entries to real and enforce exact conjugate pairing.
 
     Input (node, weight) pairs must come from a real-coefficient structure
-    so that conjugate partners exist up to solver noise; the output lists
+    so that conjugate partners exist up to solver noise (a partner more
+    than 1e-8 (1 + |node|) away raises ValueError); the output lists
     real entries first (ascending by real part) followed by conjugate
     pairs, each pair adjacent with the +Im member first.
     """
@@ -208,7 +201,7 @@ def pair_conjugates(nodes, weights, tol=1e-8):
                    key=lambda p: (p[0].real, abs(p[0].imag), p[0].imag))
     reals, plus, minus = [], [], []
     for z, w in items:
-        if _is_real(z, 1e-12):
+        if _is_real(z):
             reals.append((complex(z.real), complex(_snap_real(w))))
         elif z.imag > 0:
             plus.append((z, w))
@@ -221,7 +214,7 @@ def pair_conjugates(nodes, weights, tol=1e-8):
         best = min(range(len(minus)),
                    key=lambda i: abs(minus[i][0] - z.conjugate()))
         zc, wc = minus.pop(best)
-        if abs(zc - z.conjugate()) > tol * (1.0 + abs(z)):
+        if abs(zc - z.conjugate()) > 1e-8 * (1.0 + abs(z)):
             raise ValueError("conjugate pairing failed: partner too far")
         zm = 0.5 * (z + zc.conjugate())
         wm = 0.5 * (w + wc.conjugate())
@@ -231,7 +224,7 @@ def pair_conjugates(nodes, weights, tol=1e-8):
 
 
 def _snap_real(w):
-    return complex(w.real) if _is_real(w, 1e-12) else w
+    return complex(w.real) if _is_real(w) else w
 
 
 # -- reduced <-> full --------------------------------------------------------
@@ -241,18 +234,13 @@ def to_reduced(m):
     becomes its +Im entry with doubled weight."""
     if m.reduced:
         return m
-    weights, nodes, paired = [], [], []
+    weights, nodes = [], []
     for w, b in zip(m.weights, m.nodes):
-        if b.imag == 0.0:
-            weights.append(w)
+        if b.imag >= 0.0:
+            weights.append(w if b.imag == 0.0 else 2.0 * w)
             nodes.append(b)
-            paired.append(False)
-        elif b.imag > 0:
-            weights.append(2.0 * w)
-            nodes.append(b)
-            paired.append(True)
     return AWMethod(name=m.name, weights=tuple(weights), nodes=tuple(nodes),
-                    reduced=True, paired=tuple(paired))
+                    reduced=True)
 
 
 def to_full(m):
@@ -308,10 +296,11 @@ def method_from_json(obj):
         raise ValueError(f"unsupported schema version {obj.get('schema')!r}")
     nodes = tuple(_scalar_from_json(o) for o in obj["nodes"])
     weights = tuple(_scalar_from_json(o) for o in obj["weights"])
-    reduced = bool(obj["reduced"])
     m = AWMethod(name=obj["name"], weights=weights, nodes=nodes,
-                 reduced=reduced,
-                 paired=tuple(obj["paired"]) if reduced else None)
+                 reduced=bool(obj["reduced"]))
+    if m.reduced and obj.get("paired") != list(m.paired):
+        raise ValueError(f"paired flags {obj.get('paired')!r} disagree with "
+                         "the nodes")
     md = obj.get("metadata") or {}
     meta = MethodMetadata(
         epsilon=None if md.get("epsilon") is None else float(md["epsilon"]),

@@ -1,11 +1,11 @@
 """Dense small-matrix and scalar kernels.
 
 Matrix kernels run in binary64 through numpy/scipy; polynomial roots
-are found in extended precision (mpmath).  Extended precision elsewhere
-in the package is scalar work at EXTENDED_DPS digits: the Newton polish
-of the binary64 pole eigenvalues, the residues and the moments.  The
-rest of the package goes through these wrappers so the precision policy
-lives in one place.
+are found in extended precision (mpmath).  The other extended-precision
+work is scalar and opens mpmath.workdps(EXTENDED_DPS) where it runs: the
+Newton polish of the binary64 pole eigenvalues and the residues
+(`tame`), the moments (`diagnostics`) and the Zakian residues
+(`methods`).  EXTENDED_DPS, defined here, is the one precision they share.
 """
 
 import numpy as np

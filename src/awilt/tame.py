@@ -23,12 +23,12 @@ from importlib import resources
 import mpmath
 import numpy as np
 
-from .diagnostics import epsilon_accuracy
+from .diagnostics import epsilon_accuracy, eta_proxy
 from .domains import (Disc, Discretization, discretize, distance_to,
                       domain_scale, format_domain)
 from .errors import NumericalError, PoleInsideDomainError
-from .methods import (AWMethod, _is_real, load_method, make_metadata,
-                      pair_conjugates, to_reduced)
+from .methods import (AWMethod, MethodMetadata, _is_real, load_method,
+                      pair_conjugates, save_method, to_reduced)
 from .numerics import (EXTENDED_DPS, U, dense_eigenvalues,
                        smallest_singular_vector)
 
@@ -136,7 +136,7 @@ def aaa_fit(target, Z, max_order, tol=0.0):
         masked[~np.isfinite(masked) & active] = np.inf  # pole hits first
         j = int(np.argmax(masked))
         z_new = complex(pts[j])
-        if _is_real(z_new, 1e-12):
+        if _is_real(z_new):
             new = [j]
         else:
             if len(support) + 2 > max_order:
@@ -357,7 +357,8 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000):
     fine = discretize(domain, 4 * count)
     eps = epsilon_accuracy(full, fine)
     maxw = max(abs(w) for w in full.weights)
-    meta = make_metadata(eps, maxw, domain)
+    meta = MethodMetadata(epsilon=eps, max_abs_weight=maxw,
+                          eta=eta_proxy(eps, maxw), domain=domain)
     report = replace(report, refits=tuple(refits), pruned=pruned)
     return to_reduced(full), meta, report
 
@@ -367,7 +368,7 @@ def _support_count(report, iterations):
     iteration adds one real point or a conjugate pair."""
     n = 0
     for _ in range(iterations):
-        n += 1 if _is_real(report.support_order[n], 1e-12) else 2
+        n += 1 if _is_real(report.support_order[n]) else 2
     return n
 
 
@@ -407,14 +408,12 @@ def preset_tame(r_needed):
     return preset_entry(r_needed)[0]
 
 
-def build_presets(out_dir, count=1000):
+def build_presets(out_dir):
     """Regenerate the preset family; returns the written paths."""
-    from .methods import save_method
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for r_max, nprime in PRESET_ROWS:
-        method, meta, _ = build_tame(Disc(complex(-r_max), r_max), nprime,
-                                     tol=0.0, count=count)
+        method, meta, _ = build_tame(Disc(complex(-r_max), r_max), nprime)
         path = os.path.join(out_dir, preset_filename(r_max, nprime))
         save_method(path, method, meta)
         paths.append(path)

@@ -1,14 +1,19 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awilt.catalog import (bs_call, completely_monotone_demo, entry, exp_sum,
                            matrix_exp, monomial_exp, parse_transform,
                            square_wave, triangular_wave)
 from awilt.domains import ImagSegment, RealSegment, Rectangle, contains
+from awilt.invert import invert_curve
+from awilt.methods import talbot_method
 
 
 def _nudge(t):
@@ -223,6 +228,27 @@ class TestCompletelyMonotone:
         # E1(1) * e = 0.5963473623...
         assert complex(e.transform(1.0 + 0j)).real == pytest.approx(
             math.e * 0.21938393439552026, rel=1e-12)
+
+    @given(st.one_of(st.floats(0.5, 50.0), st.floats(50.0, 1e5)),
+           st.floats(-math.pi, math.pi))
+    @settings(max_examples=300, deadline=None)
+    def test_transform_matches_mpmath(self, r, phi):
+        # |s| > 50 takes the asymptotic series; |s| <= 50 scipy's exp1,
+        # which is off by up to about 1e-12 near |s| = 5
+        s = cmath.rect(r, phi)
+        with mpmath.workdps(40):
+            want = complex(mpmath.exp(s) * mpmath.e1(s))
+        got = completely_monotone_demo().transform(s)
+        tol = 4e-15 if abs(s) > 50.0 else 1e-11
+        assert abs(got - want) <= tol * abs(want)
+
+    def test_talbot_small_t(self):
+        # beta/t reaches Re s > 709 here, where e^s alone overflows
+        e = completely_monotone_demo()
+        ts = np.linspace(0.001, 0.2, 50)
+        points = invert_curve(talbot_method(20), e.transform, ts)
+        assert all(p.error is None for p in points)
+        assert max(abs(p.value - e.f(p.t)) for p in points) <= 1e-12
 
 
 class TestRegistry:

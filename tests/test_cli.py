@@ -6,9 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from awilt.cli import main, save_model
-from awilt.methods import load_method
+from awilt import catalog, diagnostics
+from awilt.cli import _parse_method, main, save_model
+from awilt.invert import invert
+from awilt.methods import euler_method, load_method, method_to_json
 from awilt.queueing import make_experiment_model, solve_psi
+from awilt.tame import preset_tame
 
 
 def run(capsys, *argv):
@@ -72,6 +75,60 @@ class TestGen:
         assert code == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        # argparse reads -1:0 as an option, so --entry has no argument
+        (["fluid", "--model", "m.json", "--t", "1", "--entry", "-1:0"],
+         "aw fluid: argument --entry: expected one argument"),
+        ([], "aw: the following arguments are required: command"),
+        (["gen", "--method", "euler", "--nprime", "3"],
+         "aw gen: the following arguments are required: --out"),
+    ])
+    def test_parser_error_is_one_json_line(self, capsys, argv, message):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert json.loads(stderr) == {"error": "ValueError",
+                                      "message": message}
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 0 and stdout.startswith("usage: aw") and stderr == ""
+
+    def test_paired_flags_disagreeing_with_nodes(self, tmp_path, capsys):
+        obj = method_to_json(euler_method(5))
+        obj["paired"][0] = True  # the first node is real
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, stdout, stderr = run(capsys, "invert", "--params", str(path),
+                                   "--transform", "builtin:exp_sum:c=1,a=-1",
+                                   "--t", "1.0")
+        assert code == 2 and stdout == ""
+        assert "paired flags" in json.loads(stderr)["message"]
+
+
+class TestParseMethod:
+    def test_params_file(self, tmp_path, capsys):
+        path = tmp_path / "e5.json"
+        run(capsys, "gen", "--method", "euler", "--nprime", "5",
+            "--out", str(path))
+        assert _parse_method(str(path)) == euler_method(5)
+
+    def test_tame_radius(self):
+        assert _parse_method("tame:4.0") == preset_tame(4.0)
+        assert _parse_method("tame", r_hint=4.0) == preset_tame(4.0)
+
+    @pytest.mark.parametrize("spec,message", [
+        ("euler", "method 'euler' needs a node count, e.g. euler:8"),
+        ("tame", "tame preset selection needs a radius, e.g. tame:4.0"),
+        ("nope:3", "unknown method spec 'nope:3'"),
+    ])
+    def test_errors(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            _parse_method(spec)
+        assert str(exc.value) == message
+
+
 class TestInvert:
     @pytest.fixture
     def euler_params(self, tmp_path, capsys):
@@ -119,6 +176,17 @@ class TestInvert:
             assert complex(r[1]).imag == 0.0
         notices = [json.loads(line)["notice"] for line in stderr.splitlines()]
         assert len(notices) == 1 and notices[0].startswith("t=1.0:")
+
+    def test_single_t_to_file(self, euler_params, tmp_path, capsys):
+        out = tmp_path / "value.txt"
+        code, stdout, _ = run(capsys, "invert", "--params", euler_params,
+                              "--transform", "builtin:exp_sum:c=1,a=-1",
+                              "--t", "1.0", "--out", str(out))
+        assert code == 0 and stdout == ""
+        want = invert(load_method(euler_params)[0], catalog.parse_transform(
+            "builtin:exp_sum:c=1,a=-1").transform, 1.0)
+        text = out.read_text()
+        assert text.endswith("\n") and float(text) == want
 
     def test_requires_exactly_one_time_spec(self, euler_params, capsys):
         code, _, _ = run(capsys, "invert", "--params", euler_params,
@@ -213,6 +281,44 @@ class TestDiag:
         assert code == 0
         rep = json.loads(stdout)
         assert "bounds" not in rep and "moments" in rep
+
+    @pytest.mark.filterwarnings(
+        "ignore::scipy.integrate.IntegrationWarning")
+    def test_each_bound_class_is_its_library_function(self, zakian_params,
+                                                      capsys):
+        m = load_method(zakian_params)[0]
+        specs = {
+            "phase_type:eps=1e-12,q_l1=3,d=4,mean=2.5": {
+                "pdf": (b := diagnostics.bound_phase_type(
+                    1e-12, 3.0, d=4.0, alpha_Qinv_one=2.5)).pdf,
+                "cdf_dimension": b.cdf_dimension,
+                "cdf_moment": b.cdf_moment},
+            "phase_type:eps=1e-12,q_l1=3": {
+                "pdf": diagnostics.bound_phase_type(1e-12, 3.0).pdf,
+                "cdf_dimension": None, "cdf_moment": None},
+            "fluid:eps=1e-12,lam=7,psi_inf=0.5": {
+                "bound": diagnostics.bound_fluid(1e-12, 7.0, 0.5)},
+            "fluid_cdf:eps=1e-12,lam=7,F_inf=0.9,first_moment=2": {
+                "bound": diagnostics.bound_fluid_cdf(1e-12, 7.0, 0.9, 2.0)},
+            "ls:eps=1e-12,eta=2e-12,mu_total=1,dirac_l1=3.5": {
+                "bound": diagnostics.bound_ls(1e-12, 2e-12, 1.0, 3.5)},
+            "ls:eps=1e-12,eta=2e-12,mu_total=1": {
+                "bound": diagnostics.bound_ls(1e-12, 2e-12, 1.0,
+                                              diagnostics.dirac_l1_norm(m))},
+            "lipschitz:H=1,L=2,t=3,scv=1e-6": {
+                "bound": diagnostics.bound_lipschitz(1.0, 2.0, 3.0, 1e-6)},
+            "moment_estimate:f=0.5,fprime=-0.25,t=2": {
+                "estimate": diagnostics.moment_error_estimate(m, 0.5, -0.25,
+                                                              2.0)},
+        }
+        argv = ["diag", "--params", zakian_params]
+        for spec in specs:
+            argv += ["--bounds", spec]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        got = json.loads(stdout)["bounds"]
+        assert got == [{"class": spec.partition(":")[0], **want}
+                       for spec, want in specs.items()]
 
     def test_unknown_bound_class(self, zakian_params, capsys):
         code, _, _ = run(capsys, "diag", "--params", zakian_params,

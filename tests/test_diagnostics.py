@@ -137,11 +137,10 @@ class TestDiracQuadBitwise:
         assert nu2_tilde(m).hex() == _quad_of_dirac_eval(m, True).hex()
 
     def test_imaginary_residue_raises(self):
-        m = AWMethod(name="x", weights=(1j,), nodes=(1.0,), reduced=False)
-        with pytest.raises(ValueError, match="imaginary residue"):
-            dirac_l1_norm(m)
-        with pytest.raises(ValueError, match="imaginary residue"):
-            nu2_tilde(m)
+        # a real node with a non-real weight, the one source of an
+        # imaginary residue, is refused where the method is made
+        with pytest.raises(ValueError, match="non-real weight"):
+            AWMethod(name="x", weights=(1j,), nodes=(1.0,), reduced=False)
 
 
 class TestMoments:

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awilt.methods import (AWMethod, euler_method, gaver_method, load_method,
-                           make_metadata, method_from_json, method_to_json,
-                           pair_conjugates, save_method, talbot_method,
-                           to_full, to_reduced, zakian_method)
+from awilt.diagnostics import eta_proxy
+from awilt.methods import (AWMethod, MethodMetadata, euler_method,
+                           gaver_method, load_method, method_from_json,
+                           method_to_json, pair_conjugates, save_method,
+                           talbot_method, to_full, to_reduced, zakian_method)
 
 
 class TestEuler:
@@ -184,19 +185,45 @@ class TestValidation:
             AWMethod("x", (1.0,), (1.0 + 1.0j,), reduced=False)
 
     def test_reduced_needs_paired_flags(self):
-        with pytest.raises(ValueError):
-            AWMethod("x", (1.0,), (1.0,), reduced=True)
+        # a reduced file's "paired" list must be the one its nodes imply
+        good = method_to_json(euler_method(5))
+        assert good["paired"] == [False, True, True, True, True]
+        for flags in ([True] * 5, [False] * 5, [False, True], None):
+            obj = dict(good, paired=flags)
+            if flags is None:
+                del obj["paired"]
+            with pytest.raises(ValueError, match="paired flags"):
+                method_from_json(obj)
 
     def test_reduced_unpaired_must_be_real(self):
-        with pytest.raises(ValueError):
-            AWMethod("x", (1.0,), (1.0 + 1.0j,), reduced=True,
-                     paired=(False,))
+        # an unpaired entry is a real node, and it needs a real weight
+        for w in (1.0j, 1.0 + 1e-300j):
+            with pytest.raises(ValueError, match="real node 1.0"):
+                AWMethod("x", (w,), (1.0,), reduced=True)
+        assert AWMethod("x", (2.0 - 0.0j,), (1.0,), reduced=True).paired == (
+            False,)
+
+    def test_full_real_node_must_have_real_weight(self):
+        with pytest.raises(ValueError, match="non-real weight"):
+            AWMethod("x", (1.0j,), (1.0,), reduced=False)
+        with pytest.raises(ValueError, match="non-real weight"):
+            AWMethod("x", (1.0, 1.0 + 1e-300j, 1.0),
+                     (1.0 + 1.0j, 2.0, 1.0 - 1.0j), reduced=False)
+
+    def test_paired_is_derived_from_the_nodes(self):
+        m = AWMethod("x", (1.0, 2.0 + 1.0j, 3.0j),
+                     (1.0, 1.0 + 1.0j, 2.0 - 1e-300j), reduced=True)
+        assert m.paired == (False, True, True) and m.n_full == 5
+        assert AWMethod("x", (1.0,), (1.0,), reduced=False).paired is None
+        with pytest.raises(TypeError):
+            AWMethod("x", (1.0,), (1.0,), reduced=True, paired=(False,))
 
 
 class TestPersistence:
     def test_json_round_trip_is_exact(self, tmp_path):
         m = talbot_method(6)
-        meta = make_metadata(epsilon=1.5e-13, max_abs_weight=123.25)
+        meta = MethodMetadata(epsilon=1.5e-13, max_abs_weight=123.25,
+                              eta=eta_proxy(1.5e-13, 123.25))
         p = tmp_path / "m.json"
         save_method(p, m, meta)
         m2, meta2 = load_method(p)
