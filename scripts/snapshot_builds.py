@@ -14,9 +14,9 @@ OUT_DIR/diag/ the method files of DIAG_METHODS and, for them, the presets
 and the builds, the `aw diag --moments` output NAME_moments.out and, where
 every node has Re(beta) > 0, the `aw diag --bounds LS_BOUND` output
 NAME_ls.out.  Every warning is written, without its source location.
-BLAS is held to one thread.  Two source trees made the same
-builds, inversions and diagnostics when `diff -r OUT_A OUT_B` prints
-nothing.
+BLAS is held to one thread.  `scripts/compare_snapshots.py OUT_A OUT_B`
+compares the outputs of two source trees: every file byte for byte,
+except the fluid CSVs, which it compares numerically.
 """
 
 import os

@@ -29,7 +29,7 @@ from .diagnostics import (MomentSet, bound_fluid, bound_fluid_cdf, bound_ls,
 from .queueing import (FluidQueueModel, GeneratorMatrix, PhaseType,
                        fluid_psi_transform, make_experiment_model,
                        phase_type_ground_truth, phase_type_transform,
-                       psi_infinity, solve_psi)
+                       psi_infinity, solve_psi, sweep_psi)
 from .catalog import CatalogEntry, entry, parse_transform
 
 __version__ = "0.1.0"

@@ -119,6 +119,21 @@ def monomial_exp(b, a):
         domain_recipe=lambda t: _bounding_rectangle([a * t, 0.0]))
 
 
+def resolvent_evaluators(v, Q, u):
+    """(scalar, array) evaluators of s -> v^T (sI - Q)^{-1} u.  The array
+    one makes one stacked solve over its s."""
+    eye = np.eye(len(Q))
+
+    def F(s):
+        return complex(v @ np.linalg.solve(s * eye - Q, u))
+
+    def F_nodes(ss):
+        x = np.linalg.solve(ss[:, None, None] * eye - Q, u[:, None])
+        return x[:, :, 0] @ v
+
+    return F, F_nodes
+
+
 def matrix_exp(v, Q, u):
     """f(t) = v^T exp(tQ) u, transform v^T (sI - Q)^{-1} u."""
     v = np.asarray(v, dtype=float)
@@ -127,11 +142,8 @@ def matrix_exp(v, Q, u):
     d = Q.shape[0]
     if Q.shape != (d, d) or v.shape != (d,) or u.shape != (d,):
         raise ValueError("shape mismatch between v, Q, u")
-    eye = np.eye(d)
     eigs = tuple(np.linalg.eigvals(Q))
-
-    def F(s):
-        return complex(v @ np.linalg.solve(s * eye - Q, u))
+    F, F_nodes = resolvent_evaluators(v, Q, u)
 
     def f(t):
         return float(v @ matrix_exponential(t * Q).real @ u)
@@ -142,7 +154,8 @@ def matrix_exp(v, Q, u):
     return CatalogEntry(
         name="matrix_exp", class_tag="me",
         transform=Transform(evaluator=F, conjugate_symmetric=True,
-                            singularities=eigs, name="matrix_exp"),
+                            singularities=eigs, name="matrix_exp",
+                            array_evaluator=F_nodes),
         f=f, f_prime=f_prime,
         domain_recipe=lambda t: fov_hermitian_bound(t * Q))
 

@@ -21,15 +21,48 @@ class Transform:
     ``conjugate_symmetric`` declares 𝓛f(conj s) = conj 𝓛f(s), which holds
     whenever f is real-valued; it is required for reduced-form inversion.
     ``singularities`` lists known poles/branch points of 𝓛f used for
-    node-collision checks.
+    node-collision checks.  ``array_evaluator``, when given, takes a 1-D
+    complex array of s and returns their values stacked along axis 0; it
+    lets a transform share work between the nodes of one t (see
+    :meth:`at_nodes`).
     """
     evaluator: object
     conjugate_symmetric: bool = False
     singularities: tuple = ()
     name: str = ""
+    array_evaluator: object = None
 
     def __call__(self, s):
         return self.evaluator(s)
+
+    def at_nodes(self, ss):
+        """The values at the sequence of complex s, and the failure that
+        stopped them: ``(values, error)``.
+
+        ``values`` holds the values of the leading s that were evaluated,
+        in order, and ``error`` is None or the exception of a type in
+        ``_FLAGGED`` that stopped the evaluation.  With an
+        ``array_evaluator`` it is one call, all of ss or nothing (a value
+        count other than len(ss) raises ValueError); otherwise the scalar
+        evaluator is called on each s in order, up to the first that fails.
+        """
+        if self.array_evaluator is not None:
+            try:
+                values = list(self.array_evaluator(np.array(ss,
+                                                            dtype=complex)))
+            except _FLAGGED as exc:
+                return [], exc
+            if len(values) != len(ss):
+                raise ValueError(f"array evaluator gave {len(values)} values "
+                                 f"for {len(ss)} s")
+            return values, None
+        values = []
+        try:
+            for s in ss:
+                values.append(self(s))
+        except _FLAGGED as exc:
+            return values, exc
+        return values, None
 
 
 def _scaled_nodes(m, ts):
@@ -83,9 +116,12 @@ def _grid(m, transform, ts):
     Returns ``(values, errors)``, one entry per t.  A failed t has value
     None and, as its error, the exception it raised: a node collision, a
     transform failure of a type in ``_FLAGGED``, or a non-finite transform
-    value.  The transform is called in t-by-node order, once per distinct
-    s = beta/t; a t stops at its first failing node, and an s that failed
-    is tried again by each later t that reaches it.
+    value.  The transform is called once per t, through
+    :meth:`Transform.at_nodes`, on that t's distinct s = beta/t that no
+    earlier t evaluated, in node order; an s is evaluated once and its
+    value shared.  A t stops at its first failing s (with an array
+    evaluator: at its one call), and an s that failed is tried again by
+    each later t that reaches it.
     """
     if m.reduced and not transform.conjugate_symmetric:
         raise ValueError("reduced-form inversion needs a conjugate-symmetric "
@@ -99,22 +135,27 @@ def _grid(m, transform, ts):
     points = S.ravel().tolist()
     # first appearances, by complex equality (so -0.0 and 0.0 are one s)
     distinct = list(dict.fromkeys(points))
-    if len(distinct) == len(points):
-        ids = range(len(points))
-    else:
+    shared = len(distinct) < len(points)
+    if shared:
         index = {s: u for u, s in enumerate(distinct)}
         ids = [index[s] for s in points]
+    else:
+        ids = range(len(points))
     raw = [None] * len(distinct)
     for r in range(T):
         if errors[r] is not None:
             continue
-        for u in ids[r * N:(r + 1) * N]:
-            if raw[u] is None:
-                try:
-                    raw[u] = transform(distinct[u])
-                except _FLAGGED as exc:
-                    errors[r] = exc
-                    break
+        lo = r * N
+        if shared:  # the row's s that no earlier row evaluated
+            pending = [u for u in dict.fromkeys(ids[lo:lo + N])
+                       if raw[u] is None]
+            ss = [distinct[u] for u in pending]
+        else:
+            pending, ss = ids[lo:lo + N], points[lo:lo + N]
+        if ss:
+            values, errors[r] = transform.at_nodes(ss)
+            for u, v in zip(pending, values):
+                raw[u] = v
     shape = np.shape(next((v for v in raw if v is not None), 0j))
     zero = np.zeros(shape, dtype=complex)
     F = np.array([zero if v is None else v for v in raw], dtype=complex)
@@ -163,13 +204,19 @@ def invert_curve(m, transform, ts):
     """Inversion over a t-grid, with the values of :func:`invert`.
 
     All of ts is done at once: the (T x N) array of scaled nodes, the
-    collision check, one transform evaluation per distinct s = beta/t
-    (exactly equal values share it), and the weighted sum.  A t whose
-    inversion fails is flagged in the output (``error`` set, ``value``
-    None) instead of aborting the curve: a node collision, a non-finite
-    transform value, or a transform that raises `NumericalError`,
-    `FloatingPointError`, `ZeroDivisionError` or `OverflowError`.  Other
-    exceptions propagate.
+    collision check, the transform evaluations, and the weighted sum.  The
+    transform sees one t at a time, in the order of ts: one call of
+    :meth:`Transform.at_nodes` with the s = beta/t of that t that no
+    earlier t evaluated, in node order (exactly equal values share one
+    evaluation).  A scalar evaluator is called on them one by one; an
+    ``array_evaluator`` gets them in one array.  A t whose inversion fails
+    is flagged in the output (``error`` set, ``value`` None) instead of
+    aborting the curve: a node collision, a non-finite transform value,
+    or a transform that raises `NumericalError`, `FloatingPointError`,
+    `ZeroDivisionError` or `OverflowError`.  Such a raise stops the
+    evaluations of its t (a scalar evaluator's at the failing s), and a
+    later t that reaches a failed s tries it again.  Other exceptions
+    propagate.
     """
     ts = list(ts)
     if not ts:

@@ -7,6 +7,12 @@ Re(s) < 0 that solution is continued along an arc of constant |s| (see
 :func:`solve_psi`).  Every solve ends in the same Newton refinement: at
 least one and at most NEWTON_STEPS steps, stopping once the residual is
 within 1e-12 of the scale of the equation's terms.
+
+An inversion solves the nodes of one t together (:func:`sweep_psi`):
+taken in order of |arg s| within each half-plane, a node with Re(s) < 0
+starts Newton from the solution at the node before it, and takes the arc
+only when it has none or that Newton fails.  Phase-type transforms
+likewise solve (sI - Q) at all nodes of a t in one stacked call.
 """
 
 import cmath
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .catalog import resolvent_evaluators
 from .errors import RiccatiError, SpectralGapError
 from .invert import Transform
 from .numerics import matrix_exponential
@@ -90,23 +97,23 @@ class PhaseType:
 
 
 def phase_type_transform(p):
-    """(pdf transform, cdf transform) of a phase-type distribution."""
-    Q = p.Q
-    alpha = p.alpha
-    q = p.exit_rates
-    eye = np.eye(p.dim)
-    eigs = tuple(np.linalg.eigvals(Q))
-
-    def pdf(s):
-        return complex(alpha @ np.linalg.solve(s * eye - Q, q))
+    """(pdf transform, cdf transform) of a phase-type distribution: the
+    pdf is alpha^T (sI - Q)^{-1} q, the cdf that over s."""
+    eigs = tuple(np.linalg.eigvals(p.Q))
+    pdf, pdf_nodes = resolvent_evaluators(p.alpha, p.Q, p.exit_rates)
 
     def cdf(s):
         return pdf(s) / s
 
+    def cdf_nodes(ss):
+        return pdf_nodes(ss) / ss
+
     return (Transform(evaluator=pdf, conjugate_symmetric=True,
-                      singularities=eigs, name="phase_type_pdf"),
+                      singularities=eigs, name="phase_type_pdf",
+                      array_evaluator=pdf_nodes),
             Transform(evaluator=cdf, conjugate_symmetric=True,
-                      singularities=eigs + (0.0,), name="phase_type_cdf"))
+                      singularities=eigs + (0.0,), name="phase_type_cdf",
+                      array_evaluator=cdf_nodes))
 
 
 def phase_type_ground_truth(p, t):
@@ -232,6 +239,11 @@ def solve_psi(model, s):
     solution.  The angular step is at most |arg s|/16; a step where Newton
     fails is halved, up to MAX_ARC_STEPS steps, and the last step ends at s
     itself.
+
+    This solves one s on its own.  The fluid transforms solve the nodes of
+    one t with :func:`sweep_psi`, which gives the same values for
+    Re(s) >= 0 and starts the Newton refinement of a Re(s) < 0 node from
+    its neighbour's solution instead of continuing along the arc.
     """
     s = complex(s)
     if s.real >= 0:
@@ -259,18 +271,60 @@ def solve_psi(model, s):
     return X
 
 
+def sweep_psi(model, ss):
+    """psi_hat at each s of one node set, as :func:`solve_psi` gives it.
+
+    The nodes are split by the sign of Im s (-0.0 counts as negative, as
+    in :func:`solve_psi`) and, within each half-plane, taken in order of
+    |arg s|.  A node with Re s >= 0, or with no predecessor in that order,
+    gets :func:`solve_psi`.  Any other node (Re s < 0) starts the Newton
+    refinement from its predecessor's solution, with the same 1e-12
+    residual gate, and gets :func:`solve_psi`'s arc only if that Newton
+    raises RiccatiError.  Returns the list of solutions in the order of ss.
+    """
+    ss = [complex(s) for s in ss]
+    out = [None] * len(ss)
+    halves = ([], [])
+    for k, s in enumerate(ss):
+        halves[math.copysign(1.0, s.imag) < 0].append(k)
+    for half in halves:
+        X = None
+        for k in sorted(half, key=lambda k: abs(cmath.phase(ss[k]))):
+            s = ss[k]
+            if s.real >= 0 or X is None:
+                X = solve_psi(model, s)
+            else:
+                try:
+                    X = _newton_refine(_riccati_blocks(model, s), X, s)
+                except RiccatiError:
+                    X = solve_psi(model, s)
+            out[k] = X
+    return out
+
+
 def fluid_psi_transform(model):
-    """(psi_hat transform, Psi_hat = psi_hat/s transform), matrix-valued."""
+    """(psi_hat transform, Psi_hat = psi_hat/s transform), matrix-valued.
+
+    A single s is solved by :func:`solve_psi`; the nodes of one t are
+    solved together by :func:`sweep_psi`.
+    """
     def psi(s):
         return solve_psi(model, s)
 
     def Psi(s):
         return solve_psi(model, s) / s
 
+    def psi_nodes(ss):
+        return sweep_psi(model, ss)
+
+    def Psi_nodes(ss):
+        return [X / s for X, s in zip(sweep_psi(model, ss), ss)]
+
     return (Transform(evaluator=psi, conjugate_symmetric=True,
-                      name="fluid_psi"),
+                      name="fluid_psi", array_evaluator=psi_nodes),
             Transform(evaluator=Psi, conjugate_symmetric=True,
-                      singularities=(0.0,), name="fluid_Psi"))
+                      singularities=(0.0,), name="fluid_Psi",
+                      array_evaluator=Psi_nodes))
 
 
 def psi_infinity(model):

@@ -299,3 +299,92 @@ def test_curve_matches_per_t_loop(m, full, kind, ts):
         if error is None:
             assert type(p.value) is type(value)
             assert _same_bits(p.value, value)
+
+
+@given(_METHODS, st.booleans(), st.sampled_from(sorted(_TRANSFORMS)),
+       st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0, 0.02, 30.0]),
+                min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_scalar_calls_match_per_t_loop(m, full, kind, ts):
+    """A scalar evaluator sees the s of the old per-t loop, in its order:
+    values before a failing s are shared, and a failed s is retried."""
+    if full:
+        m = to_full(m)
+    F = _TRANSFORMS[kind]
+    calls = {"got": [], "want": []}
+
+    def recording(key):
+        def evaluator(s):
+            calls[key].append(s)
+            return F(s)
+        return Transform(evaluator, conjugate_symmetric=True,
+                         singularities=F.singularities)
+
+    invert_curve(m, recording("got"), ts)
+    _old_curve(m, recording("want"), ts)
+    assert calls["got"] == calls["want"]
+
+
+# -- the array protocol: an array evaluator in place of the scalar loop -----
+
+def _matrix_nodes(ss):
+    """_matrix on a 1-D array of s: the same values and failures."""
+    bad = np.flatnonzero(ss.real > 40.0)
+    if len(bad):
+        raise ZeroDivisionError(f"synthetic failure at {complex(ss[bad[0]])}")
+    values = np.linalg.inv(ss[:, None, None] * np.eye(2) - _Q)
+    values[ss.imag > 25.0] = math.inf
+    return values
+
+
+_MATRIX_NODES = Transform(_matrix, conjugate_symmetric=True,
+                          singularities=tuple(np.linalg.eigvals(_Q)),
+                          array_evaluator=_matrix_nodes)
+
+
+@given(_METHODS, st.booleans(),
+       st.lists(st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+                          st.floats(0.02, 30.0)), min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_array_evaluator_matches_scalar_loop(m, full, ts):
+    """An array evaluator flags the t the scalar loop flags, with the same
+    messages, and its values agree to a few ulp of sum |w F|."""
+    if full:
+        m = to_full(m)
+    got = invert_curve(m, _MATRIX_NODES, ts)
+    want = invert_curve(m, _TRANSFORMS["matrix"], ts)
+    w = np.abs(np.asarray(m.weights))[:, None, None]
+    for t, p, q in zip(ts, got, want):
+        assert p.error == q.error
+        if q.error is None:
+            F = np.stack([_matrix(complex(b) / t) for b in m.nodes])
+            scale = np.sum(w * np.abs(F), axis=0) / t
+            assert np.all(np.abs(p.value - q.value) <= 4 * U * scale)
+
+
+def test_array_evaluator_failure_flags_only_its_t():
+    calls = []
+
+    def nodes(ss):
+        calls.append(ss.tolist())
+        if np.any(ss == 1.0):
+            raise NumericalError("synthetic failure")
+        return 1.0 / ss
+
+    m = zakian_method(1)  # node 1: s = 1 exactly at t = 1
+    F = Transform(lambda s: 1.0 / s, array_evaluator=nodes)
+    pts = invert_curve(m, F, [0.5, 1.0, 2.0, 1.0])
+    assert [p.error for p in pts] == [None, "synthetic failure", None,
+                                      "synthetic failure"]
+    assert pts[0].value == invert(m, ONE_OVER_S, 0.5)
+    # one call per t, and the failed s is tried again by the later t
+    assert calls == [[2.0], [1.0], [0.5], [1.0]]
+
+
+def test_array_evaluator_value_count_checked():
+    F = Transform(lambda s: 1.0 / s, conjugate_symmetric=True,
+                  array_evaluator=lambda ss: [1.0])
+    m = euler_method(3)
+    with pytest.raises(ValueError,
+                       match=f"gave 1 values for {len(m.nodes)} s"):
+        invert(m, F, 1.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,9 @@ from awilt.queueing import (MAX_ARC_STEPS, FluidQueueModel, GeneratorMatrix,
                             PhaseType, _newton_refine, _riccati_blocks,
                             _solve_psi_sorted, fluid_psi_transform,
                             make_experiment_model, phase_type_ground_truth,
-                            phase_type_transform, psi_infinity, solve_psi)
-from awilt.tame import preset_tame
+                            phase_type_transform, psi_infinity, solve_psi,
+                            sweep_psi)
+from awilt.tame import PRESET_ROWS, preset_tame
 
 
 def _scalar_model(a=1.0, b=1.0):
@@ -199,6 +201,17 @@ class TestPhaseType:
         assert invert(m, pdf, t) == pytest.approx(pdf_t, abs=1e-8)
         assert invert(m, cdf, t) == pytest.approx(cdf_t, abs=1e-8)
 
+    def test_node_values_match_scalar(self):
+        p = PhaseType(alpha=np.array([0.2, 0.5, 0.3]),
+                      Q=np.array([[-3.0, 1.0, 0.5], [0.5, -2.0, 1.0],
+                                  [0.0, 0.5, -1.0]]))
+        ss = [complex(b) / 2.0 for b in to_full(talbot_method(16)).nodes]
+        for F in phase_type_transform(p):
+            values, error = F.at_nodes(ss)
+            assert error is None and len(values) == len(ss)
+            for s, v in zip(ss, values):
+                assert v == pytest.approx(F(s), rel=1e-13, abs=1e-16)
+
 
 class TestSolvePsi:
     def test_scalar_closed_form(self):
@@ -377,6 +390,84 @@ class TestFluidTransforms:
         assert all(p.error is None for p in pts)
         diffs = np.diff(vals, axis=0)
         assert np.min(diffs) > -1e-8  # CDF entries increase in t
+
+
+#: node sets in both half-planes: Talbot, the presets, and their full forms
+_NODE_SETS = st.builds(
+    lambda m, full: to_full(m) if full else m,
+    st.one_of(st.integers(2, 32).map(talbot_method),
+              st.sampled_from([r for r, _ in PRESET_ROWS]).map(preset_tame)),
+    st.booleans())
+
+
+class TestSweepPsi:
+    @settings(max_examples=60, deadline=None)
+    @given(d_plus=st.integers(1, 5), d_minus=st.integers(1, 5),
+           seed=st.integers(0, 2**16), t=st.floats(0.1, 30.0),
+           m=_NODE_SETS)
+    def test_matches_solve_psi(self, d_plus, d_minus, seed, t, m):
+        model = make_experiment_model(d_plus, d_minus, seed)
+        ss = [complex(b) / t for b in m.nodes]
+        for s, X in zip(ss, sweep_psi(model, ss)):
+            ref = solve_psi(model, s)
+            if s.real >= 0:
+                assert np.array_equal(X, ref), s
+                continue
+            nx = np.linalg.norm(ref, np.inf)
+            # the gate of test_continuation_matches_cold_start
+            tol = 1e-10 * max(1.0, nx) * max(1.0,
+                                             _condition(model, s, ref) / 50)
+            assert np.max(np.abs(X - ref)) <= tol, s
+
+    def test_failed_warm_start_falls_back_to_the_arc(self, monkeypatch):
+        model = make_experiment_model(5, 10, seed=1)
+        m = to_full(talbot_method(24))
+        ss = [complex(b) / 3.0 for b in m.nodes]
+        want = [solve_psi(model, s) for s in ss]
+        refine = queueing._newton_refine
+        forced = []
+
+        def failing_warm_start(blocks, X, s):
+            # the refinements sweep_psi itself makes are the warm starts
+            if sys._getframe(1).f_code is sweep_psi.__code__:
+                forced.append(s)
+                raise RiccatiError(f"forced failure at s={s}")
+            return refine(blocks, X, s)
+
+        monkeypatch.setattr(queueing, "_newton_refine", failing_warm_start)
+        got = sweep_psi(model, ss)
+        # each Re s < 0 node has a predecessor: Talbot starts at Re s > 0
+        assert len(forced) == sum(s.real < 0 for s in ss)
+        for X, ref in zip(got, want):
+            assert np.array_equal(X, ref)
+
+    def test_half_planes_split_by_sign_of_imag(self):
+        # psi_hat of the scalar model jumps across its cut [-2, 0]; a node
+        # on the cut takes the side of the sign of its imaginary part
+        model = _scalar_model(1.0, 1.0)
+        ss = [0.5 + 0.5j, 0.5 - 0.5j, -1.0 + 1e-3j, -1.0 - 1e-3j,
+              complex(-1.0, 0.0), complex(-1.0, -0.0)]
+        got = sweep_psi(model, ss)
+        for s, X in zip(ss, got):
+            assert abs(X - solve_psi(model, s)).max() <= 1e-12, s
+        assert abs(got[4] - got[5]).max() > 1.0
+
+    def test_talbot24_sylvester_solves(self, sylvester_calls):
+        model = make_experiment_model(5, 10, seed=1)
+        for transform in fluid_psi_transform(model):
+            sylvester_calls.clear()
+            invert(talbot_method(24), transform, 1.0)
+            # 144 when each node is solved on its own
+            assert len(sylvester_calls) <= 40
+
+    def test_psi_and_Psi_nodes(self):
+        model = make_experiment_model(2, 3, seed=4)
+        psi, Psi = fluid_psi_transform(model)
+        ss = [complex(b) / 2.0 for b in to_full(talbot_method(12)).nodes]
+        a, _ = psi.at_nodes(ss)
+        b, _ = Psi.at_nodes(ss)
+        for s, x, y in zip(ss, a, b):
+            assert np.array_equal(x / s, y)
 
 
 class TestExperimentModel:
