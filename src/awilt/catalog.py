@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .domains import Disc, ImagSegment, RealSegment, Rectangle, \
     fov_hermitian_bound
@@ -279,6 +278,7 @@ def _exp_e1(s):
     the smallest term, about e^-|s| of the sum, is far below that."""
     s = complex(s)
     if abs(s) <= 50.0:
+        import scipy.special
         return complex(cmath.exp(s) * scipy.special.exp1(s))
     term = total = 1.0 / s
     k = 1

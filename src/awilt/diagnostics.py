@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-import scipy.integrate
 
 from .domains import Discretization
 from .methods import to_full
@@ -104,6 +103,7 @@ def _dirac_quad(m, shifted=False):
 
     integrand = ((lambda y: (y - 1.0) ** 2 * abs_dirac(y)) if shifted
                  else abs_dirac)
+    import scipy.integrate
     return scipy.integrate.quad(integrand, 0.0, ystar,
                                 limit=2000, epsabs=1e-12)[0]
 

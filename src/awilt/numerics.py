@@ -9,7 +9,6 @@ Newton polish of the binary64 pole eigenvalues and the residues
 """
 
 import numpy as np
-import scipy.linalg
 import mpmath
 
 from .errors import NumericalError
@@ -54,6 +53,7 @@ def dense_eigenvalues(A, B=None):
     B = np.asarray(B, dtype=complex)
     if B.shape != A.shape:
         raise ValueError("A and B must have the same shape")
+    import scipy.linalg
     alpha, beta = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
     infinite = np.abs(beta) < 1e3 * U * np.maximum(np.abs(alpha), 1.0)
     finite = alpha[~infinite] / beta[~infinite]
@@ -77,6 +77,7 @@ def matrix_exponential(A):
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
+    import scipy.linalg
     return scipy.linalg.expm(A)
 
 

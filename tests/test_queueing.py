@@ -13,8 +13,9 @@ from awilt.errors import RiccatiError, SpectralGapError
 from awilt.invert import invert, invert_curve
 from awilt.methods import talbot_method, to_full
 from awilt.queueing import (MAX_ARC_STEPS, FluidQueueModel, GeneratorMatrix,
-                            PhaseType, _newton_refine, _riccati_blocks,
-                            _solve_psi_sorted, fluid_psi_transform,
+                            PhaseType, _hamiltonian, _newton_refine,
+                            _riccati_blocks, _solve_psi_sorted,
+                            _solve_sylvester, fluid_psi_transform,
                             make_experiment_model, phase_type_ground_truth,
                             phase_type_transform, psi_infinity, solve_psi,
                             sweep_psi)
@@ -36,6 +37,11 @@ def _nare_residual(model, s, X):
     Amp = A[np.ix_(im, ip)]
     Amm = A[np.ix_(im, im)]
     return np.linalg.norm(Apm + App @ X + X @ Amm + X @ Amp @ X, np.inf)
+
+
+def _blocks(model, s):
+    """The NARE blocks (A_pp, A_pm, A_mp, A_mm) at one s."""
+    return _riccati_blocks(_hamiltonian(model)([s])[0], model.d_minus)
 
 
 def _residual_ok(model, s, X):
@@ -60,7 +66,7 @@ def _cold_start_arc(model, s):
         k += 1
         sk = radius * np.exp(1j * theta * k / steps)
         try:
-            X = _newton_refine(_riccati_blocks(model, sk), X, sk)
+            X = _newton_refine(_blocks(model, sk), X, sk)
         except RiccatiError:
             if steps >= 4096:
                 raise
@@ -113,22 +119,22 @@ def _two_option_solve_psi(model, s):
 
 @pytest.fixture
 def sylvester_calls(monkeypatch):
-    """The arguments of every scipy.linalg.solve_sylvester call."""
+    """The arguments of every Sylvester solve of a Newton step."""
     calls = []
-    solve = scipy.linalg.solve_sylvester
+    solve = queueing._solve_sylvester
 
     def spy(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(scipy.linalg, "solve_sylvester", spy)
+    monkeypatch.setattr(queueing, "_solve_sylvester", spy)
     return calls
 
 
 def _condition(model, s, X):
     """NARE term scale over sep of the Newton (Sylvester) operator, per
     max(1, ||X||): how far a residual within the Newton gate can move X."""
-    App, Apm, Amp, Amm = _riccati_blocks(model, s)
+    App, Apm, Amp, Amm = _blocks(model, s)
     A, B = App + X @ Amp, Amm + Amp @ X
     L = np.kron(np.eye(len(B)), A) + np.kron(B.T, np.eye(len(A)))
     sep = np.linalg.svd(L, compute_uv=False)[-1]
@@ -336,7 +342,7 @@ class TestSolvePsi:
         s = 1.0 + 1.0j
         X = np.full((2, 3), bad, dtype=complex)
         with pytest.raises(RiccatiError, match="Riccati residual"):
-            _newton_refine(_riccati_blocks(model, s), X, s)
+            _newton_refine(_blocks(model, s), X, s)
         assert sylvester_calls == []
 
     @settings(max_examples=100, deadline=None)
@@ -368,6 +374,61 @@ class TestSolvePsi:
         P = psi_infinity(model).real
         assert np.min(P) >= -1e-10
         assert np.max(P.sum(axis=1)) <= 1.0 + 1e-8
+
+
+class TestSolveSylvester:
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 12), n=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1),
+           log_scale=st.floats(-3.0, 3.0))
+    def test_matches_scipy_bitwise(self, m, n, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        a, b, q = (10.0 ** log_scale * (rng.standard_normal(shape)
+                                       + 1j * rng.standard_normal(shape))
+                   for shape in ((m, m), (n, n), (m, n)))
+        got = _solve_sylvester(a, b, q)
+        want = scipy.linalg.solve_sylvester(a, b, q)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_blocked_lapack_matches_scipy_bitwise(self):
+        # from about n = 130 LAPACK takes blocked paths, whose results
+        # depend on the workspace size
+        rng = np.random.default_rng(0)
+        a, b, q = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                   for shape in ((130, 130), (3, 3), (130, 3)))
+        assert (_solve_sylvester(a, b, q).tobytes()
+                == scipy.linalg.solve_sylvester(a, b, q).tobytes())
+
+    def test_norm_is_the_inf_norm(self):
+        rng = np.random.default_rng(1)
+        for shape in ((1, 1), (3, 5), (5, 3), (10, 10)):
+            B = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert queueing._norm_inf(B) == np.linalg.norm(B, np.inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_input_raises_as_scipy_does(self, bad, which):
+        args = [np.eye(3, dtype=complex), 2.0 * np.eye(2, dtype=complex),
+                np.ones((3, 2), dtype=complex)]
+        args[which][0, 0] = bad
+        with pytest.raises(ValueError) as want:
+            scipy.linalg.solve_sylvester(*args)
+        with pytest.raises(ValueError) as got:
+            _solve_sylvester(*args)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_operand_raises_riccati_error(self):
+        # A finite residual whose Newton operand App + X Amp overflows:
+        # Apm + App X cancels to 0, so R = X Amp X = 1e308.
+        blocks = tuple(np.array([[v]], dtype=complex)
+                       for v in (1e308, -1e308, 1e308, 0.0))
+        X = np.ones((1, 1), dtype=complex)
+        with pytest.raises(RiccatiError,
+                           match="Newton step failed at s=1j: array must "
+                                 "not contain infs or NaNs"):
+            _newton_refine(blocks, X, 1j)
 
 
 class TestFluidTransforms:
@@ -418,6 +479,34 @@ class TestSweepPsi:
             tol = 1e-10 * max(1.0, nx) * max(1.0,
                                              _condition(model, s, ref) / 50)
             assert np.max(np.abs(X - ref)) <= tol, s
+
+    @settings(max_examples=40, deadline=None)
+    @given(d_plus=st.integers(1, 6), d_minus=st.integers(1, 6),
+           seed=st.integers(0, 2**16),
+           ss=st.lists(st.builds(complex, st.floats(0.0, 50.0),
+                                 st.floats(-50.0, 50.0)),
+                       min_size=1, max_size=8))
+    def test_stacked_sorted_solve_matches_single_nodes(self, d_plus, d_minus,
+                                                        seed, ss):
+        # one stacked eigen-solve for k nodes, k eigen-solves of one node
+        model = make_experiment_model(d_plus, d_minus, seed)
+        for s, X in zip(ss, sweep_psi(model, ss)):
+            assert X.tobytes() == sweep_psi(model, [s])[0].tobytes(), s
+
+    def test_node_at_zero_raises_spectral_gap(self):
+        # the symmetric scalar model has a double root of the NARE at s = 0
+        model = _scalar_model(1.0, 1.0)
+        ss = [1.0 + 1.0j, 0.5, 0.0, 2.0 - 1.0j, -1.0 + 1.0j]
+        with pytest.raises(SpectralGapError,
+                           match=r"ambiguous eigenvalue splitting at s=0j:"):
+            sweep_psi(model, ss)
+
+    def test_subnormal_phase(self):
+        # cmath.phase(2+5e-324j) raises OverflowError; the order of the
+        # sweep does not depend on it
+        model = make_experiment_model(1, 1, seed=0)
+        X, = sweep_psi(model, [complex(2.0, 5e-324)])
+        assert np.max(np.abs(X - solve_psi(model, 2.0))) <= 1e-15
 
     def test_failed_warm_start_falls_back_to_the_arc(self, monkeypatch):
         model = make_experiment_model(5, 10, seed=1)
