@@ -59,8 +59,10 @@ FLUID_MODELS = {
 }
 FLUID_TS = (1.0, 3.0, 10.0, 30.0)
 FLUID_METHODS = ("talbot:24", "euler:15", "tame")
-#: classical methods for the diagnostics, as (method, N') of `aw gen`
-DIAG_METHODS = (("euler", 15), ("gaver", 12), ("zakian", 10), ("talbot", 20))
+#: classical methods for the diagnostics, as (method, N') of `aw gen`;
+#: Zakian at every n = 1..20 pins its polished roots and residues
+DIAG_METHODS = (("euler", 15), ("gaver", 12), ("talbot", 20),
+                *(("zakian", n) for n in range(1, 21)))
 #: the Laplace-Stieltjes bound with eps = 0 and eta = 1: 1 + ||delta_hat||_1
 LS_BOUND = "ls:eps=0,eta=1,mu_total=1"
 

@@ -10,12 +10,11 @@ phase-type, fluid queues, Laplace-Stieltjes, Lipschitz).
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .domains import Discretization
 from .methods import to_full
-from .numerics import EXTENDED_DPS, U
+from .numerics import DoubleDouble, U
 
 _SQRT2P1 = 1.0 + math.sqrt(2.0)
 
@@ -135,23 +134,29 @@ def nu2_tilde(m):
 def moments(m):
     """Closed-form moments mu_k = integral y^k delta_hat(y) dy.
 
-    Evaluated in extended precision: the terms w/beta^k are large and of
-    mixed sign, and the acceptance tolerances sit below the binary64
-    cancellation noise.  The full form is conjugate-symmetric with real
-    weights on real nodes, so the sums are real up to rounding.
+    The sums of w/beta^k (k = 1, 2, 3) over all nodes are evaluated in
+    double-double (`numerics.DoubleDouble`) and rounded to binary64: the
+    terms are large and of mixed sign, and the acceptance tolerances sit
+    below the binary64 cancellation noise.  The full form is
+    conjugate-symmetric with real weights on real nodes, so the sums are
+    real up to rounding.
     """
     full = to_full(m)
     if any(b == 0 for b in full.nodes):
         raise ValueError("zero node")
-    with mpmath.workdps(EXTENDED_DPS):
-        terms = [(mpmath.mpc(w), mpmath.mpc(b))
-                 for w, b in zip(full.weights, full.nodes)]
-        mu0 = mpmath.fsum(w / b for w, b in terms)
-        mu1 = mpmath.fsum(w / b ** 2 for w, b in terms)
-        mu2 = 2 * mpmath.fsum(w / b ** 3 for w, b in terms)
-        mu0, mu1, mu2 = (float(mpmath.re(x)) for x in (mu0, mu1, mu2))
+    inv = 1.0 / DoubleDouble(np.array(full.nodes, dtype=complex))
+    term = DoubleDouble(np.array(full.weights, dtype=complex))
+    sums = []
+    for _ in range(3):
+        term = term * inv
+        sums.append(float(term.sum().to_complex().real))
+    mu0, mu1, mu2 = sums[0], sums[1], 2.0 * sums[2]
     nu2 = mu2 - 2.0 * mu1 + mu0
-    scv = mu0 * mu2 / mu1 ** 2 - 1.0 if mu1 != 0 else None
+    scv = None
+    if 2.0 ** -511 <= abs(mu1) <= 2.0 ** 511:
+        scv = mu0 * mu2 / mu1 ** 2 - 1.0
+    elif mu1 != 0:  # mu1^2 would under- or overflow
+        scv = (mu0 / mu1) * (mu2 / mu1) - 1.0
     return MomentSet(mu0=mu0, mu1=mu1, mu2=mu2, nu2=nu2, scv=scv)
 
 

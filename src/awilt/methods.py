@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import domains
 from .domains import _fmt
-from .numerics import EXTENDED_DPS, polynomial_roots
+from .numerics import DoubleDouble, polynomial_roots
 
 
 def _is_real(z):
@@ -168,24 +167,30 @@ def _pade_exp_coeffs(n):
 
 
 def zakian_method(n):
-    """Zakian method (full form): poles/residues of the (N-1,N) Pade of e^z."""
+    """Zakian method (full form): poles/residues of the (N-1,N) Pade of e^z.
+
+    The poles are the roots of the binary64-rounded Pade denominator
+    (`polynomial_roots`).  The residues -p(r)/q'(r) are evaluated at all
+    roots at once by double-double Horner schemes on double-double values
+    of the exact rational coefficients, and rounded to binary64."""
     if n < 1:
         raise ValueError("zakian_method needs n >= 1")
     num, den = _pade_exp_coeffs(n)
     roots = polynomial_roots([float(c) for c in den])
-    with mpmath.workdps(EXTENDED_DPS):
-        num_mp = [mpmath.mpf(c.numerator) / c.denominator for c in num]
-        den_mp = [mpmath.mpf(c.numerator) / c.denominator for c in den]
-        dden = [j * den_mp[j] for j in range(1, len(den_mp))]
-        ws = []
-        for r in roots:
-            rr = mpmath.mpc(r)
-            p = mpmath.polyval(list(reversed(num_mp)), rr)
-            dq = mpmath.polyval(list(reversed(dden)), rr)
-            ws.append(complex(-p / dq))
-    nodes, weights = pair_conjugates(roots, np.array(ws))
+    dden = [j * c for j, c in enumerate(den)][1:]
+    p, dq = (_horner_dd(cs, roots) for cs in (num, dden))
+    nodes, weights = pair_conjugates(roots, (-(p / dq)).to_complex())
     return AWMethod(name=f"zakian{n}", weights=tuple(weights),
                     nodes=tuple(nodes), reduced=False)
+
+
+def _horner_dd(coeffs, z):
+    """sum_k coeffs[k] z^k in double-double for Fraction coefficients."""
+    acc = DoubleDouble(np.zeros(len(z), dtype=complex))
+    for c in reversed(coeffs):
+        hi = float(c)
+        acc = acc * z + DoubleDouble(hi, float(c - Fraction(hi)))
+    return acc
 
 
 def pair_conjugates(nodes, weights):

@@ -10,17 +10,17 @@ The fit is conjugate-symmetric by contract, as e^z is real: `aaa_fit` and
 f(conj z) != conj f(z), so support, weights, poles and residues pair up.
 
 The greedy loop and the pole eigenproblem run in binary64 (the loop's
-working precision acts as a safeguard against weight growth).  Each
-binary64 pole is then polished by Newton's method on the barycentric
-denominator in extended precision, and the residues are computed in
-extended precision too.
+working precision acts as a safeguard against weight growth).  The
+binary64 poles are then polished all at once by Newton's method on the
+barycentric denominator, and the residues of all poles are computed at
+once, both in the double-double arithmetic of `numerics.DoubleDouble`
+(about 106 bits): weights of about 1e4 cancel to O(1) in these sums.
 """
 
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
 
-import mpmath
 import numpy as np
 
 from .diagnostics import epsilon_accuracy, eta_proxy
@@ -29,7 +29,7 @@ from .domains import (Disc, Discretization, discretize, distance_to,
 from .errors import NumericalError, PoleInsideDomainError
 from .methods import (AWMethod, MethodMetadata, _is_real, load_method,
                       pair_conjugates, save_method, to_reduced)
-from .numerics import (EXTENDED_DPS, U, dense_eigenvalues,
+from .numerics import (DoubleDouble, U, dense_eigenvalues, newton_polish,
                        smallest_singular_vector)
 
 
@@ -191,21 +191,17 @@ def aaa_fit(target, Z, max_order, tol=0.0):
     return b, report
 
 
-#: Newton steps allowed per pole before the polish gives up
-POLISH_STEPS = 8
-
-
 def extract_poles(b):
     """Poles of r: the K finite eigenvalues of the arrowhead pencil.
 
     The pencil is solved in binary64 and its two structurally infinite
     eigenvalues are discarded.  Each eigenvalue is then polished by
-    Newton's method on the denominator d(z) = u0 + sum_k u_k/(z - z_k) at
-    EXTENDED_DPS digits and rounded back to binary64.  The approximant
-    must be conjugate-symmetric, as `aaa_fit` makes it: the poles come
-    from `pair_conjugates`, real ones first, then exact pairs.  Raises
-    NumericalError if a pole does not converge within POLISH_STEPS steps
-    or two poles coincide.
+    Newton's method on the denominator d(z) = u0 + sum_k u_k/(z - z_k) in
+    double-double and rounded back to binary64.  The approximant must be
+    conjugate-symmetric, as `aaa_fit` makes it: the poles come from
+    `pair_conjugates`, real ones first, then exact pairs.  Raises
+    NumericalError if a pole does not converge within
+    `numerics.POLISH_STEPS` steps or two poles coincide.
     """
     K = len(b.support)
     u = b.weights
@@ -213,85 +209,88 @@ def extract_poles(b):
         return np.empty(0, dtype=complex)
     if abs(u[0]) <= 1e2 * U * np.linalg.norm(u):
         raise ValueError("u0 vanishes: approximant is not strictly proper")
+    finite = _pencil_eigenvalues(b)
+    if len(finite) != K:
+        raise NumericalError(
+            f"expected {K} finite eigenvalues, got {len(finite)}")
+    poles = _polish_poles(b, finite)
+    merged = _first_close_pair(poles)
+    if merged is not None:
+        raise NumericalError(f"poles merge near {poles[merged]}")
+    poles, _ = pair_conjugates(poles, poles)
+    return np.asarray(poles, dtype=complex)
+
+
+def _pencil_eigenvalues(b):
+    """Finite eigenvalues of the arrowhead pencil of r, in binary64."""
+    K = len(b.support)
     A = np.zeros((K + 2, K + 2), dtype=complex)
-    A[0, 1:] = u
+    A[0, 1:] = b.weights
     A[1, 0] = 1.0
     A[1, 1] = -1.0
     for k in range(K):
         A[2 + k, 0] = 1.0
         A[2 + k, 2 + k] = b.support[k]
     B = np.diag([0.0, 0.0] + [1.0] * K).astype(complex)
-    finite, _ = dense_eigenvalues(A, B)
-    if len(finite) != K:
-        raise NumericalError(
-            f"expected {K} finite eigenvalues, got {len(finite)}")
-    poles = _polish_poles(b, finite)
-    for i, p in enumerate(poles):
-        if np.any(np.abs(poles[i + 1:] - p) <= 1e-12 * (1.0 + abs(p))):
-            raise NumericalError(f"poles merge near {p}")
-    poles, _ = pair_conjugates(poles, poles)
-    return np.asarray(poles, dtype=complex)
+    return dense_eigenvalues(A, B)[0]
+
+
+def _first_close_pair(points):
+    """Lowest i with |points[j] - points[i]| <= 1e-12 (1 + |points[i]|) for
+    some j > i, or None."""
+    near = (np.abs(points[None, :] - points[:, None])
+            <= 1e-12 * (1.0 + np.abs(points))[:, None])
+    hit = np.triu(near, k=1).any(axis=1)
+    return int(np.argmax(hit)) if hit.any() else None
 
 
 def _polish_poles(b, guesses):
-    """Newton on the barycentric denominator at EXTENDED_DPS digits."""
-    out = np.empty(len(guesses), dtype=complex)
-    with mpmath.workdps(EXTENDED_DPS):
-        u0 = mpmath.mpc(b.weights[0])
-        us = [mpmath.mpc(x) for x in b.weights[1:]]
-        zs = [mpmath.mpc(x) for x in b.support]
-        tol = mpmath.mpf(10) ** (8 - EXTENDED_DPS)
-        # a step below 2^-60 |z| leaves, by quadratic convergence, an
-        # iterate far more accurate than binary64 can hold
-        trim = mpmath.mpf(2) ** -60
-        for i, guess in enumerate(guesses):
-            z = mpmath.mpc(guess)
-            for _ in range(POLISH_STEPS):
-                try:
-                    inv = [1 / (z - zk) for zk in zs]
-                    d = u0 + mpmath.fsum(uk * q for uk, q in zip(us, inv))
-                    step = -d / mpmath.fsum(uk * q * q
-                                            for uk, q in zip(us, inv))
-                except ZeroDivisionError:
-                    raise NumericalError(
-                        f"pole polish hit a singularity from {guess}") from None
-                z -= step
-                if (abs(step) <= tol * (1 + abs(z))
-                        or abs(step) <= trim * abs(z)):
-                    break
-            else:
-                raise NumericalError(
-                    f"pole polish did not converge from {guess}")
-            out[i] = complex(z)
-    return out
+    """Newton on the barycentric denominator from all guesses at once.
+
+    Only q_k = 1/(z - z_k) and d(z) are evaluated in double-double; the
+    derivative -sum_k u_k q_k^2 stays binary64 (`newton_polish`).  Each
+    guess stops on its own and may take up to `numerics.POLISH_STEPS`
+    steps.  Raises NumericalError for the first guess, in input order,
+    that does not converge or whose iterate lands on a support point or a
+    zero of d'.
+    """
+    u0, u, zs = b.weights[0], b.weights[1:], b.support
+
+    def denominator(z):
+        q = 1.0 / (z[:, None] - zs)
+        return (q * u).sum(axis=1) + u0, -(u * q.hi ** 2).sum(axis=1)
+
+    poles, status = newton_polish(denominator, guesses)
+    if np.any(status):
+        i = int(np.argmax(status > 0))
+        what = ("hit a singularity" if status[i] == 1
+                else "did not converge")
+        raise NumericalError(f"pole polish {what} from {guesses[i]}")
+    return poles
 
 
 def extract_residues(b, poles):
     """Abate-Whitt weights w with r(z) = sum w / (pole - z), via d'.
 
-    For a conjugate-symmetric approximant, conjugate poles get conjugate
-    weights up to rounding; `pair_conjugates` makes them exact."""
+    w = -n(p)/d'(p) for all poles p at once, with n the barycentric
+    numerator.  The sums cancel heavily (weights of magnitude ~1e4 summing
+    to O(1) values), so they are evaluated in double-double and only w is
+    rounded to binary64.  For a conjugate-symmetric approximant, conjugate
+    poles get conjugate weights up to rounding; `pair_conjugates` makes
+    them exact."""
     poles = np.asarray(poles, dtype=complex)
-    for i, p in enumerate(poles):
-        if np.min(np.abs(p - b.support)) <= 1e-12 * (1.0 + abs(p)):
-            raise NumericalError("pole coincides with a support point")
-        if np.any(np.abs(poles[i + 1:] - p) <= 1e-12 * (1.0 + abs(p))):
-            raise ValueError("poles must be distinct")
-    # The residue formula suffers heavy cancellation in binary64 (weights of
-    # magnitude ~1e4 summing to O(1) values), so evaluate it in extended
-    # precision and round the result.
-    with mpmath.workdps(EXTENDED_DPS):
-        us = [mpmath.mpc(x) for x in b.weights[1:]]
-        fs = [mpmath.mpc(x) for x in b.values]
-        zs = [mpmath.mpc(x) for x in b.support]
-        w = np.empty(len(poles), dtype=complex)
-        for i, p in enumerate(poles):
-            pp = mpmath.mpc(p)
-            inv = [1 / (pp - z) for z in zs]
-            n = mpmath.fsum(u * f * q for u, f, q in zip(us, fs, inv))
-            dprime = -mpmath.fsum(u * q * q for u, q in zip(us, inv))
-            w[i] = complex(-n / dprime)
-    return w
+    near = (np.abs(poles[:, None] - b.support)
+            <= 1e-12 * (1.0 + np.abs(poles))[:, None]).any(axis=1)
+    merged = _first_close_pair(poles)
+    if near.any() and (merged is None or np.argmax(near) <= merged):
+        raise NumericalError("pole coincides with a support point")
+    if merged is not None:
+        raise ValueError("poles must be distinct")
+    u = b.weights[1:]
+    q = 1.0 / (DoubleDouble(poles[:, None]) - b.support)
+    n = (q * (DoubleDouble(u) * b.values)).sum(axis=1)
+    dprime = -(q * q * u).sum(axis=1)
+    return (-(n / dprime)).to_complex()
 
 
 def build_tame(domain, n_reduced_target, tol=0.0, count=1000):

@@ -25,13 +25,13 @@ def run(capsys, *argv):
 
 def test_import_loads_no_scipy():
     # scipy is imported by the functions that use it, so that `aw` starts
-    # without it
+    # without it; mpmath is not a runtime dependency at all
     src = os.path.dirname(os.path.dirname(awilt.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, awilt.cli; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from awilt.diagnostics import (MomentSet, bound_fluid, bound_fluid_cdf,
@@ -18,6 +18,7 @@ from awilt.methods import (AWMethod, euler_method, gaver_method, talbot_method,
                            to_full, zakian_method)
 from awilt.numerics import U
 from awilt.tame import preset_tame
+from mp_reference import moment_sums
 
 SQRT2P1 = 1.0 + math.sqrt(2.0)
 
@@ -172,6 +173,44 @@ class TestMoments:
         m = AWMethod("x", (1.0,), (0.0,), reduced=False)
         with pytest.raises(ValueError):
             moments(m)
+
+    @pytest.mark.parametrize("scale", [1e-270, 1e270])
+    def test_scv_scale_invariant(self, scale):
+        # mu1^2 under- or overflows at these scales; scv does not depend
+        # on the scale of the weights
+        def method(c):
+            return AWMethod("x", (c * 1j, -c * 1j), (2 + 1j, 2 - 1j),
+                            reduced=False)
+        want = moments(method(1.0)).scv
+        assert moments(method(scale)).scv == pytest.approx(want, rel=1e-14)
+
+
+class TestMomentsMatchMpmath:
+    """The double-double moment sums equal the 40-digit ones bit for bit."""
+
+    @staticmethod
+    def _check(m):
+        mom = moments(m)
+        assert (mom.mu0, mom.mu1, mom.mu2) == moment_sums(m)
+
+    @given(right_halfplane_methods())
+    @settings(max_examples=60, deadline=None)
+    def test_random_methods(self, m):
+        # the kernel's range: a double-double result below ~2^-969 has
+        # no low part, and a subnormal one is rounded twice
+        assume(all(abs(x) >= 1e-250 for w in m.weights
+                   for x in (w.real, w.imag) if x))
+        self._check(m)
+
+    @pytest.mark.parametrize("m", [
+        *(euler_method(n) for n in (3, 7, 11, 15, 21)),
+        *(gaver_method(n) for n in (2, 8, 12, 16)),
+        *(zakian_method(n) for n in (1, 2, 5, 10, 16, 24)),
+        *(talbot_method(n) for n in (2, 10, 20, 32)),
+        *(preset_tame(r) for r in (0.6, 1.8, 4.0, 7.0, 11.2, 16.8, 22.7,
+                                   31.6))], ids=lambda m: m.name)
+    def test_classical_and_preset_methods(self, m):
+        self._check(m)
 
 
 class TestMomentEstimate:

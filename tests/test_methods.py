@@ -12,6 +12,8 @@ from awilt.methods import (AWMethod, MethodMetadata, euler_method,
                            method_to_json, pair_conjugates, save_method,
                            talbot_method, to_full, to_reduced, zakian_method)
 
+import mp_reference
+
 
 class TestEuler:
     def test_reduced_weights_nprime3(self):
@@ -109,6 +111,15 @@ class TestZakian:
     def test_min_size(self):
         with pytest.raises(ValueError):
             zakian_method(0)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_matches_mpmath_bitwise(self, n):
+        # np.roots polished in double-double, and double-double residues,
+        # give the 40-digit polyroots/polyval results bit for bit
+        m = zakian_method(n)
+        nodes, weights = mp_reference.zakian(n)
+        assert m.nodes == tuple(nodes)
+        assert m.weights == tuple(weights)
 
 
 class TestConstantRecovery:

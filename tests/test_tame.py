@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 
@@ -8,26 +9,29 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from awilt import tame
 from awilt.diagnostics import epsilon_accuracy
 from awilt.domains import (Disc, ImagSegment, RealSegment, Rectangle,
                            discretize, distance_to)
 from awilt.errors import NumericalError, PoleInsideDomainError
 from awilt.methods import load_method, pair_conjugates, to_full
-from awilt.numerics import EXTENDED_DPS
 from awilt.tame import (PRESET_ROWS, AAAReport, BarycentricApproximant,
                         aaa_fit, barycentric_eval, build_presets, build_tame,
                         extract_poles, extract_residues, preset_entry,
                         preset_filename, preset_tame)
 
+import mp_reference
+from mp_reference import DPS
+
 
 def _reference_poles(b):
-    """Poles from mpmath.eig at EXTENDED_DPS digits, rounded to binary64.
+    """Poles from mpmath.eig at DPS digits, rounded to binary64.
 
     The finite eigenvalues of the arrowhead pencil are those of its Schur
     complement diag(z) - 1 u^T / u0 on the support block.
     """
     K = len(b.support)
-    with mpmath.workdps(EXTENDED_DPS):
+    with mpmath.workdps(DPS):
         u0 = mpmath.mpc(b.weights[0])
         M = mpmath.matrix(K, K)
         for i in range(K):
@@ -240,6 +244,132 @@ class TestExtractResidues:
         b = _single_pole_approximant(2.0)
         with pytest.raises(NumericalError):
             extract_residues(b, np.array([0.0 + 0j]))
+
+    def test_first_offending_pole_decides(self):
+        # pole 0 repeats later, pole 1 sits on the support point 0: the
+        # check of pole 0 comes first, and the other way round
+        b = _single_pole_approximant(2.0)
+        with pytest.raises(ValueError, match="distinct"):
+            extract_residues(b, np.array([3.0 + 0j, 0.0 + 0j, 3.0 + 0j]))
+        with pytest.raises(NumericalError, match="support point"):
+            extract_residues(b, np.array([0.0 + 0j, 3.0 + 0j, 3.0 + 0j]))
+        # one pole both on the support and repeated: the support check
+        with pytest.raises(NumericalError, match="support point"):
+            extract_residues(b, np.array([0.0 + 0j, 0.0 + 0j]))
+
+
+def _two_point_approximant(w2):
+    """d(z) = 1 - 0.5/z + w2/(z - 2): poles +-i for w2 = 2.5, a double
+    pole at 1 for w2 = 0.5."""
+    return BarycentricApproximant(
+        support=np.array([0.0 + 0j, 2.0 + 0j]),
+        values=np.array([1.0 + 0j, 1.0 + 0j]),
+        weights=np.array([1.0 + 0j, -0.5 + 0j, w2 + 0j]))
+
+
+def _polish_both(b, guesses):
+    """The paired polished poles, or the error message, of the
+    double-double polish and of the 40-digit reference."""
+    out = []
+    for polish in (tame._polish_poles, mp_reference.polish_poles):
+        try:
+            poles = polish(b, guesses)
+        except NumericalError as e:
+            out.append(str(e))
+        else:
+            out.append(tuple(pair_conjugates(poles, poles)[0]))
+    return out
+
+
+def _assert_residues_match(b, poles):
+    """Each residue part lies within the double-double error bound, plus
+    half an ulp, of the 40-digit value, and equals that value rounded to
+    binary64 unless the value lies within the bound of a rounding
+    midpoint.  There the 40-digit loop picks a side by its own rounding
+    noise.  Such near-ties come from exact sums (w = p - z for one
+    support point), from the noise parts of real weights, and from sums
+    that cancel by more than 2^50, as in weights build_tame prunes."""
+    got = extract_residues(b, poles)
+    for g, (w, bound) in zip(got, mp_reference.residues(b, poles)):
+        for part, exact in ((g.real, w.real), (g.imag, w.imag)):
+            with mpmath.workdps(DPS):
+                assert abs(part - exact) <= bound + math.ulp(part) / 2
+            assert (part == float(exact)
+                    or mp_reference.near_midpoint(exact, bound))
+
+
+class TestPolishMatchesMpmath:
+    """The double-double polish and residues against the scalar 40-digit
+    loops they replace."""
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_approximants(self, seed):
+        b = _random_symmetric_approximant(np.random.default_rng(seed))
+        got, want = _polish_both(b, tame._pencil_eigenvalues(b))
+        assert got == want
+        if isinstance(got, tuple):
+            poles = np.array(got)
+            near = np.abs(poles[:, None] - b.support).min(axis=1)
+            assume(np.all(near > 1e-12 * (1.0 + np.abs(poles))))
+            _assert_residues_match(b, poles)
+
+    @pytest.fixture(scope="class")
+    def rseg100_fit(self):
+        """The K = 66 fit on rseg:100 and its 65 pencil eigenvalues
+        (u0 = 0, so build_tame refits it)."""
+        b, _ = aaa_fit(np.exp, discretize(RealSegment(100.0), 1000), 66)
+        assert len(b.support) == 66
+        return b, tame._pencil_eigenvalues(b)
+
+    def test_rseg100_fit(self, rseg100_fit):
+        b, guesses = rseg100_fit
+        got, want = _polish_both(b, guesses)
+        assert isinstance(got, tuple) and len(got) == len(guesses)
+        assert got == want
+        _assert_residues_match(b, np.array(got))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-12.0, -6.0))
+    @settings(max_examples=5, deadline=None)
+    def test_rseg100_perturbed_guesses(self, rseg100_fit, seed, log_rel):
+        b, guesses = rseg100_fit
+        rng = np.random.default_rng(seed)
+        noise = (rng.standard_normal(len(guesses))
+                 + 1j * rng.standard_normal(len(guesses)))
+        got, want = _polish_both(
+            b, guesses * (1.0 + 10.0 ** log_rel * noise))
+        assert got == want
+
+    def test_cancelling_denominator(self):
+        # d(z) = 1e-6 + 1/z - 1/(z - 1e-6): at the poles z ~ +-1 its two
+        # sums of 1 cancel to 1e-6
+        b = BarycentricApproximant(
+            support=np.array([0.0 + 0j, 1e-6 + 0j]),
+            values=np.array([1.0 + 0j, 2.0 + 0j]),
+            weights=np.array([1e-6 + 0j, 1.0 + 0j, -1.0 + 0j]))
+        got, want = _polish_both(b, tame._pencil_eigenvalues(b))
+        assert got == want and len(got) == 2
+        _assert_residues_match(b, np.array(got))
+
+    def test_singularity_message(self):
+        b = _two_point_approximant(2.5)  # poles +-i
+        # the second guess sits on a support point
+        got, want = _polish_both(b, np.array([1j, 0j, -1j]))
+        assert got == want == "pole polish hit a singularity from 0j"
+
+    def test_no_convergence_message(self):
+        # a double pole at 1: Newton converges only linearly
+        b = _two_point_approximant(0.5)
+        got, want = _polish_both(b, np.array([1.5 + 0j]))
+        assert got == want == "pole polish did not converge from (1.5+0j)"
+
+    def test_first_failing_guess_in_input_order(self):
+        b = _two_point_approximant(0.5)  # the double pole at 1
+        for guesses, message in (
+                ([1.5, 0.0], "did not converge from (1.5+0j)"),
+                ([0.0, 1.5], "hit a singularity from 0j")):
+            got, want = _polish_both(b, np.array(guesses, dtype=complex))
+            assert got == want == f"pole polish {message}"
 
 
 class TestBuildTame:
