@@ -13,10 +13,13 @@ method of FLUID_METHODS), its CSV NAME.csv and NAME.out.  Last, writes to
 OUT_DIR/diag/ the method files of DIAG_METHODS and, for them, the presets
 and the builds, the `aw diag --moments` output NAME_moments.out and, where
 every node has Re(beta) > 0, the `aw diag --bounds LS_BOUND` output
-NAME_ls.out.  Every warning is written, without its source location.
-BLAS is held to one thread.  `scripts/compare_snapshots.py OUT_A OUT_B`
-compares the outputs of two source trees: every file byte for byte,
-except the fluid CSVs, which it compares numerically.
+NAME_ls.out.  Then writes to OUT_DIR/invert/ the `aw invert --t-grid`
+CSV NAME.csv and NAME.out of each transform of INVERT_TRANSFORMS with
+each method of INVERT_METHODS.  Every warning is written, without its
+source location.  BLAS is held to one thread.
+`scripts/compare_snapshots.py OUT_A OUT_B` compares the outputs of two
+source trees: every file byte for byte, except the fluid and invert CSVs,
+which it compares numerically.
 """
 
 import os
@@ -65,6 +68,29 @@ DIAG_METHODS = (("euler", 15), ("gaver", 12), ("talbot", 20),
                 *(("zakian", n) for n in range(1, 21)))
 #: the Laplace-Stieltjes bound with eps = 0 and eta = 1: 1 + ||delta_hat||_1
 LS_BOUND = "ls:eps=0,eta=1,mu_total=1"
+#: every CLI catalog entry, as (name, transform spec, t-grid); bs_call on
+#: both of its branches, Q < K and Q >= K
+INVERT_TRANSFORMS = (
+    ("exp_sum", "builtin:exp_sum:c=1|0.5|0.5,a=-1|-1+2j|-1-2j",
+     "0.05:4:40"),
+    ("monomial_exp", "builtin:monomial_exp:b=2,a=-1.5", "0.05:6:40"),
+    ("triangular_wave", "builtin:triangular_wave", "0.05:5.95:60"),
+    ("square_wave", "builtin:square_wave", "0.05:5.95:60"),
+    ("bs_call_otm", "builtin:bs_call:q_price=80,strike=100,rate=0.05,"
+     "sigma=0.1", "0.1:50:50"),
+    ("bs_call_itm", "builtin:bs_call:q_price=120,strike=100,rate=0.05,"
+     "sigma=0.2", "0.1:50:50"),
+    ("completely_monotone_demo", "builtin:completely_monotone_demo",
+     "0.001:10:50"),
+)
+#: (label, method file under OUT_DIR, `aw gen` arguments or None)
+INVERT_METHODS = (
+    ("euler15", "invert/euler15.json", ["--method", "euler", "--nprime",
+                                        "15"]),
+    ("talbot20", "invert/talbot20.json", ["--method", "talbot", "--nprime",
+                                          "20"]),
+    ("tame_r31.6", "presets/tame_r31.6_n10.json", None),
+)
 
 
 def fov_specs(seed):
@@ -137,6 +163,19 @@ def diag(paths):
             yield f"{name}_ls.out"
 
 
+def invert():
+    """`aw invert --t-grid` into invert/NAME.csv; yields the CSV paths."""
+    os.makedirs("invert", exist_ok=True)
+    for label, path, argv in INVERT_METHODS:
+        if argv is not None:
+            aw(path[:-len(".json")], ["gen", *argv, "--out", path])
+        for name, spec, grid in INVERT_TRANSFORMS:
+            out = f"invert/{name}_{label}"
+            aw(out, ["invert", "--params", path, "--transform", spec,
+                     "--t-grid", grid, "--out", f"{out}.csv"])
+            yield f"{out}.csv"
+
+
 def main():
     warnings.formatwarning = (
         lambda message, category, *_: f"{category.__name__}: {message}\n")
@@ -159,6 +198,8 @@ def main():
     for path in fluid():
         print(path)
     for path in diag(paths):
+        print(path)
+    for path in invert():
         print(path)
 
 

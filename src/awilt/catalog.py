@@ -3,6 +3,11 @@
 Each entry bundles a Laplace transform, the exact time-domain function,
 its derivative when available, a class tag (se, me, wave, ls, option),
 and a recommended domain recipe t -> Omega for building adapted methods.
+
+Each transform is one numpy formula, its ``array_evaluator``: it takes an
+array of s and gives the values at all of them at once, so an inversion
+over a whole t-grid is one call.  A call at one s goes through the same
+formula.
 """
 
 import cmath
@@ -71,8 +76,8 @@ def exp_sum(c, a):
     symmetric = _conj_closed(list(zip(cs, As)))
     scale = sum(abs(x) for x in cs)
 
-    def F(s):
-        return sum(cm / (s - am) for cm, am in zip(cs, As))
+    def F(S):
+        return sum(cm / (S - am) for cm, am in zip(cs, As))
 
     def f(t):
         return _maybe_real(sum(cm * cmath.exp(am * t)
@@ -84,7 +89,7 @@ def exp_sum(c, a):
 
     return CatalogEntry(
         name="exp_sum", class_tag="se",
-        transform=Transform(evaluator=F, conjugate_symmetric=symmetric,
+        transform=Transform(array_evaluator=F, conjugate_symmetric=symmetric,
                             singularities=tuple(As), name="exp_sum"),
         f=f, f_prime=f_prime,
         domain_recipe=lambda t: _bounding_rectangle([am * t for am in As]))
@@ -98,8 +103,8 @@ def monomial_exp(b, a):
         raise ValueError("b must be a nonnegative integer")
     fact = float(math.factorial(b))
 
-    def F(s):
-        return 1.0 / (s - a) ** (b + 1)
+    def F(S):
+        return 1.0 / (S - a) ** (b + 1)
 
     def f(t):
         return _maybe_real(t ** b * cmath.exp(a * t) / fact)
@@ -112,25 +117,23 @@ def monomial_exp(b, a):
 
     return CatalogEntry(
         name="monomial_exp", class_tag="me",
-        transform=Transform(evaluator=F, conjugate_symmetric=a.imag == 0.0,
+        transform=Transform(array_evaluator=F,
+                            conjugate_symmetric=a.imag == 0.0,
                             singularities=(a,), name="monomial_exp"),
         f=f, f_prime=f_prime,
         domain_recipe=lambda t: _bounding_rectangle([a * t, 0.0]))
 
 
-def resolvent_evaluators(v, Q, u):
-    """(scalar, array) evaluators of s -> v^T (sI - Q)^{-1} u.  The array
-    one makes one stacked solve over its s."""
+def resolvent(v, Q, u):
+    """The array evaluator of s -> v^T (sI - Q)^{-1} u: one stacked solve
+    over all of its s."""
     eye = np.eye(len(Q))
 
-    def F(s):
-        return complex(v @ np.linalg.solve(s * eye - Q, u))
+    def F(S):
+        x = np.linalg.solve(S.reshape(-1, 1, 1) * eye - Q, u[:, None])
+        return (x[:, :, 0] @ v).reshape(S.shape)
 
-    def F_nodes(ss):
-        x = np.linalg.solve(ss[:, None, None] * eye - Q, u[:, None])
-        return x[:, :, 0] @ v
-
-    return F, F_nodes
+    return F
 
 
 def matrix_exp(v, Q, u):
@@ -142,7 +145,6 @@ def matrix_exp(v, Q, u):
     if Q.shape != (d, d) or v.shape != (d,) or u.shape != (d,):
         raise ValueError("shape mismatch between v, Q, u")
     eigs = tuple(np.linalg.eigvals(Q))
-    F, F_nodes = resolvent_evaluators(v, Q, u)
 
     def f(t):
         return float(v @ matrix_exponential(t * Q).real @ u)
@@ -152,9 +154,9 @@ def matrix_exp(v, Q, u):
 
     return CatalogEntry(
         name="matrix_exp", class_tag="me",
-        transform=Transform(evaluator=F, conjugate_symmetric=True,
-                            singularities=eigs, name="matrix_exp",
-                            array_evaluator=F_nodes),
+        transform=Transform(array_evaluator=resolvent(v, Q, u),
+                            conjugate_symmetric=True, singularities=eigs,
+                            name="matrix_exp"),
         f=f, f_prime=f_prime,
         domain_recipe=lambda t: fov_hermitian_bound(t * Q))
 
@@ -167,9 +169,9 @@ def _odd_multiples_of_i_pi(k_max=40):
 def triangular_wave():
     """Period-2 triangular wave on [0, 1]; transform tanh(s/2) / s^2."""
 
-    def F(s):
+    def F(S):
         # (1 - e^{-s}) / (1 + e^{-s}) = tanh(s/2), overflow-free form
-        return cmath.tanh(0.5 * s) / (s * s)
+        return np.tanh(0.5 * S) / (S * S)
 
     def f(t):
         frac = t - math.floor(t)
@@ -182,7 +184,7 @@ def triangular_wave():
 
     return CatalogEntry(
         name="triangular_wave", class_tag="wave",
-        transform=Transform(evaluator=F, conjugate_symmetric=True,
+        transform=Transform(array_evaluator=F, conjugate_symmetric=True,
                             singularities=(0.0,) + _odd_multiples_of_i_pi(),
                             name="triangular_wave"),
         f=f, f_prime=f_prime,
@@ -192,9 +194,9 @@ def triangular_wave():
 def square_wave():
     """f(t) = floor(t) mod 2; transform 1 / (s (1 + e^s))."""
 
-    def F(s):
+    def F(S):
         # 1 / (1 + e^s) = (1 - tanh(s/2)) / 2, overflow-free form
-        return (1.0 - cmath.tanh(0.5 * s)) / (2.0 * s)
+        return (1.0 - np.tanh(0.5 * S)) / (2.0 * S)
 
     def f(t):
         if abs(t - round(t)) < _JUMP_TOL:
@@ -208,7 +210,7 @@ def square_wave():
 
     return CatalogEntry(
         name="square_wave", class_tag="wave",
-        transform=Transform(evaluator=F, conjugate_symmetric=True,
+        transform=Transform(array_evaluator=F, conjugate_symmetric=True,
                             singularities=(0.0,) + _odd_multiples_of_i_pi(),
                             name="square_wave"),
         f=f, f_prime=f_prime,
@@ -241,18 +243,21 @@ def bs_call(q_price, strike, rate, sigma):
     log_qk = math.log(Q / K)
     s_branch = -R - m * m / (2.0 * sig * sig)
 
-    def gammas(s):
-        root = cmath.sqrt(m * m + 2.0 * sig * sig * (R + s))
+    def gammas(S):
+        root = np.sqrt(m * m + 2.0 * sig * sig * (R + S))
         return (-m + root) / (sig * sig), (-m - root) / (sig * sig)
 
-    def F(s):
-        gp, gm = gammas(s)
-        if Q >= K:
-            return (K / (gp - gm) * cmath.exp(gm * log_qk)
-                    * (gp / (R + s) - (gp - 1.0) / s)
-                    + Q / s - K / (R + s))
-        return (K / (gp - gm) * cmath.exp(gp * log_qk)
-                * (gm / (R + s) - (gm - 1.0) / s))
+    if Q >= K:
+        def F(S):
+            gp, gm = gammas(S)
+            return (K / (gp - gm) * np.exp(gm * log_qk)
+                    * (gp / (R + S) - (gp - 1.0) / S)
+                    + Q / S - K / (R + S))
+    else:
+        def F(S):
+            gp, gm = gammas(S)
+            return (K / (gp - gm) * np.exp(gp * log_qk)
+                    * (gm / (R + S) - (gm - 1.0) / S))
 
     def f(t):
         if not t > 0:
@@ -264,29 +269,37 @@ def bs_call(q_price, strike, rate, sigma):
 
     return CatalogEntry(
         name="bs_call", class_tag="option",
-        transform=Transform(evaluator=F, conjugate_symmetric=True,
+        transform=Transform(array_evaluator=F, conjugate_symmetric=True,
                             singularities=(0.0, -R, s_branch),
                             name="bs_call"),
         f=f, f_prime=None,
         domain_recipe=lambda t: RealSegment(max(1.0, 2.0 * t)))
 
 
-def _exp_e1(s):
-    """e^s E1(s).  For |s| > 50 the asymptotic series
-    (1/s) sum_k (-1)^k k!/s^k, summed until a term is below 2^-53 of the
-    sum; it never forms e^s, which overflows for Re s > 709.  At |s| > 50
-    the smallest term, about e^-|s| of the sum, is far below that."""
-    s = complex(s)
-    if abs(s) <= 50.0:
+def _exp_e1(S):
+    """e^s E1(s) at each s of S.  For |s| > 50 the asymptotic series
+    (1/s) sum_k (-1)^k k!/s^k, each s summed until its term is below
+    2^-53 of its sum; it never forms e^s, which overflows for Re s > 709.
+    At |s| > 50 the smallest term, about e^-|s| of the sum, is far below
+    that."""
+    out = np.empty_like(S)
+    near = np.abs(S) <= 50.0
+    if near.any():
         import scipy.special
-        return complex(cmath.exp(s) * scipy.special.exp1(s))
-    term = total = 1.0 / s
+        z = S[near]
+        out[near] = np.exp(z) * scipy.special.exp1(z)
+    z = S[~near]
+    term = total = 1.0 / z
+    live = np.abs(term) > 2.0 ** -53 * np.abs(total)
     k = 1
-    while abs(term) > 2.0 ** -53 * abs(total):
-        term *= -k / s
-        total += term
+    while live.any():
+        # whole-array steps, so that no s's rounding depends on the others
+        term = np.where(live, term * (-k / z), term)
+        total = np.where(live, total + term, total)
+        live &= np.abs(term) > 2.0 ** -53 * np.abs(total)
         k += 1
-    return total
+    out[~near] = total
+    return out
 
 
 def completely_monotone_demo():
@@ -304,7 +317,7 @@ def completely_monotone_demo():
 
     return CatalogEntry(
         name="completely_monotone_demo", class_tag="ls",
-        transform=Transform(evaluator=_exp_e1, conjugate_symmetric=True,
+        transform=Transform(array_evaluator=_exp_e1, conjugate_symmetric=True,
                             singularities=(0.0,),
                             name="completely_monotone_demo"),
         f=f, f_prime=f_prime,

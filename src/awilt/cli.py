@@ -402,7 +402,8 @@ def _bench_c(args, out_dir):
     t = 1.0
     eye = np.eye(d)
     transform = Transform(
-        evaluator=lambda s: np.linalg.solve(s * eye - Q, eye),
+        array_evaluator=lambda S: np.linalg.solve(
+            S[:, :, None, None] * eye - Q, eye),
         conjugate_symmetric=True,
         singularities=tuple(np.linalg.eigvals(Q)), name="resolvent")
     ref = matrix_exponential(t * Q).real

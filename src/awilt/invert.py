@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodeCollisionError, NumericalError
+from .numerics import U
 
 #: transform failures that flag a point of a curve instead of aborting it
 _FLAGGED = (NumericalError, FloatingPointError, ZeroDivisionError,
@@ -12,50 +13,73 @@ _FLAGGED = (NumericalError, FloatingPointError, ZeroDivisionError,
 
 #: elements of one node-singularity distance block in the collision check
 _COLLISION_BLOCK = 1 << 16
+#: most s in one call of an array evaluator
+_EVAL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class Transform:
-    """A Laplace transform 𝓛f as a callable s -> complex (or matrix).
+    """A Laplace transform 𝓛f, evaluated at one s or at an array of s.
 
-    ``conjugate_symmetric`` declares 𝓛f(conj s) = conj 𝓛f(s), which holds
-    whenever f is real-valued; it is required for reduced-form inversion.
-    ``singularities`` lists known poles/branch points of 𝓛f used for
-    node-collision checks.  ``array_evaluator``, when given, takes a 1-D
-    complex array of s and returns their values stacked along axis 0; it
-    lets a transform share work between the nodes of one t (see
-    :meth:`at_nodes`).
+    ``evaluator`` takes one complex s and returns the value (a complex
+    scalar or a matrix).  ``array_evaluator`` takes a 2-D complex array S,
+    one row per t and one column per node, and returns the values, of
+    shape ``S.shape + value shape``; it lets a transform share work
+    between all the nodes of a t-grid (see :meth:`at_rows`).  A transform
+    needs one of the two; with only the array one, a call at one s goes
+    through it.  ``conjugate_symmetric`` declares 𝓛f(conj s) = conj
+    𝓛f(s), which holds whenever f is real-valued; it is required for
+    reduced-form inversion.  ``singularities`` lists known poles/branch
+    points of 𝓛f used for node-collision checks.
     """
-    evaluator: object
+    evaluator: object = None
     conjugate_symmetric: bool = False
     singularities: tuple = ()
     name: str = ""
     array_evaluator: object = None
 
+    def __post_init__(self):
+        if self.evaluator is None and self.array_evaluator is None:
+            raise ValueError("a transform needs an evaluator or an "
+                             "array_evaluator")
+
     def __call__(self, s):
+        if self.evaluator is None:
+            return self.at_rows(np.array([[s]], dtype=complex))[0, 0]
         return self.evaluator(s)
 
+    def at_rows(self, S):
+        """The array evaluator's values at the 2-D complex array S, as an
+        array of shape ``S.shape + value shape``; values of another
+        leading shape raise ValueError.
+
+        numpy's floating-point warnings are off during the call: a value
+        that overflows or is undefined comes out non-finite, for the
+        inversion to flag.
+        """
+        with np.errstate(all="ignore"):
+            values = np.asarray(self.array_evaluator(S), dtype=complex)
+        if values.shape[:2] != S.shape:
+            raise ValueError(f"array evaluator gave values of shape "
+                             f"{values.shape} for s of shape {S.shape}")
+        return values
+
     def at_nodes(self, ss):
-        """The values at the sequence of complex s, and the failure that
+        """The values at the nodes ss of one t, and the failure that
         stopped them: ``(values, error)``.
 
         ``values`` holds the values of the leading s that were evaluated,
         in order, and ``error`` is None or the exception of a type in
         ``_FLAGGED`` that stopped the evaluation.  With an
-        ``array_evaluator`` it is one call, all of ss or nothing (a value
-        count other than len(ss) raises ValueError); otherwise the scalar
-        evaluator is called on each s in order, up to the first that fails.
+        ``array_evaluator`` it is one call of :meth:`at_rows` with ss as
+        its one row, all of ss or nothing; otherwise the scalar evaluator
+        is called on each s in order, up to the first that fails.
         """
         if self.array_evaluator is not None:
             try:
-                values = list(self.array_evaluator(np.array(ss,
-                                                            dtype=complex)))
+                return self.at_rows(np.array([ss], dtype=complex))[0], None
             except _FLAGGED as exc:
                 return [], exc
-            if len(values) != len(ss):
-                raise ValueError(f"array evaluator gave {len(values)} values "
-                                 f"for {len(ss)} s")
-            return values, None
         values = []
         try:
             for s in ss:
@@ -81,7 +105,12 @@ def _scaled_nodes(m, ts):
 def _collisions(m, transform, S, ts, errors):
     """Flag in ``errors`` each row of S where a scaled node, or for reduced
     methods its conjugate, lies within 1e-10 max(1, |s0|) of a declared
-    singularity s0."""
+    singularity s0.
+
+    |s - s0| <= tol implies |Re s - Re s0| <= tol, so an s is tested only
+    against the singularities whose real parts lie within the largest tol
+    of its own, widened by a few ulp for the rounding of the bounds: a
+    window of the singularities sorted by real part."""
     sing = list(transform.singularities)
     if not sing:
         return
@@ -91,47 +120,49 @@ def _collisions(m, transform, S, ts, errors):
         # |conj(s) - s0| == |s - conj(s0)| exactly
         targets = np.concatenate([targets, targets.conjugate()])
         tol = np.concatenate([tol, tol])
+    order = np.argsort(targets.real, kind="stable")
+    x = targets.real[order]
     T, N = S.shape
     rows = max(1, _COLLISION_BLOCK // (N * len(targets)))
     for lo in range(0, T, rows):
-        near = np.abs(S[lo:lo + rows, :, None] - targets) <= tol
-        for i in np.flatnonzero(near.any(axis=(1, 2))):
-            r = lo + i
-            # the first node that collides, its direct hits before its
-            # conjugate ones
-            j = int(np.argmax(near[i].any(axis=1)))
-            k = int(np.argmax(near[i, j]))
-            b, t = m.nodes[j], ts[r]
-            if k < len(sing):
-                msg = f"node {b}/t collides with singularity {sing[k]}"
+        s = S[lo:lo + rows].ravel()
+        reach = tol.max() + 4 * U * (tol.max() + np.abs(s.real))
+        first = np.searchsorted(x, s.real - reach, side="left")
+        count = np.searchsorted(x, s.real + reach, side="right") - first
+        # (s, singularity) pairs of the windows
+        i = np.repeat(np.arange(len(s)), count)
+        k = order[np.arange(len(i))
+                  - np.repeat(np.cumsum(count) - count - first, count)]
+        near = np.abs(s[i] - targets[k]) <= tol[k]
+        i, k = i[near], k[near]
+        # the first node that collides, its direct hits before its
+        # conjugate ones
+        by_node = np.lexsort((k, i))
+        i, k = i[by_node], k[by_node]
+        hit_rows, at = np.unique(i // N, return_index=True)
+        for r, a in zip(hit_rows, at):
+            j, k_a = i[a] % N, k[a]
+            b, t = m.nodes[j], ts[lo + r]
+            if k_a < len(sing):
+                msg = f"node {b}/t collides with singularity {sing[k_a]}"
             else:
                 msg = (f"node conj({b})/t collides with singularity "
-                       f"{sing[k - len(sing)]}")
-            errors[r] = NodeCollisionError(f"{msg} at t={t}")
+                       f"{sing[k_a - len(sing)]}")
+            errors[lo + r] = NodeCollisionError(f"{msg} at t={t}")
 
 
-def _grid(m, transform, ts):
-    """The weighted sums of m at every t of ts, and the failure of each.
+def _scalar_values(transform, S, rows, errors):
+    """The values at S of a transform without an array evaluator, on the
+    given rows, as an array ``S.shape + value shape``.
 
-    Returns ``(values, errors)``, one entry per t.  A failed t has value
-    None and, as its error, the exception it raised: a node collision, a
-    transform failure of a type in ``_FLAGGED``, or a non-finite transform
-    value.  The transform is called once per t, through
-    :meth:`Transform.at_nodes`, on that t's distinct s = beta/t that no
-    earlier t evaluated, in node order; an s is evaluated once and its
-    value shared.  A t stops at its first failing s (with an array
-    evaluator: at its one call), and an s that failed is tried again by
-    each later t that reaches it.
+    The rows are taken in order, each through :meth:`Transform.at_nodes`
+    on its distinct s that no earlier row evaluated, in node order: an s
+    is evaluated once and its value shared.  A row stops at its first
+    failing s, whose failure becomes the row's error, and an s that failed
+    is tried again by each later row that reaches it.  Values not
+    evaluated are zero.
     """
-    if m.reduced and not transform.conjugate_symmetric:
-        raise ValueError("reduced-form inversion needs a conjugate-symmetric "
-                         "transform")
-    tv = np.asarray(ts, dtype=float)
-    S = _scaled_nodes(m, tv)
     T, N = S.shape
-    errors = [None] * T
-    _collisions(m, transform, S, ts, errors)
-
     points = S.ravel().tolist()
     # first appearances, by complex equality (so -0.0 and 0.0 are one s)
     distinct = list(dict.fromkeys(points))
@@ -142,9 +173,7 @@ def _grid(m, transform, ts):
     else:
         ids = range(len(points))
     raw = [None] * len(distinct)
-    for r in range(T):
-        if errors[r] is not None:
-            continue
+    for r in rows:
         lo = r * N
         if shared:  # the row's s that no earlier row evaluated
             pending = [u for u in dict.fromkeys(ids[lo:lo + N])
@@ -159,18 +188,77 @@ def _grid(m, transform, ts):
     shape = np.shape(next((v for v in raw if v is not None), 0j))
     zero = np.zeros(shape, dtype=complex)
     F = np.array([zero if v is None else v for v in raw], dtype=complex)
-    finite = np.isfinite(F).all(axis=tuple(range(1, F.ndim)))
-    idx = np.array(ids).reshape(T, N)
-    for r in np.flatnonzero(~finite[idx].all(axis=1)):
+    return F[np.array(ids).reshape(T, N)]
+
+
+def _array_values(transform, S, rows, errors):
+    """The values at S of a transform with an array evaluator, on the
+    given rows, as an array ``S.shape + value shape``.
+
+    The rows go to :meth:`Transform.at_rows` in blocks of at most
+    ``_EVAL_BLOCK`` s.  If a block's call raises an error of a type in
+    ``_FLAGGED``, each of its rows is called again on its own
+    (:meth:`Transform.at_nodes`), and a row that fails then gets that
+    error.  Values of failed rows are zero.
+    """
+    T, N = S.shape
+    done, parts = [], []
+    step = max(1, _EVAL_BLOCK // N)
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        try:
+            parts.append(transform.at_rows(S[block]))
+            done += block
+            continue
+        except _FLAGGED:
+            pass
+        for r in block:
+            values, errors[r] = transform.at_nodes(S[r])
+            if errors[r] is None:
+                parts.append(values[None])
+                done.append(r)
+    shape = parts[0].shape[2:] if parts else ()
+    F = np.zeros((T, N) + shape, dtype=complex)
+    if parts:
+        F[done] = np.concatenate(parts)
+    return F
+
+
+def _grid(m, transform, ts):
+    """The weighted sums of m at every t of ts, and the failure of each.
+
+    Returns ``(values, errors)``, one entry per t.  A failed t has value
+    None and, as its error, the exception it raised: a node collision, a
+    transform failure of a type in ``_FLAGGED``, or a non-finite transform
+    value.  The rows of the (T x N) array of s = beta/t that pass the
+    collision check are evaluated all at once: with an array evaluator in
+    calls of whole blocks of rows, one row at a time only after a block
+    fails (:func:`_array_values`); with a scalar evaluator one s at a
+    time, in t order, sharing equal s between the t (:func:`_scalar_values`).
+    """
+    if m.reduced and not transform.conjugate_symmetric:
+        raise ValueError("reduced-form inversion needs a conjugate-symmetric "
+                         "transform")
+    tv = np.asarray(ts, dtype=float)
+    S = _scaled_nodes(m, tv)
+    errors = [None] * len(tv)
+    _collisions(m, transform, S, ts, errors)
+    rows = [r for r, e in enumerate(errors) if e is None]
+    evaluate = (_scalar_values if transform.array_evaluator is None
+                else _array_values)
+    F = evaluate(transform, S, rows, errors)
+    shape = F.shape[2:]
+    finite = np.isfinite(F).all(axis=tuple(range(2, F.ndim)))
+    for r in np.flatnonzero(~finite.all(axis=1)):
         if errors[r] is None:
-            u = idx[r, np.argmin(finite[idx[r]])]
-            errors[r] = NumericalError(f"transform value at s={distinct[u]} "
+            s = complex(S[r, np.argmin(finite[r])])
+            errors[r] = NumericalError(f"transform value at s={s} "
                                        f"is not finite (t={ts[r]})")
     F[~finite] = 0.0  # only flagged t use them
 
     # terms (T x N x value shape), summed over the node axis
     trail = (1,) * len(shape)
-    terms = np.asarray(m.weights).reshape((-1,) + trail) * F[idx]
+    terms = np.asarray(m.weights).reshape((-1,) + trail) * F
     sums = (np.sum(terms.real if m.reduced else terms, axis=1)
             / tv.reshape((-1,) + trail))
     values = list(sums) if shape else sums.tolist()
@@ -204,19 +292,20 @@ def invert_curve(m, transform, ts):
     """Inversion over a t-grid, with the values of :func:`invert`.
 
     All of ts is done at once: the (T x N) array of scaled nodes, the
-    collision check, the transform evaluations, and the weighted sum.  The
-    transform sees one t at a time, in the order of ts: one call of
-    :meth:`Transform.at_nodes` with the s = beta/t of that t that no
-    earlier t evaluated, in node order (exactly equal values share one
-    evaluation).  A scalar evaluator is called on them one by one; an
-    ``array_evaluator`` gets them in one array.  A t whose inversion fails
-    is flagged in the output (``error`` set, ``value`` None) instead of
-    aborting the curve: a node collision, a non-finite transform value,
-    or a transform that raises `NumericalError`, `FloatingPointError`,
-    `ZeroDivisionError` or `OverflowError`.  Such a raise stops the
-    evaluations of its t (a scalar evaluator's at the failing s), and a
-    later t that reaches a failed s tries it again.  Other exceptions
-    propagate.
+    collision check, the transform evaluations, and the weighted sum.  An
+    ``array_evaluator`` gets the s = beta/t of every t that passed the
+    collision check in one 2-D array, a row per t in the order of ts (in
+    blocks of rows on a long grid).  A scalar evaluator is called on the
+    s one by one, in t order, and exactly equal s share one evaluation.
+    A t whose inversion fails is flagged in the output (``error`` set,
+    ``value`` None) instead of aborting the curve: a node collision, a
+    non-finite transform value, or a transform that raises
+    `NumericalError`, `FloatingPointError`, `ZeroDivisionError` or
+    `OverflowError`.  When an array call raises one of these, each of its
+    t is called again on its own, and only the t that fail again are
+    flagged.  A scalar evaluator's raise stops the evaluations of its t at
+    the failing s, and a later t that reaches a failed s tries it again.
+    Other exceptions propagate.
     """
     ts = list(ts)
     if not ts:

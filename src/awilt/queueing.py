@@ -14,8 +14,8 @@ set of one).  H(s) is formed for all of them at once, and the nodes with
 Re(s) >= 0 share one stacked eigen-solve.  Taken in order of |arg s|
 within each half-plane, a node with Re(s) < 0 starts Newton from the
 solution at the node before it, and takes the arc only when it has none
-or that Newton fails.  Phase-type transforms likewise solve (sI - Q) at
-all nodes of a t in one stacked call.
+or that Newton fails.  Phase-type transforms solve (sI - Q) at all nodes
+of a t-grid in one stacked call.
 """
 
 import cmath
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import resolvent_evaluators
+from .catalog import resolvent
 from .errors import RiccatiError, SpectralGapError
 from .invert import Transform
 from .numerics import matrix_exponential
@@ -100,22 +100,18 @@ class PhaseType:
 
 def phase_type_transform(p):
     """(pdf transform, cdf transform) of a phase-type distribution: the
-    pdf is alpha^T (sI - Q)^{-1} q, the cdf that over s."""
+    pdf is alpha^T (sI - Q)^{-1} q, the cdf that over s.  Each solves
+    (sI - Q) at all of its s in one stacked call."""
     eigs = tuple(np.linalg.eigvals(p.Q))
-    pdf, pdf_nodes = resolvent_evaluators(p.alpha, p.Q, p.exit_rates)
+    pdf = resolvent(p.alpha, p.Q, p.exit_rates)
 
-    def cdf(s):
-        return pdf(s) / s
+    def cdf(S):
+        return pdf(S) / S
 
-    def cdf_nodes(ss):
-        return pdf_nodes(ss) / ss
-
-    return (Transform(evaluator=pdf, conjugate_symmetric=True,
-                      singularities=eigs, name="phase_type_pdf",
-                      array_evaluator=pdf_nodes),
-            Transform(evaluator=cdf, conjugate_symmetric=True,
-                      singularities=eigs + (0.0,), name="phase_type_cdf",
-                      array_evaluator=cdf_nodes))
+    return (Transform(array_evaluator=pdf, conjugate_symmetric=True,
+                      singularities=eigs, name="phase_type_pdf"),
+            Transform(array_evaluator=cdf, conjugate_symmetric=True,
+                      singularities=eigs + (0.0,), name="phase_type_cdf"))
 
 
 def phase_type_ground_truth(p, t):
@@ -397,26 +393,21 @@ def sweep_psi(model, ss):
 def fluid_psi_transform(model):
     """(psi_hat transform, Psi_hat = psi_hat/s transform), matrix-valued.
 
-    A single s is solved by :func:`solve_psi`; the nodes of one t are
-    solved together by :func:`sweep_psi`.
+    Each row of s, the nodes of one t, is solved by one :func:`sweep_psi`;
+    a single s is thus solved as :func:`solve_psi` solves it.  The rows
+    are swept one by one, so that each warm start stays on its t's
+    contour.
     """
-    def psi(s):
-        return solve_psi(model, s)
+    def psi(S):
+        return np.array([sweep_psi(model, row) for row in S])
 
-    def Psi(s):
-        return solve_psi(model, s) / s
+    def Psi(S):
+        return psi(S) / S[:, :, None, None]
 
-    def psi_nodes(ss):
-        return sweep_psi(model, ss)
-
-    def Psi_nodes(ss):
-        return [X / s for X, s in zip(sweep_psi(model, ss), ss)]
-
-    return (Transform(evaluator=psi, conjugate_symmetric=True,
-                      name="fluid_psi", array_evaluator=psi_nodes),
-            Transform(evaluator=Psi, conjugate_symmetric=True,
-                      singularities=(0.0,), name="fluid_Psi",
-                      array_evaluator=Psi_nodes))
+    return (Transform(array_evaluator=psi, conjugate_symmetric=True,
+                      name="fluid_psi"),
+            Transform(array_evaluator=Psi, conjugate_symmetric=True,
+                      singularities=(0.0,), name="fluid_Psi"))
 
 
 def psi_infinity(model):

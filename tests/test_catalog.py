@@ -8,12 +8,14 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmath_reference as ref
 from awilt.catalog import (bs_call, completely_monotone_demo, entry, exp_sum,
                            matrix_exp, monomial_exp, parse_transform,
                            square_wave, triangular_wave)
 from awilt.domains import ImagSegment, RealSegment, Rectangle, contains
 from awilt.invert import invert_curve
 from awilt.methods import talbot_method
+from awilt.numerics import U
 
 
 def _nudge(t):
@@ -281,3 +283,100 @@ class TestRegistry:
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_transform(text)
+
+
+# -- the numpy forms against the scalar cmath closed forms --------------------
+
+def _polar(r_min, r_max):
+    """Complex s with log-uniform |s| in [r_min, r_max], any angle."""
+    return st.builds(lambda x, phi: cmath.rect(10.0 ** x, phi),
+                     st.floats(math.log10(r_min), math.log10(r_max)),
+                     st.floats(-math.pi, math.pi))
+
+
+_S = st.one_of(_polar(1e-2, 1e4),
+               st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                  allow_infinity=False))
+
+
+def _assert_matches(e, oracle, ss, ulps=8.0, cond=lambda s: 1.0):
+    """The entry's numpy form, on ss as one 2-D array, within ulps times
+    the summed magnitudes of the oracle's terms (times cond(s), the
+    amplification of a rounding inside a term) of the cmath form; and at
+    each s alone, the same value bit for bit.  An s that an inversion
+    would flag as a collision with a declared singularity is left out."""
+    sing = e.transform.singularities
+    ss = [s for s in ss
+          if all(abs(s - s0) > 1e-10 * max(1.0, abs(s0)) for s0 in sing)]
+    S = np.array(ss, dtype=complex).reshape(1, -1)
+    got = e.transform.at_rows(S)[0]
+    for s, g in zip(ss, got):
+        try:
+            want, terms = oracle(s)
+        except (ZeroDivisionError, OverflowError):
+            continue  # past the range of binary64
+        if not cmath.isfinite(want):
+            continue
+        tol = ulps * U * sum(abs(x) for x in terms) * cond(s)
+        assert abs(g - want) <= tol, s
+        assert e.transform(s) == g, s
+
+
+class TestNumpyForms:
+    @given(st.lists(st.tuples(_S.filter(lambda z: abs(z) > 0),
+                              _polar(1e-2, 1e2)), min_size=1, max_size=4),
+           st.lists(_S, min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_exp_sum(self, ca, ss):
+        c, a = zip(*ca)
+        _assert_matches(exp_sum(c, a), lambda s: ref.exp_sum(c, a, s), ss)
+
+    @given(st.integers(0, 10), _polar(1e-2, 1e2),
+           st.lists(_S, min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_monomial_exp(self, b, a, ss):
+        # (s - a)^(b+1) by b or so roundings of products
+        _assert_matches(monomial_exp(b, a),
+                        lambda s: ref.monomial_exp(b, a, s), ss,
+                        ulps=4.0 * (b + 2))
+
+    @given(st.sampled_from(["triangular_wave", "square_wave"]),
+           st.lists(st.one_of(
+               _S,
+               # large |Re s|: tanh(s/2) saturates, e^s would overflow
+               st.builds(complex, st.floats(-2e3, 2e3), st.floats(-2e3, 2e3)),
+               # next to the poles i pi (2k + 1)
+               st.builds(lambda k, d: 1j * math.pi * (2 * k + 1) + d,
+                         st.integers(-40, 39), _polar(1e-7, 1.0))),
+               min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_waves(self, name, ss):
+        _assert_matches(entry(name), getattr(ref, name), ss)
+
+    @given(st.floats(20.0, 200.0), st.floats(50.0, 150.0),
+           st.floats(0.0, 0.1), st.floats(0.05, 0.5),
+           st.lists(_S, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_bs_call(self, q, k, r, sig, ss):
+        # both branches: Q >= K and Q < K.  g+- = (-m +- root) / sigma^2
+        # carry roundings of |m| + |root|, which g+ - g- (~ root) and
+        # exp(g log(Q/K)) amplify
+        m = r - 0.5 * sig * sig
+        log_qk = math.log(q / k)
+
+        def cond(s):
+            root = abs(cmath.sqrt(m * m + 2.0 * sig * sig * (r + s)))
+            return 1.0 + (abs(m) + root) * (1.0 / root
+                                            + abs(log_qk) / sig ** 2)
+
+        _assert_matches(bs_call(q, k, r, sig),
+                        lambda s: ref.bs_call(q, k, r, sig, s), ss,
+                        cond=cond)
+
+    @given(st.lists(st.one_of(_polar(1e-2, 1e5),
+                              # both sides of the |s| = 50 switch
+                              _polar(49.0, 51.0)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_completely_monotone_demo(self, ss):
+        _assert_matches(completely_monotone_demo(), ref.exp_e1, ss)

@@ -1,4 +1,6 @@
+import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awilt.errors import NodeCollisionError, NumericalError
-from awilt.invert import Transform, invert, invert_curve
+from awilt.invert import (_COLLISION_BLOCK, Transform, _collisions,
+                          _scaled_nodes, invert, invert_curve)
 from awilt.methods import (euler_method, gaver_method, talbot_method, to_full,
                            zakian_method)
 from awilt.numerics import U
@@ -325,15 +328,78 @@ def test_scalar_calls_match_per_t_loop(m, full, kind, ts):
     assert calls["got"] == calls["want"]
 
 
+# -- the collision check: a real-part window against the dense test ---------
+
+def _dense_collisions(m, transform, S, ts, errors):
+    """Every scaled node against every singularity, in blocks of rows: the
+    collision check before its real-part window."""
+    sing = list(transform.singularities)
+    if not sing:
+        return
+    tol = np.array([1e-10 * max(1.0, abs(s0)) for s0 in sing])
+    targets = np.asarray(sing, dtype=complex)
+    if m.reduced:
+        targets = np.concatenate([targets, targets.conjugate()])
+        tol = np.concatenate([tol, tol])
+    T, N = S.shape
+    rows = max(1, _COLLISION_BLOCK // (N * len(targets)))
+    for lo in range(0, T, rows):
+        near = np.abs(S[lo:lo + rows, :, None] - targets) <= tol
+        for i in np.flatnonzero(near.any(axis=(1, 2))):
+            r = lo + i
+            j = int(np.argmax(near[i].any(axis=1)))
+            k = int(np.argmax(near[i, j]))
+            b, t = m.nodes[j], ts[r]
+            if k < len(sing):
+                msg = f"node {b}/t collides with singularity {sing[k]}"
+            else:
+                msg = (f"node conj({b})/t collides with singularity "
+                       f"{sing[k - len(sing)]}")
+            errors[r] = NodeCollisionError(f"{msg} at t={t}")
+
+
+@given(_METHODS, st.booleans(),
+       st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]), min_size=1,
+                max_size=6),
+       st.lists(st.tuples(st.integers(0, 100), st.integers(0, 5),
+                          st.sampled_from([0.0, 0.5, 0.999999, 1.0, 1.000001,
+                                           2.0, 1e6]),
+                          st.floats(-math.pi, math.pi), st.booleans()),
+                max_size=12),
+       st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False),
+                max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_collisions_match_dense_check(m, full, ts, near, far):
+    """The windowed check flags the rows of the dense check, with the same
+    messages.  Singularities are placed on scaled nodes or their
+    conjugates, at 0 to 1e6 collision radii in any direction."""
+    if full:
+        m = to_full(m)
+    S = _scaled_nodes(m, np.array(ts))
+    sing = list(far)
+    for j, r, radii, phi, conj in near:
+        s = S[r % len(ts), j % len(m.nodes)]
+        s = s.conjugate() if conj else s
+        sing.append(complex(s + radii * 1e-10 * max(1.0, abs(s))
+                            * cmath.exp(1j * phi)))
+    F = Transform(lambda s: 1.0 / s, conjugate_symmetric=True,
+                  singularities=tuple(sing))
+    got, want = [None] * len(ts), [None] * len(ts)
+    _collisions(m, F, S, ts, got)
+    _dense_collisions(m, F, S, ts, want)
+    assert [e and str(e) for e in got] == [e and str(e) for e in want]
+
+
 # -- the array protocol: an array evaluator in place of the scalar loop -----
 
-def _matrix_nodes(ss):
-    """_matrix on a 1-D array of s: the same values and failures."""
-    bad = np.flatnonzero(ss.real > 40.0)
+def _matrix_nodes(S):
+    """_matrix on a 2-D array of s: the same values and failures."""
+    bad = np.flatnonzero(S.real > 40.0)
     if len(bad):
-        raise ZeroDivisionError(f"synthetic failure at {complex(ss[bad[0]])}")
-    values = np.linalg.inv(ss[:, None, None] * np.eye(2) - _Q)
-    values[ss.imag > 25.0] = math.inf
+        raise ZeroDivisionError(
+            f"synthetic failure at {complex(S.flat[bad[0]])}")
+    values = np.linalg.inv(S[..., None, None] * np.eye(2) - _Q)
+    values[S.imag > 25.0] = math.inf
     return values
 
 
@@ -365,11 +431,11 @@ def test_array_evaluator_matches_scalar_loop(m, full, ts):
 def test_array_evaluator_failure_flags_only_its_t():
     calls = []
 
-    def nodes(ss):
-        calls.append(ss.tolist())
-        if np.any(ss == 1.0):
+    def nodes(S):
+        calls.append(S.tolist())
+        if np.any(S == 1.0):
             raise NumericalError("synthetic failure")
-        return 1.0 / ss
+        return 1.0 / S
 
     m = zakian_method(1)  # node 1: s = 1 exactly at t = 1
     F = Transform(lambda s: 1.0 / s, array_evaluator=nodes)
@@ -377,14 +443,38 @@ def test_array_evaluator_failure_flags_only_its_t():
     assert [p.error for p in pts] == [None, "synthetic failure", None,
                                       "synthetic failure"]
     assert pts[0].value == invert(m, ONE_OVER_S, 0.5)
-    # one call per t, and the failed s is tried again by the later t
-    assert calls == [[2.0], [1.0], [0.5], [1.0]]
+    # one call with every t, then, as it failed, one call per t
+    assert calls == [[[2.0], [1.0], [0.5], [1.0]],
+                     [[2.0]], [[1.0]], [[0.5]], [[1.0]]]
+
+
+def test_array_evaluator_calls_in_blocks(monkeypatch):
+    shapes = []
+
+    def nodes(S):
+        shapes.append(S.shape)
+        return _matrix_nodes(S)
+
+    m = talbot_method(6)
+    ts = list(np.linspace(0.5, 3.0, 7))
+    want = invert_curve(m, Transform(_matrix, conjugate_symmetric=True,
+                                     array_evaluator=nodes), ts)
+    assert shapes == [(7, 6)]
+    # at most two rows of 6 s per call: blocks of 2, 2, 2 and 1 rows
+    monkeypatch.setattr(sys.modules["awilt.invert"], "_EVAL_BLOCK", 13)
+    shapes.clear()
+    got = invert_curve(m, Transform(_matrix, conjugate_symmetric=True,
+                                    array_evaluator=nodes), ts)
+    assert shapes == [(2, 6), (2, 6), (2, 6), (1, 6)]
+    for p, q in zip(got, want):
+        assert p.error is None and p.value.tobytes() == q.value.tobytes()
 
 
 def test_array_evaluator_value_count_checked():
     F = Transform(lambda s: 1.0 / s, conjugate_symmetric=True,
-                  array_evaluator=lambda ss: [1.0])
+                  array_evaluator=lambda S: [1.0])
     m = euler_method(3)
     with pytest.raises(ValueError,
-                       match=f"gave 1 values for {len(m.nodes)} s"):
+                       match=rf"values of shape \(1,\) for s of shape "
+                             rf"\(1, {len(m.nodes)}\)"):
         invert(m, F, 1.0)

@@ -461,6 +461,25 @@ _NODE_SETS = st.builds(
     st.booleans())
 
 
+@settings(max_examples=30, deadline=None)
+@given(d_plus=st.integers(1, 4), d_minus=st.integers(1, 4),
+       seed=st.integers(0, 2**16), m=_NODE_SETS,
+       ts=st.lists(st.floats(0.2, 30.0), min_size=2, max_size=5))
+def test_curve_matches_per_t_invert(d_plus, d_minus, seed, m, ts):
+    """One array call sweeps each t's nodes on their own: the curve is
+    per-t `invert`, bit for bit, flags included."""
+    model = make_experiment_model(d_plus, d_minus, seed)
+    for transform in fluid_psi_transform(model):
+        for t, p in zip(ts, invert_curve(m, transform, ts)):
+            try:
+                want = invert(m, transform, t)
+            except (RiccatiError, SpectralGapError) as exc:
+                assert p.error == str(exc)
+                continue
+            assert p.error is None
+            assert p.value.tobytes() == want.tobytes(), t
+
+
 class TestSweepPsi:
     @settings(max_examples=60, deadline=None)
     @given(d_plus=st.integers(1, 5), d_minus=st.integers(1, 5),
