@@ -3,16 +3,17 @@
 
 Usage: python scripts/compare_snapshots.py OUT_A OUT_B
 
-Every file must be in both trees.  Every file but the fluid/*.csv and
-invert/*.csv ones must be byte-identical.  A fluid/*.csv file is a
-matrix, one "i,j,value" row per entry; for each such file that is not
-byte-identical, prints max|A - B| / max(1, ||A||_inf), with ||.||_inf
-the largest absolute row sum.  An invert/*.csv file is a curve, one
-"t,value" row per t, with an empty value where the t was flagged; for
-each such file that is not byte-identical, prints max|A - B| / max(1,
-max|A|) over the values, which must be flagged at the same t, under the
-same t column.  Exits 1 if a file is missing from one tree, differs where
-it must be byte-identical, or has a deviation above TOL; else exits 0.
+Every file must be in both trees.  Every file but the fluid/*.csv,
+invert/*.csv and library/*.csv ones must be byte-identical.  A
+fluid/*.csv file is a matrix, one "i,j,value" row per entry; for each
+such file that is not byte-identical, prints max|A - B| / max(1,
+||A||_inf), with ||.||_inf the largest absolute row sum.  An invert/*.csv
+or library/*.csv file is a curve, one "t,value" row per t, with an empty
+value where the t was flagged; for each such file that is not
+byte-identical, prints max|A - B| / max(1, max|A|) over the values,
+which must be flagged at the same t, under the same t column.  Exits 1
+if a file is missing from one tree, differs where it must be
+byte-identical, or has a deviation above TOL; else exits 0.
 """
 
 import filecmp
@@ -21,7 +22,7 @@ import sys
 
 import numpy as np
 
-#: the largest fluid or invert CSV deviation, relative to its scale, allowed
+#: the largest CSV deviation, relative to its scale, allowed
 TOL = 1e-10
 
 
@@ -84,7 +85,8 @@ def main():
         pa, pb = os.path.join(a, rel), os.path.join(b, rel)
         if filecmp.cmp(pa, pb, shallow=False):
             continue
-        compare = {"fluid": deviation, "invert": curve_deviation}.get(
+        compare = {"fluid": deviation, "invert": curve_deviation,
+                   "library": curve_deviation}.get(
             rel.split(os.sep)[0]) if rel.endswith(".csv") else None
         if compare is None:
             print(f"differs: {rel}")
@@ -95,7 +97,7 @@ def main():
         print(f"{rel}: {dev:.3e}")
         bad += not dev <= TOL
     print(f"{len(fa | fb)} files, largest fluid deviation "
-          f"{worst[deviation]:.3e}, largest invert deviation "
+          f"{worst[deviation]:.3e}, largest curve deviation "
           f"{worst[curve_deviation]:.3e}, {bad} failing")
     sys.exit(1 if bad else 0)
 

@@ -15,11 +15,13 @@ and the builds, the `aw diag --moments` output NAME_moments.out and, where
 every node has Re(beta) > 0, the `aw diag --bounds LS_BOUND` output
 NAME_ls.out.  Then writes to OUT_DIR/invert/ the `aw invert --t-grid`
 CSV NAME.csv and NAME.out of each transform of INVERT_TRANSFORMS with
-each method of INVERT_METHODS.  Every warning is written, without its
-source location.  BLAS is held to one thread.
+each method of INVERT_METHODS, and to OUT_DIR/library/ the `invert_curve`
+CSV NAME.csv of each transform of `library_transforms` (the library ones
+the CLI cannot reach) with each method of INVERT_METHODS.  Every warning
+is written, without its source location.  BLAS is held to one thread.
 `scripts/compare_snapshots.py OUT_A OUT_B` compares the outputs of two
-source trees: every file byte for byte, except the fluid and invert CSVs,
-which it compares numerically.
+source trees: every file byte for byte, except the fluid, invert and
+library CSVs, which it compares numerically.
 """
 
 import os
@@ -35,11 +37,13 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 
 import awilt.cli
+from awilt.catalog import matrix_exp
 from awilt.domains import (fov_circle_bound, fov_hermitian_bound,
                            fov_rectangle_bound)
+from awilt.invert import invert_curve
 from awilt.methods import load_method
-from awilt.queueing import (FluidQueueModel, GeneratorMatrix,
-                            make_experiment_model)
+from awilt.queueing import (FluidQueueModel, GeneratorMatrix, PhaseType,
+                            make_experiment_model, phase_type_transform)
 from awilt.tame import build_presets
 
 #: (name, domain spec, N', extra `aw gen` arguments)
@@ -91,6 +95,22 @@ INVERT_METHODS = (
                                           "20"]),
     ("tame_r31.6", "presets/tame_r31.6_n10.json", None),
 )
+
+
+def library_transforms():
+    """(name, transform, t-grid) of the library transforms that no `aw`
+    command builds: the pdf and cdf of a 3-phase distribution, and
+    P(X_t = 14 | X_0 = 0) of make_experiment_model(5, 10, 1) by
+    `catalog.matrix_exp`."""
+    ph = PhaseType(np.array([0.2, 0.5, 0.3]),
+                   np.array([[-3.0, 1.0, 0.5], [0.5, -2.0, 1.0],
+                             [0.0, 0.5, -1.0]]))
+    pdf, cdf = phase_type_transform(ph)
+    Q = make_experiment_model(5, 10, 1).gen.Q
+    e = np.eye(len(Q))
+    grid = list(np.linspace(0.05, 6.0, 40))
+    return (("phase_type_pdf", pdf, grid), ("phase_type_cdf", cdf, grid),
+            ("matrix_exp", matrix_exp(e[0], Q, e[-1]).transform, grid))
 
 
 def fov_specs(seed):
@@ -176,6 +196,22 @@ def invert():
             yield f"{out}.csv"
 
 
+def library():
+    """`invert_curve` of the library transforms into library/NAME.csv, in
+    the CSV format of `aw invert --t-grid`; yields the CSV paths.  Runs
+    after `invert`, which writes the method files."""
+    os.makedirs("library", exist_ok=True)
+    transforms = library_transforms()
+    for label, path, _ in INVERT_METHODS:
+        m, _ = load_method(path)
+        for name, transform, ts in transforms:
+            out = f"library/{name}_{label}.csv"
+            awilt.cli._write_csv(out, ["t", "value"],
+                                 ([p.t, p.value]
+                                  for p in invert_curve(m, transform, ts)))
+            yield out
+
+
 def main():
     warnings.formatwarning = (
         lambda message, category, *_: f"{category.__name__}: {message}\n")
@@ -200,6 +236,8 @@ def main():
     for path in diag(paths):
         print(path)
     for path in invert():
+        print(path)
+    for path in library():
         print(path)
 
 

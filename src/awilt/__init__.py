@@ -20,7 +20,8 @@ from .methods import (AWMethod, MethodMetadata, euler_method, gaver_method,
 from .tame import (AAAReport, BarycentricApproximant, aaa_fit, barycentric_eval,
                    build_tame, extract_poles, extract_residues, preset_entry,
                    preset_tame, PRESET_ROWS)
-from .invert import CurvePoint, Transform, invert, invert_curve
+from .invert import (CurvePoint, Transform, invert, invert_curve,
+                     pointwise)
 from .diagnostics import (MomentSet, bound_fluid, bound_fluid_cdf, bound_ls,
                           bound_lipschitz, bound_me, bound_phase_type,
                           bound_se, dirac_eval, dirac_l1_norm,

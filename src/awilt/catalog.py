@@ -4,9 +4,9 @@ Each entry bundles a Laplace transform, the exact time-domain function,
 its derivative when available, a class tag (se, me, wave, ls, option),
 and a recommended domain recipe t -> Omega for building adapted methods.
 
-Each transform is one numpy formula, its ``array_evaluator``: it takes an
-array of s and gives the values at all of them at once, so an inversion
-over a whole t-grid is one call.  A call at one s goes through the same
+Each transform is one numpy formula, its ``evaluator``: it takes an array
+of s and gives the values at all of them at once, so an inversion over a
+whole t-grid is one call.  A call at one s goes through the same
 formula.
 """
 
@@ -89,7 +89,7 @@ def exp_sum(c, a):
 
     return CatalogEntry(
         name="exp_sum", class_tag="se",
-        transform=Transform(array_evaluator=F, conjugate_symmetric=symmetric,
+        transform=Transform(evaluator=F, conjugate_symmetric=symmetric,
                             singularities=tuple(As), name="exp_sum"),
         f=f, f_prime=f_prime,
         domain_recipe=lambda t: _bounding_rectangle([am * t for am in As]))
@@ -117,7 +117,7 @@ def monomial_exp(b, a):
 
     return CatalogEntry(
         name="monomial_exp", class_tag="me",
-        transform=Transform(array_evaluator=F,
+        transform=Transform(evaluator=F,
                             conjugate_symmetric=a.imag == 0.0,
                             singularities=(a,), name="monomial_exp"),
         f=f, f_prime=f_prime,
@@ -154,7 +154,7 @@ def matrix_exp(v, Q, u):
 
     return CatalogEntry(
         name="matrix_exp", class_tag="me",
-        transform=Transform(array_evaluator=resolvent(v, Q, u),
+        transform=Transform(evaluator=resolvent(v, Q, u),
                             conjugate_symmetric=True, singularities=eigs,
                             name="matrix_exp"),
         f=f, f_prime=f_prime,
@@ -184,7 +184,7 @@ def triangular_wave():
 
     return CatalogEntry(
         name="triangular_wave", class_tag="wave",
-        transform=Transform(array_evaluator=F, conjugate_symmetric=True,
+        transform=Transform(evaluator=F, conjugate_symmetric=True,
                             singularities=(0.0,) + _odd_multiples_of_i_pi(),
                             name="triangular_wave"),
         f=f, f_prime=f_prime,
@@ -210,7 +210,7 @@ def square_wave():
 
     return CatalogEntry(
         name="square_wave", class_tag="wave",
-        transform=Transform(array_evaluator=F, conjugate_symmetric=True,
+        transform=Transform(evaluator=F, conjugate_symmetric=True,
                             singularities=(0.0,) + _odd_multiples_of_i_pi(),
                             name="square_wave"),
         f=f, f_prime=f_prime,
@@ -269,7 +269,7 @@ def bs_call(q_price, strike, rate, sigma):
 
     return CatalogEntry(
         name="bs_call", class_tag="option",
-        transform=Transform(array_evaluator=F, conjugate_symmetric=True,
+        transform=Transform(evaluator=F, conjugate_symmetric=True,
                             singularities=(0.0, -R, s_branch),
                             name="bs_call"),
         f=f, f_prime=None,
@@ -317,7 +317,7 @@ def completely_monotone_demo():
 
     return CatalogEntry(
         name="completely_monotone_demo", class_tag="ls",
-        transform=Transform(array_evaluator=_exp_e1, conjugate_symmetric=True,
+        transform=Transform(evaluator=_exp_e1, conjugate_symmetric=True,
                             singularities=(0.0,),
                             name="completely_monotone_demo"),
         f=f, f_prime=f_prime,

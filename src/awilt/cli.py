@@ -402,7 +402,7 @@ def _bench_c(args, out_dir):
     t = 1.0
     eye = np.eye(d)
     transform = Transform(
-        array_evaluator=lambda S: np.linalg.solve(
+        evaluator=lambda S: np.linalg.solve(
             S[:, :, None, None] * eye - Q, eye),
         conjugate_symmetric=True,
         singularities=tuple(np.linalg.eigvals(Q)), name="resolvent")

@@ -13,80 +13,53 @@ _FLAGGED = (NumericalError, FloatingPointError, ZeroDivisionError,
 
 #: elements of one node-singularity distance block in the collision check
 _COLLISION_BLOCK = 1 << 16
-#: most s in one call of an array evaluator
+#: most s in one call of an evaluator
 _EVAL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class Transform:
-    """A Laplace transform 𝓛f, evaluated at one s or at an array of s.
+    """A Laplace transform 𝓛f, evaluated on arrays of s.
 
-    ``evaluator`` takes one complex s and returns the value (a complex
-    scalar or a matrix).  ``array_evaluator`` takes a 2-D complex array S,
-    one row per t and one column per node, and returns the values, of
-    shape ``S.shape + value shape``; it lets a transform share work
-    between all the nodes of a t-grid (see :meth:`at_rows`).  A transform
-    needs one of the two; with only the array one, a call at one s goes
-    through it.  ``conjugate_symmetric`` declares 𝓛f(conj s) = conj
-    𝓛f(s), which holds whenever f is real-valued; it is required for
-    reduced-form inversion.  ``singularities`` lists known poles/branch
-    points of 𝓛f used for node-collision checks.
+    ``evaluator`` takes a 2-D complex array S, one row per t and one
+    column per node, and returns the values, of shape ``S.shape + value
+    shape`` (a complex scalar or a matrix per s); it lets a transform
+    share work between all the nodes of a t-grid (see :meth:`at_rows`).
+    :func:`pointwise` makes one from a function of one s.
+    ``conjugate_symmetric`` declares 𝓛f(conj s) = conj 𝓛f(s), which
+    holds whenever f is real-valued; it is required for reduced-form
+    inversion.  ``singularities`` lists known poles/branch points of 𝓛f
+    used for node-collision checks.
     """
-    evaluator: object = None
+    evaluator: object
     conjugate_symmetric: bool = False
     singularities: tuple = ()
     name: str = ""
-    array_evaluator: object = None
-
-    def __post_init__(self):
-        if self.evaluator is None and self.array_evaluator is None:
-            raise ValueError("a transform needs an evaluator or an "
-                             "array_evaluator")
 
     def __call__(self, s):
-        if self.evaluator is None:
-            return self.at_rows(np.array([[s]], dtype=complex))[0, 0]
-        return self.evaluator(s)
+        return self.at_rows(np.array([[s]], dtype=complex))[0, 0]
 
     def at_rows(self, S):
-        """The array evaluator's values at the 2-D complex array S, as an
-        array of shape ``S.shape + value shape``; values of another
-        leading shape raise ValueError.
+        """The evaluator's values at the 2-D complex array S, as an array
+        of shape ``S.shape + value shape``; values of another leading
+        shape raise ValueError.
 
         numpy's floating-point warnings are off during the call: a value
         that overflows or is undefined comes out non-finite, for the
         inversion to flag.
         """
         with np.errstate(all="ignore"):
-            values = np.asarray(self.array_evaluator(S), dtype=complex)
+            values = np.asarray(self.evaluator(S), dtype=complex)
         if values.shape[:2] != S.shape:
-            raise ValueError(f"array evaluator gave values of shape "
+            raise ValueError(f"evaluator gave values of shape "
                              f"{values.shape} for s of shape {S.shape}")
         return values
 
-    def at_nodes(self, ss):
-        """The values at the nodes ss of one t, and the failure that
-        stopped them: ``(values, error)``.
 
-        ``values`` holds the values of the leading s that were evaluated,
-        in order, and ``error`` is None or the exception of a type in
-        ``_FLAGGED`` that stopped the evaluation.  With an
-        ``array_evaluator`` it is one call of :meth:`at_rows` with ss as
-        its one row, all of ss or nothing; otherwise the scalar evaluator
-        is called on each s in order, up to the first that fails.
-        """
-        if self.array_evaluator is not None:
-            try:
-                return self.at_rows(np.array([ss], dtype=complex))[0], None
-            except _FLAGGED as exc:
-                return [], exc
-        values = []
-        try:
-            for s in ss:
-                values.append(self(s))
-        except _FLAGGED as exc:
-            return values, exc
-        return values, None
+def pointwise(f):
+    """The evaluator that calls f, a function of one complex s, on each s
+    of S in row order."""
+    return lambda S: [[f(s) for s in row] for row in S.tolist()]
 
 
 def _scaled_nodes(m, ts):
@@ -151,55 +124,14 @@ def _collisions(m, transform, S, ts, errors):
             errors[lo + r] = NodeCollisionError(f"{msg} at t={t}")
 
 
-def _scalar_values(transform, S, rows, errors):
-    """The values at S of a transform without an array evaluator, on the
-    given rows, as an array ``S.shape + value shape``.
-
-    The rows are taken in order, each through :meth:`Transform.at_nodes`
-    on its distinct s that no earlier row evaluated, in node order: an s
-    is evaluated once and its value shared.  A row stops at its first
-    failing s, whose failure becomes the row's error, and an s that failed
-    is tried again by each later row that reaches it.  Values not
-    evaluated are zero.
-    """
-    T, N = S.shape
-    points = S.ravel().tolist()
-    # first appearances, by complex equality (so -0.0 and 0.0 are one s)
-    distinct = list(dict.fromkeys(points))
-    shared = len(distinct) < len(points)
-    if shared:
-        index = {s: u for u, s in enumerate(distinct)}
-        ids = [index[s] for s in points]
-    else:
-        ids = range(len(points))
-    raw = [None] * len(distinct)
-    for r in rows:
-        lo = r * N
-        if shared:  # the row's s that no earlier row evaluated
-            pending = [u for u in dict.fromkeys(ids[lo:lo + N])
-                       if raw[u] is None]
-            ss = [distinct[u] for u in pending]
-        else:
-            pending, ss = ids[lo:lo + N], points[lo:lo + N]
-        if ss:
-            values, errors[r] = transform.at_nodes(ss)
-            for u, v in zip(pending, values):
-                raw[u] = v
-    shape = np.shape(next((v for v in raw if v is not None), 0j))
-    zero = np.zeros(shape, dtype=complex)
-    F = np.array([zero if v is None else v for v in raw], dtype=complex)
-    return F[np.array(ids).reshape(T, N)]
-
-
-def _array_values(transform, S, rows, errors):
-    """The values at S of a transform with an array evaluator, on the
-    given rows, as an array ``S.shape + value shape``.
+def _values(transform, S, rows, errors):
+    """The transform's values at S, on the given rows, as an array
+    ``S.shape + value shape``.
 
     The rows go to :meth:`Transform.at_rows` in blocks of at most
     ``_EVAL_BLOCK`` s.  If a block's call raises an error of a type in
-    ``_FLAGGED``, each of its rows is called again on its own
-    (:meth:`Transform.at_nodes`), and a row that fails then gets that
-    error.  Values of failed rows are zero.
+    ``_FLAGGED``, each of its rows is called again on its own, and a row
+    that fails then gets that error.  Values of failed rows are zero.
     """
     T, N = S.shape
     done, parts = [], []
@@ -213,10 +145,11 @@ def _array_values(transform, S, rows, errors):
         except _FLAGGED:
             pass
         for r in block:
-            values, errors[r] = transform.at_nodes(S[r])
-            if errors[r] is None:
-                parts.append(values[None])
+            try:
+                parts.append(transform.at_rows(S[r:r + 1]))
                 done.append(r)
+            except _FLAGGED as exc:
+                errors[r] = exc
     shape = parts[0].shape[2:] if parts else ()
     F = np.zeros((T, N) + shape, dtype=complex)
     if parts:
@@ -231,10 +164,8 @@ def _grid(m, transform, ts):
     None and, as its error, the exception it raised: a node collision, a
     transform failure of a type in ``_FLAGGED``, or a non-finite transform
     value.  The rows of the (T x N) array of s = beta/t that pass the
-    collision check are evaluated all at once: with an array evaluator in
-    calls of whole blocks of rows, one row at a time only after a block
-    fails (:func:`_array_values`); with a scalar evaluator one s at a
-    time, in t order, sharing equal s between the t (:func:`_scalar_values`).
+    collision check are evaluated all at once, in calls of whole blocks
+    of rows, one row at a time only after a block fails (:func:`_values`).
     """
     if m.reduced and not transform.conjugate_symmetric:
         raise ValueError("reduced-form inversion needs a conjugate-symmetric "
@@ -244,9 +175,7 @@ def _grid(m, transform, ts):
     errors = [None] * len(tv)
     _collisions(m, transform, S, ts, errors)
     rows = [r for r, e in enumerate(errors) if e is None]
-    evaluate = (_scalar_values if transform.array_evaluator is None
-                else _array_values)
-    F = evaluate(transform, S, rows, errors)
+    F = _values(transform, S, rows, errors)
     shape = F.shape[2:]
     finite = np.isfinite(F).all(axis=tuple(range(2, F.ndim)))
     for r in np.flatnonzero(~finite.all(axis=1)):
@@ -270,8 +199,10 @@ def invert(m, transform, t):
     """f_N(t): full form sum (w/t) F(b/t); reduced form sum Re((w'/t) F(b/t)).
 
     Returns a real scalar / real array for reduced methods, a complex
-    scalar / complex array for full-form methods.  A node collision or a
-    non-finite transform value raises a `NumericalError`.
+    scalar / complex array for full-form methods.  The evaluator gets the
+    s = beta/t as one row.  A node collision or a non-finite transform
+    value raises a `NumericalError`, and a failing evaluator its own
+    error.
     """
     if not t > 0:
         raise ValueError("t must be positive")
@@ -292,19 +223,15 @@ def invert_curve(m, transform, ts):
     """Inversion over a t-grid, with the values of :func:`invert`.
 
     All of ts is done at once: the (T x N) array of scaled nodes, the
-    collision check, the transform evaluations, and the weighted sum.  An
-    ``array_evaluator`` gets the s = beta/t of every t that passed the
-    collision check in one 2-D array, a row per t in the order of ts (in
-    blocks of rows on a long grid).  A scalar evaluator is called on the
-    s one by one, in t order, and exactly equal s share one evaluation.
-    A t whose inversion fails is flagged in the output (``error`` set,
-    ``value`` None) instead of aborting the curve: a node collision, a
-    non-finite transform value, or a transform that raises
-    `NumericalError`, `FloatingPointError`, `ZeroDivisionError` or
-    `OverflowError`.  When an array call raises one of these, each of its
-    t is called again on its own, and only the t that fail again are
-    flagged.  A scalar evaluator's raise stops the evaluations of its t at
-    the failing s, and a later t that reaches a failed s tries it again.
+    collision check, the transform evaluations, and the weighted sum.  The
+    evaluator gets the s = beta/t of every t that passed the collision
+    check in one 2-D array, a row per t in the order of ts (in blocks of
+    rows on a long grid).  A t whose inversion fails is flagged in the
+    output (``error`` set, ``value`` None) instead of aborting the curve:
+    a node collision, a non-finite transform value, or a transform that
+    raises `NumericalError`, `FloatingPointError`, `ZeroDivisionError` or
+    `OverflowError`.  When a call raises one of these, each of its t is
+    called again on its own, and only the t that fail again are flagged.
     Other exceptions propagate.
     """
     ts = list(ts)

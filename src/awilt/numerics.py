@@ -69,6 +69,15 @@ def _complex(re, im):
     return out
 
 
+def _multiply(a, b):
+    """a b for complex arrays, from real products each rounded on its own.
+
+    numpy's complex multiply may fuse a product into the sum (FMA), so
+    that the real part of z z for Re z = Im z is not zero."""
+    return _complex(a.real * b.real - a.imag * b.imag,
+                    a.real * b.imag + a.imag * b.real)
+
+
 class DoubleDouble:
     """Complex double-double arrays: the value is hi + lo, per component,
     with hi = fl(hi + lo).
@@ -121,7 +130,7 @@ class DoubleDouble:
         p = (DoubleDouble(_complex(rr, ri), _complex(rre, rie))
              + DoubleDouble(_complex(-ii, ir), _complex(-iie, ire)))
         return DoubleDouble(*_fast_two_sum(
-            p.hi, p.lo + (x * other.lo + self.lo * y)))
+            p.hi, p.lo + (_multiply(x, other.lo) + _multiply(self.lo, y))))
 
     def __truediv__(self, other):
         # a binary64 quotient and one correction from the remainder

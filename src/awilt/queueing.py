@@ -100,17 +100,18 @@ class PhaseType:
 
 def phase_type_transform(p):
     """(pdf transform, cdf transform) of a phase-type distribution: the
-    pdf is alpha^T (sI - Q)^{-1} q, the cdf that over s.  Each solves
-    (sI - Q) at all of its s in one stacked call."""
+    pdf is alpha^T (sI - Q)^{-1} q, the cdf that over s.  Each evaluator
+    solves (sI - Q) at all the s of its array, the nodes of a whole
+    t-grid, in one stacked call."""
     eigs = tuple(np.linalg.eigvals(p.Q))
     pdf = resolvent(p.alpha, p.Q, p.exit_rates)
 
     def cdf(S):
         return pdf(S) / S
 
-    return (Transform(array_evaluator=pdf, conjugate_symmetric=True,
+    return (Transform(evaluator=pdf, conjugate_symmetric=True,
                       singularities=eigs, name="phase_type_pdf"),
-            Transform(array_evaluator=cdf, conjugate_symmetric=True,
+            Transform(evaluator=cdf, conjugate_symmetric=True,
                       singularities=eigs + (0.0,), name="phase_type_cdf"))
 
 
@@ -393,10 +394,10 @@ def sweep_psi(model, ss):
 def fluid_psi_transform(model):
     """(psi_hat transform, Psi_hat = psi_hat/s transform), matrix-valued.
 
-    Each row of s, the nodes of one t, is solved by one :func:`sweep_psi`;
-    a single s is thus solved as :func:`solve_psi` solves it.  The rows
-    are swept one by one, so that each warm start stays on its t's
-    contour.
+    The evaluators solve each row of their array of s, the nodes of one
+    t, by one :func:`sweep_psi`; a single s is thus solved as
+    :func:`solve_psi` solves it.  The rows are swept one by one, so that
+    each warm start stays on its t's contour.
     """
     def psi(S):
         return np.array([sweep_psi(model, row) for row in S])
@@ -404,9 +405,9 @@ def fluid_psi_transform(model):
     def Psi(S):
         return psi(S) / S[:, :, None, None]
 
-    return (Transform(array_evaluator=psi, conjugate_symmetric=True,
+    return (Transform(evaluator=psi, conjugate_symmetric=True,
                       name="fluid_psi"),
-            Transform(array_evaluator=Psi, conjugate_symmetric=True,
+            Transform(evaluator=Psi, conjugate_symmetric=True,
                       singularities=(0.0,), name="fluid_Psi"))
 
 

@@ -2,10 +2,10 @@
 
 Scalar loops that evaluate the pole polish, the residues, the moments, the
 polynomial roots and the Zakian residues one value at a time at DPS
-decimal digits, each rounded to binary64 at the end; the residues are
-returned unrounded, with an error bound.  They are the code the library
-ran before its double-double kernel, and the tests compare the kernel's
-results with them bit for bit.
+decimal digits, each rounded to binary64 at the end; the residues and
+the moments are returned unrounded, with an error bound.  They are the
+code the library ran before its double-double kernel, and the tests
+compare the kernel's results with them bit for bit.
 """
 
 import math
@@ -85,15 +85,26 @@ def near_midpoint(x, tol):
 
 
 def moment_sums(m):
-    """(mu0, mu1, mu2) = (sum w/beta, sum w/beta^2, 2 sum w/beta^3)."""
+    """(mu0, mu1, mu2) = (sum w/beta, sum w/beta^2, 2 sum w/beta^3), each
+    as (value, bound): the real part of the sum, unrounded, and the error
+    bound of the double-double kernel.  The kernel's k-th sum takes one
+    division, k products and ceil(log2 n) levels of pairwise additions;
+    the error of each, carried to the sum, is at most a few (here 4)
+    units of 2^-106 of the size sum |w/beta^k| (normwise), and the
+    division's is carried k times.  So the bound is
+    2^-104 (2k + ceil(log2 n)) sum |w/beta^k|."""
     full = to_full(m)
+    depth = math.ceil(math.log2(len(full.nodes)))
+    out = []
     with mpmath.workdps(DPS):
         terms = [(mpmath.mpc(w), mpmath.mpc(b))
                  for w, b in zip(full.weights, full.nodes)]
-        mu0 = mpmath.fsum(w / b for w, b in terms)
-        mu1 = mpmath.fsum(w / b ** 2 for w, b in terms)
-        mu2 = 2 * mpmath.fsum(w / b ** 3 for w, b in terms)
-        return tuple(float(mpmath.re(x)) for x in (mu0, mu1, mu2))
+        for k, scale in ((1, 1), (2, 1), (3, 2)):
+            value = scale * mpmath.fsum(w / b ** k for w, b in terms)
+            size = scale * mpmath.fsum(abs(w / b ** k) for w, b in terms)
+            out.append((mpmath.re(value),
+                        mpmath.mpf(2) ** -104 * (2 * k + depth) * size))
+    return out
 
 
 def polynomial_roots(coeffs):

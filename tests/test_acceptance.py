@@ -20,7 +20,7 @@ from awilt.diagnostics import (dirac_eval, epsilon_accuracy, moments,
 from awilt.domains import (Disc, ImagSegment, RealSegment, discretize,
                            distance_to, fov_circle_bound,
                            fov_hermitian_bound, fov_rectangle_bound)
-from awilt.invert import Transform, invert
+from awilt.invert import Transform, invert, pointwise
 from awilt.methods import (euler_method, gaver_method, talbot_method,
                            to_full, zakian_method)
 from awilt.numerics import U
@@ -89,7 +89,8 @@ class TestCriterion02SumOfExponentialsBound:
                  * np.exp(2j * np.pi * rng.random(M)) - r_max)
             alphas = z / t
             cs = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-            F = Transform(lambda s: complex(np.sum(cs / (s - alphas))))
+            F = Transform(pointwise(
+                lambda s: complex(np.sum(cs / (s - alphas)))))
             truth = complex(np.sum(cs * np.exp(alphas * t)))
             approx = invert(full, F, t)
             bound = float(np.sum(np.abs(cs))) * eps
@@ -106,7 +107,7 @@ class TestCriterion03EqualityCase:
         grid = discretize(dom, 100).points
         for z in grid:
             z = complex(z)
-            F = Transform(lambda s, z=z: 1.0 / (s - z))
+            F = Transform(pointwise(lambda s, z=z: 1.0 / (s - z)))
             # single exponential f(t) = e^{z t} at t = 1
             err = abs(invert(full, F, 1.0) - np.exp(z))
             ptwise = abs(np.exp(z) - rational_approximant(full, z))
@@ -139,13 +140,15 @@ class TestCriterion05ZakianPolynomialExactness:
     def test_monomials(self, n):
         m = zakian_method(n)
         for k in range(2 * n):
-            F = Transform(lambda s, k=k: math.factorial(k) / s ** (k + 1))
+            F = Transform(pointwise(
+                lambda s, k=k: math.factorial(k) / s ** (k + 1)))
             val = invert(m, F, 1.0)
             assert abs(complex(val) - 1.0) <= 1e-9  # t^k at t = 1
 
 
 class TestCriterion06ConstantRecovery:
-    ONE_OVER_S = Transform(lambda s: 1.0 / s, conjugate_symmetric=True)
+    ONE_OVER_S = Transform(pointwise(lambda s: 1.0 / s),
+                           conjugate_symmetric=True)
 
     @pytest.mark.parametrize("m,tol", [
         (zakian_method(1), 1e-13),

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from awilt.diagnostics import (MomentSet, bound_fluid, bound_fluid_cdf,
@@ -13,12 +14,12 @@ from awilt.diagnostics import (MomentSet, bound_fluid, bound_fluid_cdf,
                                moment_error_bound_second_order,
                                moment_error_estimate, moments, nu2_tilde,
                                rational_approximant)
-from awilt.invert import Transform, invert
+from awilt.invert import Transform, invert, pointwise
 from awilt.methods import (AWMethod, euler_method, gaver_method, talbot_method,
                            to_full, zakian_method)
 from awilt.numerics import U
 from awilt.tame import preset_tame
-from mp_reference import moment_sums
+from mp_reference import DPS, moment_sums, near_midpoint
 
 SQRT2P1 = 1.0 + math.sqrt(2.0)
 
@@ -44,7 +45,7 @@ class TestEpsilonAccuracy:
         from awilt.methods import to_full
         full = to_full(m)
         for z in (0.0 + 0j, -1.0 + 0.5j, 0.3 - 0.2j):
-            F = Transform(lambda s, z=z: 1.0 / (s - z))
+            F = Transform(pointwise(lambda s, z=z: 1.0 / (s - z)))
             assert rational_approximant(full, z) == invert(full, F, 1.0)
 
 
@@ -184,23 +185,44 @@ class TestMoments:
         want = moments(method(1.0)).scv
         assert moments(method(scale)).scv == pytest.approx(want, rel=1e-14)
 
+    def test_conjugate_pair_sum_cancels(self):
+        # Re((1/(3+3i))^2) = 0: the real products of a double-double
+        # product are rounded one by one, so the two squares cancel
+        m = AWMethod("x", (1.0, 1.0), (3 + 3j, 3 - 3j), reduced=False)
+        mom = moments(m)
+        assert mom.mu1 == 0.0 and mom.scv is None
+
 
 class TestMomentsMatchMpmath:
-    """The double-double moment sums equal the 40-digit ones bit for bit."""
+    """The double-double moment sums equal the 40-digit ones bit for bit,
+    unless the exact sum lies within the kernel's error bound of a
+    rounding midpoint."""
 
     @staticmethod
     def _check(m):
         mom = moments(m)
-        assert (mom.mu0, mom.mu1, mom.mu2) == moment_sums(m)
+        assert (mom.mu0, mom.mu1, mom.mu2) == tuple(
+            float(value) for value, _ in moment_sums(m))
 
     @given(right_halfplane_methods())
+    @example(AWMethod(name="fma", weights=(1.0, 1.0),
+                      nodes=(3 + 3j, 3 - 3j), reduced=False))
+    @example(AWMethod(name="cancel", weights=(1 + 6.04e-64j, 1 - 6.04e-64j),
+                      nodes=(3 + 3j, 3 - 3j), reduced=False))
+    @example(AWMethod(name="normwise", weights=(2.5 - 2j, 2.5 + 2j),
+                      nodes=(2 + 2.5j, 2 - 2.5j), reduced=False))
     @settings(max_examples=60, deadline=None)
     def test_random_methods(self, m):
         # the kernel's range: a double-double result below ~2^-969 has
         # no low part, and a subnormal one is rounded twice
         assume(all(abs(x) >= 1e-250 for w in m.weights
                    for x in (w.real, w.imag) if x))
-        self._check(m)
+        mom = moments(m)
+        for got, (exact, bound) in zip((mom.mu0, mom.mu1, mom.mu2),
+                                       moment_sums(m)):
+            with mpmath.workdps(DPS):
+                assert abs(got - exact) <= bound + math.ulp(got) / 2
+            assert got == float(exact) or near_midpoint(exact, bound)
 
     @pytest.mark.parametrize("m", [
         *(euler_method(n) for n in (3, 7, 11, 15, 21)),

@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 
 from awilt.errors import NodeCollisionError, NumericalError
 from awilt.invert import (_COLLISION_BLOCK, Transform, _collisions,
-                          _scaled_nodes, invert, invert_curve)
+                          _scaled_nodes, invert, invert_curve, pointwise)
 from awilt.methods import (euler_method, gaver_method, talbot_method, to_full,
                            zakian_method)
 from awilt.numerics import U
 from awilt.tame import PRESET_ROWS, preset_tame
 
-ONE_OVER_S = Transform(lambda s: 1.0 / s, conjugate_symmetric=True,
-                       singularities=(0.0,))
-EXP_DECAY = Transform(lambda s: 1.0 / (s + 1.0), conjugate_symmetric=True,
-                      singularities=(-1.0,))
+ONE_OVER_S = Transform(pointwise(lambda s: 1.0 / s),
+                       conjugate_symmetric=True, singularities=(0.0,))
+EXP_DECAY = Transform(pointwise(lambda s: 1.0 / (s + 1.0)),
+                      conjugate_symmetric=True, singularities=(-1.0,))
 
 
 class TestInvert:
@@ -50,8 +50,9 @@ class TestInvert:
     def test_linearity(self):
         m = talbot_method(8)
         Fa = EXP_DECAY
-        Fb = Transform(lambda s: 1.0 / (s + 2.0), conjugate_symmetric=True)
-        Fab = Transform(lambda s: 3.0 / (s + 1.0) - 0.5 / (s + 2.0),
+        Fb = Transform(pointwise(lambda s: 1.0 / (s + 2.0)),
+                       conjugate_symmetric=True)
+        Fab = Transform(pointwise(lambda s: 3.0 / (s + 1.0) - 0.5 / (s + 2.0)),
                         conjugate_symmetric=True)
         lhs = invert(m, Fab, 1.5)
         rhs = 3.0 * invert(m, Fa, 1.5) - 0.5 * invert(m, Fb, 1.5)
@@ -64,7 +65,8 @@ class TestInvert:
         # the same scaling identically (node/weight structure is t-free)
         m = talbot_method(6)
         F = EXP_DECAY
-        G = Transform(lambda s: c * F(c * s), conjugate_symmetric=True)
+        G = Transform(pointwise(lambda s: c * F(c * s)),
+                      conjugate_symmetric=True)
         a = invert(m, G, t)
         b = invert(m, F, t / c)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
@@ -76,7 +78,7 @@ class TestInvert:
             invert(zakian_method(1), ONE_OVER_S, -1.0)
 
     def test_reduced_needs_symmetry_flag(self):
-        F = Transform(lambda s: 1.0 / s)  # symmetry not declared
+        F = Transform(pointwise(lambda s: 1.0 / s))  # symmetry not declared
         with pytest.raises(ValueError):
             invert(euler_method(3), F, 1.0)
         # full-form methods do not need the flag
@@ -86,7 +88,8 @@ class TestInvert:
         # zakian(1) node is 1, so t=|node|/|sing| puts 1/t on s = -1? no:
         # use a singularity placed exactly at node/t
         m = zakian_method(1)
-        F = Transform(lambda s: 1.0 / (s - 0.5), singularities=(0.5,))
+        F = Transform(pointwise(lambda s: 1.0 / (s - 0.5)),
+                      singularities=(0.5,))
         with pytest.raises(NodeCollisionError):
             invert(m, F, 2.0)  # node/t = 0.5 hits the pole
 
@@ -94,15 +97,15 @@ class TestInvert:
         m = euler_method(3)  # nodes a, a + i pi
         a = m.nodes[0].real
         sing = complex(a, -math.pi)  # conjugate of the second node at t=1
-        F = Transform(lambda s: 1.0 / (s - sing), conjugate_symmetric=True,
-                      singularities=(sing,))
+        F = Transform(pointwise(lambda s: 1.0 / (s - sing)),
+                      conjugate_symmetric=True, singularities=(sing,))
         with pytest.raises(NodeCollisionError):
             invert(m, F, 1.0)
 
     def test_matrix_transform(self):
         Q = np.array([[-2.0, 2.0], [1.0, -1.0]])
         I = np.eye(2)
-        F = Transform(lambda s: np.linalg.inv(s * I - Q),
+        F = Transform(pointwise(lambda s: np.linalg.inv(s * I - Q)),
                       conjugate_symmetric=True)
         m = preset_tame(2.0)
         got = invert(m, F, 1.0)
@@ -131,7 +134,7 @@ class TestInvertCurve:
             return 1.0 / s
 
         m = zakian_method(1)  # node 1: fails exactly at t = 1
-        pts = invert_curve(m, Transform(F), [0.5, 1.0, 2.0])
+        pts = invert_curve(m, Transform(pointwise(F)), [0.5, 1.0, 2.0])
         assert pts[0].error is None and pts[2].error is None
         assert pts[1].error is not None and pts[1].value is None
 
@@ -142,20 +145,10 @@ class TestInvertCurve:
         with pytest.raises(ValueError):
             invert_curve(m, ONE_OVER_S, [1.0, -2.0])
 
-    def test_cache_shares_evaluations(self):
-        seen = []
-
-        def F(s):
-            seen.append(complex(s))
-            return 1.0 / s
-
-        m = zakian_method(1)  # node 1: t and 2t share s=1 when t doubles
-        invert_curve(m, Transform(F), [1.0, 1.0, 1.0])
-        assert len(seen) == 1  # same s evaluated once thanks to the cache
-
     def test_collision_flags_only_its_row(self):
         m = zakian_method(1)  # node 1: 1/t hits the pole 0.5 at t = 2 only
-        F = Transform(lambda s: 1.0 / (s - 0.5), singularities=(0.5,))
+        F = Transform(pointwise(lambda s: 1.0 / (s - 0.5)),
+                      singularities=(0.5,))
         pts = invert_curve(m, F, [1.0, 2.0, 4.0])
         assert [p.error is None for p in pts] == [True, False, True]
         assert pts[1].error == ("node (1+0j)/t collides with singularity "
@@ -164,23 +157,23 @@ class TestInvertCurve:
     def test_conjugate_collision_flags_only_its_row(self):
         m = euler_method(3)  # nodes a, a + i pi
         sing = m.nodes[1].conjugate() / 2.0  # conj(node)/t at t = 2
-        F = Transform(lambda s: 1.0 / (s - sing), conjugate_symmetric=True,
-                      singularities=(sing,))
+        F = Transform(pointwise(lambda s: 1.0 / (s - sing)),
+                      conjugate_symmetric=True, singularities=(sing,))
         pts = invert_curve(m, F, [1.0, 2.0, 3.0])
         assert [p.error is None for p in pts] == [True, False, True]
         assert pts[1].error.startswith(f"node conj({m.nodes[1]})/t collides")
 
     def test_non_finite_value_is_flagged(self):
         m = zakian_method(1)  # node 1: s = 1 exactly at t = 1
-        F = Transform(lambda s: math.nan if s == 1.0 else 1.0 / s)
+        F = Transform(pointwise(lambda s: math.nan if s == 1.0 else 1.0 / s))
         pts = invert_curve(m, F, [0.5, 1.0, 2.0])
         assert [p.error is None for p in pts] == [True, False, True]
         assert pts[1].value is None and "not finite" in pts[1].error
         with pytest.raises(NumericalError, match="not finite"):
             invert(m, F, 1.0)
         Q = np.array([[-1.0, 1.0], [0.0, -2.0]])
-        G = Transform(lambda s: np.full((2, 2), math.inf) if s == 1.0
-                      else np.linalg.inv(s * np.eye(2) - Q))
+        G = Transform(pointwise(lambda s: np.full((2, 2), math.inf) if s == 1.0
+                                else np.linalg.inv(s * np.eye(2) - Q)))
         pts = invert_curve(m, G, [0.5, 1.0, 2.0])
         assert [p.error is None for p in pts] == [True, False, True]
 
@@ -268,9 +261,9 @@ def _matrix(s):
 
 
 _TRANSFORMS = {
-    "scalar": Transform(_scalar, conjugate_symmetric=True,
+    "scalar": Transform(pointwise(_scalar), conjugate_symmetric=True,
                         singularities=(-1.0, -2.0)),
-    "matrix": Transform(_matrix, conjugate_symmetric=True,
+    "matrix": Transform(pointwise(_matrix), conjugate_symmetric=True,
                         singularities=tuple(np.linalg.eigvals(_Q))),
 }
 
@@ -302,30 +295,6 @@ def test_curve_matches_per_t_loop(m, full, kind, ts):
         if error is None:
             assert type(p.value) is type(value)
             assert _same_bits(p.value, value)
-
-
-@given(_METHODS, st.booleans(), st.sampled_from(sorted(_TRANSFORMS)),
-       st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0, 0.02, 30.0]),
-                min_size=1, max_size=12))
-@settings(max_examples=100, deadline=None)
-def test_scalar_calls_match_per_t_loop(m, full, kind, ts):
-    """A scalar evaluator sees the s of the old per-t loop, in its order:
-    values before a failing s are shared, and a failed s is retried."""
-    if full:
-        m = to_full(m)
-    F = _TRANSFORMS[kind]
-    calls = {"got": [], "want": []}
-
-    def recording(key):
-        def evaluator(s):
-            calls[key].append(s)
-            return F(s)
-        return Transform(evaluator, conjugate_symmetric=True,
-                         singularities=F.singularities)
-
-    invert_curve(m, recording("got"), ts)
-    _old_curve(m, recording("want"), ts)
-    assert calls["got"] == calls["want"]
 
 
 # -- the collision check: a real-part window against the dense test ---------
@@ -382,7 +351,7 @@ def test_collisions_match_dense_check(m, full, ts, near, far):
         s = s.conjugate() if conj else s
         sing.append(complex(s + radii * 1e-10 * max(1.0, abs(s))
                             * cmath.exp(1j * phi)))
-    F = Transform(lambda s: 1.0 / s, conjugate_symmetric=True,
+    F = Transform(pointwise(lambda s: 1.0 / s), conjugate_symmetric=True,
                   singularities=tuple(sing))
     got, want = [None] * len(ts), [None] * len(ts)
     _collisions(m, F, S, ts, got)
@@ -390,7 +359,7 @@ def test_collisions_match_dense_check(m, full, ts, near, far):
     assert [e and str(e) for e in got] == [e and str(e) for e in want]
 
 
-# -- the array protocol: an array evaluator in place of the scalar loop -----
+# -- evaluator calls: a numpy form beside the pointwise one -----------------
 
 def _matrix_nodes(S):
     """_matrix on a 2-D array of s: the same values and failures."""
@@ -403,9 +372,8 @@ def _matrix_nodes(S):
     return values
 
 
-_MATRIX_NODES = Transform(_matrix, conjugate_symmetric=True,
-                          singularities=tuple(np.linalg.eigvals(_Q)),
-                          array_evaluator=_matrix_nodes)
+_MATRIX_NODES = Transform(_matrix_nodes, conjugate_symmetric=True,
+                          singularities=tuple(np.linalg.eigvals(_Q)))
 
 
 @given(_METHODS, st.booleans(),
@@ -413,8 +381,8 @@ _MATRIX_NODES = Transform(_matrix, conjugate_symmetric=True,
                           st.floats(0.02, 30.0)), min_size=1, max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_array_evaluator_matches_scalar_loop(m, full, ts):
-    """An array evaluator flags the t the scalar loop flags, with the same
-    messages, and its values agree to a few ulp of sum |w F|."""
+    """A numpy evaluator flags the t the pointwise one flags, with the
+    same messages, and its values agree to a few ulp of sum |w F|."""
     if full:
         m = to_full(m)
     got = invert_curve(m, _MATRIX_NODES, ts)
@@ -431,14 +399,19 @@ def test_array_evaluator_matches_scalar_loop(m, full, ts):
 def test_array_evaluator_failure_flags_only_its_t():
     calls = []
 
+    def recorded(evaluator):
+        def record(S):
+            calls.append(S.tolist())
+            return evaluator(S)
+        return record
+
     def nodes(S):
-        calls.append(S.tolist())
         if np.any(S == 1.0):
             raise NumericalError("synthetic failure")
         return 1.0 / S
 
     m = zakian_method(1)  # node 1: s = 1 exactly at t = 1
-    F = Transform(lambda s: 1.0 / s, array_evaluator=nodes)
+    F = Transform(recorded(nodes))
     pts = invert_curve(m, F, [0.5, 1.0, 2.0, 1.0])
     assert [p.error for p in pts] == [None, "synthetic failure", None,
                                       "synthetic failure"]
@@ -446,6 +419,21 @@ def test_array_evaluator_failure_flags_only_its_t():
     # one call with every t, then, as it failed, one call per t
     assert calls == [[[2.0], [1.0], [0.5], [1.0]],
                      [[2.0]], [[1.0]], [[0.5]], [[1.0]]]
+
+    # a function of one s: a row stops at its first s that raises
+    def one(s):
+        if s.imag > 5.0:
+            raise ZeroDivisionError(f"synthetic failure at {s}")
+        return 1.0 / s
+
+    calls.clear()
+    m = euler_method(3)  # imaginary parts 0, pi and 2 pi
+    G = Transform(recorded(pointwise(one)), conjugate_symmetric=True)
+    pts = invert_curve(m, G, [2.0, 0.5, 1.5])
+    assert [p.error for p in pts] == [
+        None, f"synthetic failure at {complex(m.nodes[1]) / 0.5}", None]
+    assert pts[2].value == invert(m, ONE_OVER_S, 1.5)
+    assert len(calls) == 4 and calls[1:] == [[row] for row in calls[0]]
 
 
 def test_array_evaluator_calls_in_blocks(monkeypatch):
@@ -457,22 +445,19 @@ def test_array_evaluator_calls_in_blocks(monkeypatch):
 
     m = talbot_method(6)
     ts = list(np.linspace(0.5, 3.0, 7))
-    want = invert_curve(m, Transform(_matrix, conjugate_symmetric=True,
-                                     array_evaluator=nodes), ts)
+    want = invert_curve(m, Transform(nodes, conjugate_symmetric=True), ts)
     assert shapes == [(7, 6)]
     # at most two rows of 6 s per call: blocks of 2, 2, 2 and 1 rows
     monkeypatch.setattr(sys.modules["awilt.invert"], "_EVAL_BLOCK", 13)
     shapes.clear()
-    got = invert_curve(m, Transform(_matrix, conjugate_symmetric=True,
-                                    array_evaluator=nodes), ts)
+    got = invert_curve(m, Transform(nodes, conjugate_symmetric=True), ts)
     assert shapes == [(2, 6), (2, 6), (2, 6), (1, 6)]
     for p, q in zip(got, want):
         assert p.error is None and p.value.tobytes() == q.value.tobytes()
 
 
 def test_array_evaluator_value_count_checked():
-    F = Transform(lambda s: 1.0 / s, conjugate_symmetric=True,
-                  array_evaluator=lambda S: [1.0])
+    F = Transform(lambda S: [1.0], conjugate_symmetric=True)
     m = euler_method(3)
     with pytest.raises(ValueError,
                        match=rf"values of shape \(1,\) for s of shape "

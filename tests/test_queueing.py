@@ -213,8 +213,8 @@ class TestPhaseType:
                                   [0.0, 0.5, -1.0]]))
         ss = [complex(b) / 2.0 for b in to_full(talbot_method(16)).nodes]
         for F in phase_type_transform(p):
-            values, error = F.at_nodes(ss)
-            assert error is None and len(values) == len(ss)
+            values = F.at_rows(np.array([ss]))[0]
+            assert len(values) == len(ss)
             for s, v in zip(ss, values):
                 assert v == pytest.approx(F(s), rel=1e-13, abs=1e-16)
 
@@ -572,8 +572,8 @@ class TestSweepPsi:
         model = make_experiment_model(2, 3, seed=4)
         psi, Psi = fluid_psi_transform(model)
         ss = [complex(b) / 2.0 for b in to_full(talbot_method(12)).nodes]
-        a, _ = psi.at_nodes(ss)
-        b, _ = Psi.at_nodes(ss)
+        a = psi.at_rows(np.array([ss]))[0]
+        b = Psi.at_rows(np.array([ss]))[0]
         for s, x, y in zip(ss, a, b):
             assert np.array_equal(x / s, y)
 
