@@ -7,7 +7,6 @@ closed under conjugation *exactly* (points are constructed by mirroring),
 which downstream code relies on when pairing conjugate support points.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -113,10 +112,13 @@ def _interval_dist(x, a, b):
 def discretize(d, count=1000):
     """Equispaced boundary points, conjugate-closed for symmetric domains.
 
-    ``count`` is the requested number of points; for discs it is rounded
-    up to even so both real boundary points are present, and for
-    rectangles the actual number can differ slightly because corners are
-    always included.
+    ``count`` is the requested number of points.  A disc B(c, R) gets
+    c + R e^(2 pi i j/m), j < m, with m the count rounded up to even so
+    that both real points c +- R are present; the lower half mirrors the
+    upper half when c is real.  A rectangle gets its edges clockwise from
+    the top-left corner, corners included, so its count can differ
+    slightly; a repeated point is kept where it first occurs.  The arrays
+    equal the scalar loops of ``tests/domain_reference.py`` bit for bit.
     """
     if count < 3:
         raise ValueError("count must be at least 3")
@@ -130,20 +132,17 @@ def discretize(d, count=1000):
         pts = _rectangle_points(d, count)
     else:
         raise TypeError(f"not a domain: {d!r}")
-    return Discretization(points=np.asarray(pts, dtype=complex), domain=d,
-                          count=len(pts))
+    return Discretization(points=pts, domain=d, count=len(pts))
 
 
 def _disc_points(d, count):
     m = count + (count % 2)
     c, R = d.center, d.radius
-    upper = [c + R * cmath.exp(2j * math.pi * j / m) for j in range(1, m // 2)]
-    pts = [c + R] + upper + [c - R]
+    # the angle 2 pi j / m rounded as CPython rounds 2j * math.pi * j / m
+    pts = c + R * np.exp(1j * (2.0 * math.pi * np.arange(m) / m))
+    pts[0], pts[m // 2] = c + R, c - R
     if c.imag == 0.0:
-        pts += [z.conjugate() for z in reversed(upper)]
-    else:
-        pts += [c + R * cmath.exp(2j * math.pi * j / m)
-                for j in range(m // 2 + 1, m)]
+        pts[m // 2 + 1:] = pts[m // 2 - 1:0:-1].conj()
     return pts
 
 
@@ -165,21 +164,19 @@ def _rectangle_points(d, count):
         ys = _mirrored_linspace(d.y_max, ny + 1) if ny else np.array([0.0])
     else:
         ys = np.linspace(d.y_min, d.y_max, ny + 1) if ny else np.array([d.y_min])
-    pts = []
-    pts.extend(x + 1j * d.y_max for x in xs)              # top edge
-    pts.extend(d.x_max + 1j * y for y in ys[-2::-1])      # right edge, down
+    edges = [xs + 1j * d.y_max,                  # top edge
+             d.x_max + 1j * ys[-2::-1]]          # right edge, down
     if wy > 0:
-        pts.extend(x + 1j * d.y_min for x in xs[-2::-1])  # bottom edge
-        pts.extend(d.x_min + 1j * y for y in ys[1:-1])    # left edge, up
+        edges += [xs[-2::-1] + 1j * d.y_min,     # bottom edge
+                  d.x_min + 1j * ys[1:-1]]       # left edge, up
     # Exact conjugate closure for symmetric rectangles: the mirrored y-grid
     # makes top/bottom and the vertical edges mirror images already.
-    seen = set()
-    out = []
-    for z in pts:
-        if z not in seen:
-            seen.add(z)
-            out.append(z)
-    return out
+    # Duplicates (the corners of a degenerate side) keep their first
+    # occurrence: np.unique's index sort is stable, and it counts -0.0 and
+    # 0.0 equal.
+    pts = np.concatenate(edges)
+    first = np.unique(pts, return_index=True)[1]
+    return pts[np.sort(first)]
 
 
 # -- field-of-values bounds ------------------------------------------------

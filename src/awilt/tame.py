@@ -6,8 +6,9 @@ augmenting the barycentric denominator with a constant term u0:
     r(z) = (sum_k u_k f_k / (z - z_k)) / (u0 + sum_k u_k / (z - z_k))
 
 The fit is conjugate-symmetric by contract, as e^z is real: `aaa_fit` and
-`build_tame` refuse a grid not closed under conjugation or a target with
-f(conj z) != conj f(z), so support, weights, poles and residues pair up.
+`build_tame` refuse a grid not closed under conjugation or target values
+with f(conj z) != conj f(z), so support, weights, poles and residues pair
+up.
 
 The greedy loop and the pole eigenproblem run in binary64 (the loop's
 working precision acts as a safeguard against weight growth).  The
@@ -75,30 +76,37 @@ def barycentric_eval(b, z):
     return complex(out[0]) if scalar else out
 
 
+class _NotConjugateSymmetric(ValueError):
+    """`aaa_fit`'s input breaks its conjugate-symmetry precondition."""
+
+
 def _conjugate_partners(pts, F):
     """For each point the index of the first point equal to its conjugate,
     or None unless the points are closed under conjugation and
     F(conj z) = conj F(z) on them to 1e-12 max(1, max |F|)."""
-    first_index = {}
-    for i, z in enumerate(pts.tolist()):
-        first_index.setdefault(z, i)
-    partner = [first_index.get(z.conjugate()) for z in pts.tolist()]
-    if None in partner:
+    keys, first = np.unique(pts, return_index=True)
+    conj = pts.conj()
+    at = np.minimum(np.searchsorted(keys, conj), len(keys) - 1)
+    if np.any(keys[at] != conj):
         return None
+    partner = first[at]
     fscale = max(1.0, float(np.max(np.abs(F))))
     if np.any(np.abs(F[partner] - F.conj()) > 1e-12 * fscale):
         return None
     return partner
 
 
-def aaa_fit(target, Z, max_order, tol=0.0):
-    """Greedy AAA fit of ``target`` on the discretization Z.
+def aaa_fit(F, Z, max_order, tol=0.0):
+    """Greedy AAA fit of the values ``F`` on the discretization Z.
 
-    Precondition (a ValueError otherwise): Z is closed under conjugation
-    and target(conj z) = conj target(z) on Z.  Support points are added at
-    the residual argmax (lowest index on ties); a non-real point is added
-    together with its conjugate, and the weights are symmetrised, so the
-    fit is conjugate-symmetric.  The loop stops with termination reason
+    ``F`` holds the target's value at each point of Z, in the order of
+    the points (for a TAME build, ``np.exp(Z.points)``).  Preconditions
+    (a ValueError otherwise): Z has at least ``2 * max_order`` points, Z
+    is closed under conjugation, F(conj z) = conj F(z) on Z, and F is
+    finite.  Support points are added at the residual argmax (lowest
+    index on ties); a non-real point is added together with its
+    conjugate, and the weights are symmetrised, so the fit is
+    conjugate-symmetric.  The loop stops with termination reason
     ``no_room_for_pair`` if a pair is next and only one slot is left.
     Returns ``(BarycentricApproximant, AAAReport)``.
     """
@@ -106,15 +114,17 @@ def aaa_fit(target, Z, max_order, tol=0.0):
         raise ValueError("max_order must be >= 2")
     pts = Z.points if isinstance(Z, Discretization) else np.asarray(Z, complex)
     pts = np.asarray(pts, dtype=complex)
+    F = np.asarray(F, dtype=complex)
+    if F.shape != pts.shape:
+        raise ValueError("F needs one value per point of Z")
     if len(pts) < 2 * max_order:
         raise ValueError("need |Z| >= 2 * max_order")
-    F = np.array([complex(target(complex(z))) for z in pts])
-    if not np.all(np.isfinite(F)):
-        raise ValueError("target is non-finite on Z")
     partner = _conjugate_partners(pts, F)
     if partner is None:
-        raise ValueError("Z is not closed under conjugation, or target is "
-                         "not conjugate-symmetric on Z")
+        raise _NotConjugateSymmetric("Z is not closed under conjugation, or "
+                                     "F is not conjugate-symmetric on Z")
+    if not np.all(np.isfinite(F)):
+        raise ValueError("F is non-finite on Z")
 
     support = []          # indices into pts
     groups = []           # positions in `support` added together (1 or 2)
@@ -142,7 +152,7 @@ def aaa_fit(target, Z, max_order, tol=0.0):
             if len(support) + 2 > max_order:
                 termination = "no_room_for_pair"
                 break
-            new = [j, partner[j]]
+            new = [j, int(partner[j])]
         pos = len(support)
         support.extend(new)
         groups.append(tuple(range(pos, pos + len(new))))
@@ -310,13 +320,15 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000):
     if n_reduced_target < 1:
         raise ValueError("n_reduced_target must be >= 1")
     Z = discretize(domain, count)
-    if _conjugate_partners(Z.points, np.exp(Z.points)) is None:
-        raise ValueError(f"{domain} is not symmetric about the real axis "
-                         "(a rect domain needs y0 = -y1)")
+    F = np.exp(Z.points)
     max_order = 2 * n_reduced_target
     refits = []
     while True:
-        b, report = aaa_fit(np.exp, Z, max_order=max_order, tol=tol)
+        try:
+            b, report = aaa_fit(F, Z, max_order=max_order, tol=tol)
+        except _NotConjugateSymmetric:
+            raise ValueError(f"{domain} is not symmetric about the real axis "
+                             "(a rect domain needs y0 = -y1)") from None
         try:
             poles = extract_poles(b)
         except (ValueError, NumericalError):
@@ -329,7 +341,7 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000):
                 raise
             refits.append(max_order)
             if len(refits) == 1:
-                floor = max(tol, 1e2 * U * float(np.max(np.abs(np.exp(Z.points)))))
+                floor = max(tol, 1e2 * U * float(np.max(np.abs(F))))
                 hit = [k for k, r in enumerate(report.residuals, start=1)
                        if r <= floor]
                 cap = (_support_count(report, hit[0]) if hit

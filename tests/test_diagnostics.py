@@ -38,6 +38,14 @@ class TestEpsilonAccuracy:
         with pytest.raises(ValueError):
             epsilon_accuracy(m, np.array([1.0 + 0j]))
 
+    def test_names_the_first_node_on_the_grid(self):
+        full = to_full(zakian_method(4))
+        grid = np.array([full.nodes[3], 0.5, full.nodes[1]])
+        with pytest.raises(ValueError) as info:
+            epsilon_accuracy(full, grid)
+        want = f"node {full.nodes[1]} lies on the evaluation grid"
+        assert str(info.value) == want
+
     def test_matches_invert_bitwise(self):
         # rational_approximant at z equals inverting F(s) = 1/(s - z) at
         # t = 1 with the full-form method, operation for operation
@@ -192,6 +200,15 @@ class TestMoments:
         mom = moments(m)
         assert mom.mu1 == 0.0 and mom.scv is None
 
+    def test_scv_none_when_mu1_is_rounding(self):
+        # (10 + 2.25i)/(2 + 2.5i)^2 = -i, so the exact mu1 is 0; the
+        # double-double sum leaves about 1e-32, within its error bound
+        m = AWMethod("x", (10 + 2.25j, 10 - 2.25j), (2 + 2.5j, 2 - 2.5j),
+                     reduced=False)
+        mom = moments(m)
+        assert 0.0 < abs(mom.mu1) <= mom.mu1_error
+        assert mom.scv is None
+
 
 class TestMomentsMatchMpmath:
     """The double-double moment sums equal the 40-digit ones bit for bit,
@@ -217,12 +234,12 @@ class TestMomentsMatchMpmath:
         # no low part, and a subnormal one is rounded twice
         assume(all(abs(x) >= 1e-250 for w in m.weights
                    for x in (w.real, w.imag) if x))
-        mom = moments(m)
-        for got, (exact, bound) in zip((mom.mu0, mom.mu1, mom.mu2),
-                                       moment_sums(m)):
+        mom, sums = moments(m), moment_sums(m)
+        for got, (exact, bound) in zip((mom.mu0, mom.mu1, mom.mu2), sums):
             with mpmath.workdps(DPS):
                 assert abs(got - exact) <= bound + math.ulp(got) / 2
             assert got == float(exact) or near_midpoint(exact, bound)
+        assert mom.mu1_error == pytest.approx(float(sums[1][1]), rel=1e-12)
 
     @pytest.mark.parametrize("m", [
         *(euler_method(n) for n in (3, 7, 11, 15, 21)),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from awilt.domains import (Disc, ImagSegment, Discretization, RealSegment,
@@ -11,6 +11,9 @@ from awilt.domains import (Disc, ImagSegment, Discretization, RealSegment,
                            format_domain, fov_circle_bound,
                            fov_hermitian_bound, fov_rectangle_bound,
                            parse_domain, select_domain)
+from awilt.queueing import make_experiment_model
+
+import domain_reference
 
 
 def _random_generator(rng, d):
@@ -117,6 +120,79 @@ class TestDiscretize:
         Z = discretize(Disc(complex(-2.0), 1.5), n)
         pts = set(map(complex, Z.points))
         assert all(z.conjugate() in pts for z in pts)
+
+
+def _bits(z):
+    """The bits of a complex array, so that -0.0 and 0.0 differ."""
+    return np.asarray(z, dtype=complex).view(np.uint64)
+
+
+def _assert_same_points(d, count, reference):
+    got, want = discretize(d, count).points, reference(d, count)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+_radii = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+_signed_zeros = st.sampled_from([0.0, -0.0])
+
+
+class TestDiscretizeMatchesScalarLoops:
+    """discretize's arrays equal the one-point-at-a-time construction of
+    `domain_reference` bit for bit, signed zeros included."""
+
+    @given(st.floats(-1e3, 1e3), _signed_zeros, _radii, st.integers(3, 9000))
+    @settings(max_examples=60, deadline=None)
+    def test_disc_on_axis(self, x, y, radius, count):
+        _assert_same_points(Disc(complex(x, y), radius), count,
+                            domain_reference.disc_points)
+
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3).filter(bool), _radii,
+           st.integers(3, 9000))
+    @settings(max_examples=40, deadline=None)
+    def test_disc_off_axis(self, x, y, radius, count):
+        _assert_same_points(Disc(complex(x, y), radius), count,
+                            domain_reference.disc_points)
+
+    @pytest.mark.parametrize("r", [0.6, 1.8, 4.0, 7.0, 11.2, 16.8, 22.7,
+                                   31.6])
+    @pytest.mark.parametrize("count", [1000, 4000])
+    def test_preset_discs(self, r, count):
+        _assert_same_points(Disc(complex(-r), r), count,
+                            domain_reference.disc_points)
+
+    @given(st.floats(-50.0, 0.0), st.one_of(_signed_zeros,
+                                             st.floats(-10.0, 10.0)),
+           st.floats(0.0, 20.0), st.floats(-20.0, 20.0),
+           st.booleans(), st.integers(3, 5000))
+    @settings(max_examples=80, deadline=None)
+    def test_rectangle(self, x_min, x_max, height, y_min, symmetric, count):
+        if symmetric:
+            y_min = -height / 2
+        y_max = y_min + height
+        assume(x_min <= x_max and not (x_min == x_max and y_min == y_max))
+        d = Rectangle(x_min, x_max, y_min, y_max)
+        _assert_same_points(d, count, domain_reference.rectangle_points)
+
+    @pytest.mark.parametrize("d", [
+        Rectangle(-3.0, -0.0, -2.0, 2.0),
+        Rectangle(-3.0, 0.0, -0.0, 0.0),
+        Rectangle(-3.0, -0.0, 0.0, -0.0),
+        Rectangle(-3.0, -0.0, 0.0, 0.0),
+        Rectangle(-0.0, 0.0, -2.0, 1.0),
+        Rectangle(-1.0, -1.0, -2.0, 3.0),
+    ], ids=format_domain)
+    @pytest.mark.parametrize("count", [3, 4, 137, 1000])
+    def test_rectangle_signed_zeros_and_degenerate_sides(self, d, count):
+        _assert_same_points(d, count, domain_reference.rectangle_points)
+
+    @given(st.integers(0, 39), st.integers(3, 4000))
+    @settings(max_examples=40, deadline=None)
+    def test_field_of_values_rectangles(self, seed, count):
+        gen = make_experiment_model(5, 10, seed).gen
+        for d in (fov_rectangle_bound(gen.dim, gen.lam),
+                  fov_hermitian_bound(gen.Q, generator=True)):
+            _assert_same_points(d, count, domain_reference.rectangle_points)
 
 
 class TestFieldOfValuesBounds:

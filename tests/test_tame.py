@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from awilt import tame
 from awilt.diagnostics import epsilon_accuracy
 from awilt.domains import (Disc, ImagSegment, RealSegment, Rectangle,
-                           discretize, distance_to)
+                           discretize, distance_to, format_domain)
 from awilt.errors import NumericalError, PoleInsideDomainError
 from awilt.methods import load_method, pair_conjugates, to_full
 from awilt.tame import (PRESET_ROWS, AAAReport, BarycentricApproximant,
@@ -20,6 +20,7 @@ from awilt.tame import (PRESET_ROWS, AAAReport, BarycentricApproximant,
                         extract_poles, extract_residues, preset_entry,
                         preset_filename, preset_tame)
 
+import domain_reference
 import mp_reference
 from mp_reference import DPS
 
@@ -104,7 +105,8 @@ class TestAAAFit:
             return complex(np.sum(res / (poles - z)))
 
         Z = discretize(Disc(complex(0.0), 2.0), 400)
-        b, report = aaa_fit(target, Z, max_order=8, tol=1e-13)
+        F = np.array([target(z) for z in Z.points])
+        b, report = aaa_fit(F, Z, max_order=8, tol=1e-13)
         grid = discretize(Disc(complex(0.0), 2.0), 997).points
         err = np.abs(barycentric_eval(b, grid)
                      - np.array([target(z) for z in grid]))
@@ -117,12 +119,12 @@ class TestAAAFit:
     ])
     def test_exp_fit_accuracy(self, radius, order, eps_max):
         Z = discretize(Disc(complex(-radius), radius), 1000)
-        b, report = aaa_fit(np.exp, Z, max_order=order, tol=0.0)
+        b, report = aaa_fit(np.exp(Z.points), Z, max_order=order, tol=0.0)
         assert report.epsilon <= eps_max
 
     def test_residual_history_decreases(self):
         Z = discretize(Disc(complex(-2.0), 2.0), 600)
-        _, report = aaa_fit(np.exp, Z, max_order=10, tol=0.0)
+        _, report = aaa_fit(np.exp(Z.points), Z, max_order=10, tol=0.0)
         res = report.residuals
         # greedy progress: each step improves, up to a small slack factor
         for a, b_ in zip(res, res[1:]):
@@ -130,7 +132,7 @@ class TestAAAFit:
 
     def test_conjugate_pairs_added_together(self):
         Z = discretize(Disc(complex(-2.0), 2.0), 600)
-        b, report = aaa_fit(np.exp, Z, max_order=8, tol=0.0)
+        b, report = aaa_fit(np.exp(Z.points), Z, max_order=8, tol=0.0)
         sup = [complex(z) for z in report.support_order]
         k = 0
         while k < len(sup):
@@ -142,7 +144,7 @@ class TestAAAFit:
 
     def test_weights_conjugate_symmetric(self):
         Z = discretize(Disc(complex(-2.0), 2.0), 600)
-        b, _ = aaa_fit(np.exp, Z, max_order=8, tol=0.0)
+        b, _ = aaa_fit(np.exp(Z.points), Z, max_order=8, tol=0.0)
         assert b.weights[0].imag == 0.0
         pool = {complex(z): w for z, w in zip(b.support, b.weights[1:])}
         for z, w in pool.items():
@@ -152,13 +154,13 @@ class TestAAAFit:
         # an imaginary segment has a single real point, so budget 3 can
         # strand one slot when the next candidate is non-real
         Z = discretize(ImagSegment(4.0), 601)
-        _, report = aaa_fit(np.exp, Z, max_order=3, tol=0.0)
+        _, report = aaa_fit(np.exp(Z.points), Z, max_order=3, tol=0.0)
         assert report.termination in ("no_room_for_pair", "max_order")
 
     def test_rejects_small_grid(self):
         Z = discretize(Disc(complex(0.0), 1.0), 10)
         with pytest.raises(ValueError):
-            aaa_fit(np.exp, Z, max_order=10)
+            aaa_fit(np.exp(Z.points), Z, max_order=10)
 
     @pytest.mark.parametrize("target,dom", [
         # boundary not closed under conjugation
@@ -168,7 +170,44 @@ class TestAAAFit:
     ])
     def test_rejects_asymmetric_input(self, target, dom):
         with pytest.raises(ValueError, match="conjugat"):
-            aaa_fit(target, discretize(dom, 200), max_order=8)
+            Z = discretize(dom, 200)
+            aaa_fit(target(Z.points), Z, max_order=8)
+
+
+_parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5])
+
+
+class TestConjugatePartnersMatchDict:
+    """_conjugate_partners pairs each point with the first point equal to
+    its conjugate, -0.0 and 0.0 alike, as the dict of first indices in
+    `domain_reference` did, and finds the same grids not closed under
+    conjugation."""
+
+    @staticmethod
+    def _check(pts):
+        got = tame._conjugate_partners(pts, np.ones(len(pts), complex))
+        want = domain_reference.conjugate_partners(pts)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tolist() == want
+
+    @given(st.lists(st.tuples(_parts, _parts), min_size=1, max_size=40),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_grids_with_duplicates(self, parts, close):
+        pts = np.array([complex(x, y) for x, y in parts])
+        if close:
+            pts = np.concatenate([pts, pts.conj()])
+        self._check(pts)
+
+    @pytest.mark.parametrize("d", [
+        Disc(complex(-4.0), 4.0), Disc(complex(-1.0, 0.5), 1.0),
+        ImagSegment(80.0), RealSegment(100.0),
+        Rectangle(-3.0, -0.0, -2.0, 2.0), Rectangle(-5.0, 1.0, -2.0, 3.0),
+        Rectangle(-3.0, 0.0, -0.0, 0.0)], ids=format_domain)
+    @pytest.mark.parametrize("count", [3, 1000, 4000])
+    def test_boundary_grids(self, d, count):
+        self._check(discretize(d, count).points)
 
 
 class TestExtractPoles:
@@ -225,7 +264,7 @@ class TestExtractResidues:
 
     def test_reconstruction_matches_fit(self):
         Z = discretize(Disc(complex(-1.0), 1.0), 800)
-        b, _ = aaa_fit(np.exp, Z, max_order=8, tol=0.0)
+        b, _ = aaa_fit(np.exp(Z.points), Z, max_order=8, tol=0.0)
         poles = extract_poles(b)
         w = extract_residues(b, poles)
         probe = discretize(Disc(complex(-1.0), 1.0), 2003).points
@@ -318,7 +357,8 @@ class TestPolishMatchesMpmath:
     def rseg100_fit(self):
         """The K = 66 fit on rseg:100 and its 65 pencil eigenvalues
         (u0 = 0, so build_tame refits it)."""
-        b, _ = aaa_fit(np.exp, discretize(RealSegment(100.0), 1000), 66)
+        Z = discretize(RealSegment(100.0), 1000)
+        b, _ = aaa_fit(np.exp(Z.points), Z, 66)
         assert len(b.support) == 66
         return b, tame._pencil_eigenvalues(b)
 
