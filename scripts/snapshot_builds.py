@@ -53,6 +53,9 @@ BUILDS = (
     ("disc31.6_n13", "disc:-31.6:31.6", 13, []),
     ("rect3_n4", "rect:-3:0:-2:2", 4, []),
     ("disc0.5_n12", "disc:-0.5:0.5", 12, []),
+    # two refits; a pole inside the segment (exit 1)
+    ("iseg40_n16", "iseg:40", 16, []),
+    ("rseg1000_n12", "rseg:1000", 12, []),
 )
 #: field-of-values domains of make_experiment_model(5, 10, seed) at t = 1
 FOV_SEEDS = (1, 12, 14)

@@ -117,8 +117,7 @@ def cmd_gen(args):
         if args.domain is None:
             raise ValueError("gen --method tame needs --domain")
         domain = parse_domain(args.domain)
-        m, meta, report = build_tame(domain, args.nprime, tol=args.tol,
-                                     count=args.count)
+        m, meta, report = build_tame(domain, args.nprime, count=args.count)
         build = {"epsilon": meta.epsilon,
                  "max_abs_weight": meta.max_abs_weight, "eta": meta.eta,
                  "termination": report.termination,
@@ -502,7 +501,6 @@ def _build_parser():
                    help="reduced node count (full count for zakian)")
     g.add_argument("--domain", help="tame only: disc:c:R | rseg:L | iseg:r "
                    "| rect:x0:x1:y0:y1")
-    g.add_argument("--tol", type=float, default=0.0)
     g.add_argument("--count", type=int, default=1000)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)

@@ -281,11 +281,6 @@ def _subspace_solve(H, vals, vecs, s, dm):
     return _newton_refine(_riccati_blocks(H, dm), X, s)
 
 
-def _solve_psi_sorted(model, s):
-    """The sorted solve at one s with Re(s) >= 0 (:func:`sweep_psi`)."""
-    return sweep_psi(model, [s])[0]
-
-
 def _continue_arc(model, s, H):
     """psi_hat at one s with Re(s) < 0, continued along |z| = |s| from
     the sorted solve at +-i|s| (:func:`solve_psi`)."""
@@ -293,7 +288,7 @@ def _continue_arc(model, s, H):
     radius = abs(s)
     theta = math.atan2(s.imag, s.real)
     start = math.copysign(math.pi / 2, theta)
-    X = _solve_psi_sorted(model, complex(0.0, math.copysign(radius, theta)))
+    X = solve_psi(model, complex(0.0, math.copysign(radius, theta)))
     steps = max(1, math.ceil(16 * (abs(theta) - math.pi / 2) / abs(theta)))
     k = 0
     while k < steps:

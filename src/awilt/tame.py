@@ -47,7 +47,7 @@ class AAAReport:
     epsilon: float
     support_order: tuple      # support points in the order they were chosen
     termination: str          # tolerance | max_order | no_room_for_pair
-    refits: tuple = ()        # support-point budgets build_tame abandoned
+    refits: tuple = ()        # orders of the fits build_tame abandoned
     pruned: int = 0           # poles build_tame's prune dropped
 
 
@@ -143,7 +143,6 @@ def aaa_fit(F, Z, max_order, tol=0.0):
             termination = "max_order"
             break
         masked = np.where(active, residual, -np.inf)
-        masked[~np.isfinite(masked) & active] = np.inf  # pole hits first
         j = int(np.argmax(masked))
         z_new = complex(pts[j])
         if _is_real(z_new):
@@ -303,7 +302,7 @@ def extract_residues(b, poles):
     return (-(n / dprime)).to_complex()
 
 
-def build_tame(domain, n_reduced_target, tol=0.0, count=1000):
+def build_tame(domain, n_reduced_target, count=1000):
     """Fit e^z on the domain boundary and package poles/residues as a method.
 
     The domain must be symmetric about the real axis (a ValueError
@@ -312,43 +311,46 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000):
     the AAA loop gets a budget of twice that many support points.  Every
     pole must end up strictly outside the closed domain.  Returns
     ``(method, metadata, report)`` with the method in reduced form and
-    the metadata's epsilon re-measured on a 4x finer boundary grid.  The
-    report is that of the final fit; its ``refits`` lists the support-point
-    budgets whose fit failed in the pole solve (the failed fit's report is
-    not kept), and ``pruned`` counts the poles dropped for tiny weights.
+    the metadata's epsilon re-measured on a 4x finer boundary grid.
+
+    The first fit runs to its full budget.  When a pole solve fails, the
+    fit is redone with AAA's tolerance at the roundoff floor
+    1e2 u max|e^z| on the grid and a budget 2 below the failed fit's
+    order: its support count if it stopped at the floor, else its budget.
+    The failure is re-raised once that order is at most 2.  The report is
+    that of the final fit: ``termination`` is ``tolerance`` when it
+    stopped at the floor, ``refits`` lists the orders of the failed fits
+    (whose reports are not kept), and ``pruned`` counts the poles dropped
+    for tiny weights.
     """
     if n_reduced_target < 1:
         raise ValueError("n_reduced_target must be >= 1")
     Z = discretize(domain, count)
     F = np.exp(Z.points)
+    floor = 1e2 * U * float(np.max(np.abs(F)))
     max_order = 2 * n_reduced_target
     refits = []
     while True:
         try:
-            b, report = aaa_fit(F, Z, max_order=max_order, tol=tol)
+            b, report = aaa_fit(F, Z, max_order=max_order,
+                                tol=floor if refits else 0.0)
         except _NotConjugateSymmetric:
             raise ValueError(f"{domain} is not symmetric about the real axis "
                              "(a rect domain needs y0 = -y1)") from None
         try:
             poles = extract_poles(b)
         except (ValueError, NumericalError):
-            # A budget far past the roundoff floor of the fit produces
-            # spurious support points that degenerate the denominator
-            # (u0 -> 0) or the pole pencil.  Refit with the order capped
-            # at the floor the residual history shows was attainable,
-            # then step down by 2 if that is still too optimistic.
+            # Support points past the roundoff floor are spurious and can
+            # degenerate the denominator (u0 -> 0) or the pole pencil.
+            # AAA is greedy, so each refit repeats the failed fit's first
+            # iterations and stops at the floor or 2 points before the
+            # failed fit's end.
+            if report.termination == "tolerance":
+                max_order = len(b.support)
             if max_order <= 2:
                 raise
             refits.append(max_order)
-            if len(refits) == 1:
-                floor = max(tol, 1e2 * U * float(np.max(np.abs(F))))
-                hit = [k for k, r in enumerate(report.residuals, start=1)
-                       if r <= floor]
-                cap = (_support_count(report, hit[0]) if hit
-                       else max_order - 2)
-                max_order = min(max_order - 2, max(2, cap))
-            else:
-                max_order -= 2
+            max_order -= 2
             continue
         break
     nodes, ws = map(np.array,
@@ -372,15 +374,6 @@ def build_tame(domain, n_reduced_target, tol=0.0, count=1000):
                           eta=eta_proxy(eps, maxw), domain=domain)
     report = replace(report, refits=tuple(refits), pruned=pruned)
     return to_reduced(full), meta, report
-
-
-def _support_count(report, iterations):
-    """Support points after the first ``iterations`` AAA iterations; an
-    iteration adds one real point or a conjugate pair."""
-    n = 0
-    for _ in range(iterations):
-        n += 1 if _is_real(report.support_order[n]) else 2
-    return n
 
 
 # -- Table of precomputed quasi-optimal methods ------------------------------

@@ -14,9 +14,9 @@ from awilt.invert import invert, invert_curve
 from awilt.methods import talbot_method, to_full
 from awilt.queueing import (MAX_ARC_STEPS, FluidQueueModel, GeneratorMatrix,
                             PhaseType, _hamiltonian, _newton_refine,
-                            _riccati_blocks, _solve_psi_sorted,
-                            _solve_sylvester, fluid_psi_transform,
-                            make_experiment_model, phase_type_ground_truth,
+                            _riccati_blocks, _solve_sylvester,
+                            fluid_psi_transform, make_experiment_model,
+                            phase_type_ground_truth,
                             phase_type_transform, psi_infinity, solve_psi,
                             sweep_psi)
 from awilt.tame import PRESET_ROWS, preset_tame
@@ -59,7 +59,7 @@ def _cold_start_arc(model, s):
     sorted solve at |s|, then 16 (or, halving, more) steps along the arc."""
     radius = abs(s)
     theta = np.angle(s)
-    X = _solve_psi_sorted(model, complex(radius))
+    X = solve_psi(model, complex(radius))
     steps = 16
     k = 0
     while k < steps:
@@ -312,7 +312,7 @@ class TestSolvePsi:
             calls.append(s)
             raise RiccatiError(f"Newton step failed at s={s}")
 
-        monkeypatch.setattr(queueing, "_solve_psi_sorted",
+        monkeypatch.setattr(queueing, "solve_psi",
                             lambda model, s: np.zeros((1, 1), complex))
         monkeypatch.setattr(queueing, "_newton_refine", failing)
         s = complex(-2.0, 0.0)

@@ -14,12 +14,14 @@ from awilt.diagnostics import epsilon_accuracy
 from awilt.domains import (Disc, ImagSegment, RealSegment, Rectangle,
                            discretize, distance_to, format_domain)
 from awilt.errors import NumericalError, PoleInsideDomainError
-from awilt.methods import load_method, pair_conjugates, to_full
+from awilt.methods import (AWMethod, load_method, pair_conjugates, to_full,
+                           to_reduced)
 from awilt.tame import (PRESET_ROWS, AAAReport, BarycentricApproximant,
                         aaa_fit, barycentric_eval, build_presets, build_tame,
                         extract_poles, extract_residues, preset_entry,
                         preset_filename, preset_tame)
 
+import build_reference
 import domain_reference
 import mp_reference
 from mp_reference import DPS
@@ -476,6 +478,51 @@ class TestBuildTame:
         assert report10.refits == ()
         assert report.refits == (26,)
         assert len(report.support_order) == 24
+        # the refit stops at the floor through AAA's own tolerance
+        assert report.termination == "tolerance"
+
+    def test_floor_after_one_support_point(self):
+        # e^z on a disc of radius 1e-15 meets the floor after one point;
+        # the refit stops there (the reference forced a second point,
+        # whose pole solve failed)
+        m, meta, report = build_tame(Disc(complex(-1e-15), 1e-15), 2)
+        assert report.refits == (4,) and report.termination == "tolerance"
+        assert m.n_entries == 1 and meta.epsilon <= 1e-15
+        with pytest.raises(NumericalError):
+            build_reference.build_tame(Disc(complex(-1e-15), 1e-15), 2)
+
+    def test_pole_inside_domain_raises(self):
+        with pytest.raises(PoleInsideDomainError, match=r"pole \(-8\.96"):
+            build_tame(RealSegment(1000.0), 12)
+
+
+class TestBuildMatchesReference:
+    """`build_tame` against the refit loop that scanned the residual
+    history for the floor (`build_reference`)."""
+
+    @pytest.mark.parametrize("dom, nprime, refits", [
+        (ImagSegment(40.0), 16, (32, 28)),
+        # refits (40, 32, 30) with one BLAS thread, (40, 34, 32, 30) with 2
+        (ImagSegment(50.0), 20, None),
+        (Disc(complex(-31.6), 31.6), 13, (26,)),
+        (RealSegment(100.0), 33, (66,)),
+        (Disc(complex(-3.0), 3.0), 16, (32,)),
+        (Disc(complex(-4.0), 4.0), 5, ()),
+    ])
+    def test_same_method(self, dom, nprime, refits):
+        m, _, report = build_tame(dom, nprime)
+        nodes, ws, ref = build_reference.build_tame(dom, nprime)
+        want = to_reduced(AWMethod(name=m.name, weights=tuple(ws),
+                                   nodes=tuple(nodes), reduced=False))
+        assert (m.nodes, m.weights) == (want.nodes, want.weights)
+        assert report.refits == ref.refits
+        assert refits is None or report.refits == refits
+        assert report.pruned == ref.pruned
+        assert report.support_order == ref.support_order
+        assert report.residuals == ref.residuals
+        # only the reason the final fit stopped may differ
+        if report.termination != ref.termination:
+            assert report.refits and report.termination == "tolerance"
 
 
 class TestPresets:
