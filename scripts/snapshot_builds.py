@@ -7,7 +7,7 @@ Usage: PYTHONPATH=src python scripts/snapshot_builds.py OUT_DIR
 Writes the rebuilt preset family to OUT_DIR/presets/ and, for each
 `aw gen --method tame` build listed below, its method file NAME.json and
 NAME.out (exit code, stdout and stderr of the command) to OUT_DIR.  Then
-writes to OUT_DIR/fluid/ the two models of FLUID_MODELS and, for each
+writes to OUT_DIR/fluid/ the models of FLUID_MODELS and, for each
 `aw fluid --entry all` run on them (psi and Psi, each t of FLUID_TS, each
 method of FLUID_METHODS), its CSV NAME.csv and NAME.out.  Last, writes to
 OUT_DIR/diag/ the method files of DIAG_METHODS and, for them, the presets
@@ -60,12 +60,23 @@ BUILDS = (
 #: field-of-values domains of make_experiment_model(5, 10, seed) at t = 1
 FOV_SEEDS = (1, 12, 14)
 FOV_NPRIMES = (2, 3, 4, 6)
-#: the seeded 15-state model and the 2-state model with a closed form
+#: the seeded 15-state model, the 2-state model with a closed form, and
+#: two chains with all jump rates 1 and fluid rates +1 on the first
+#: states, -1 on the rest: a 6-state birth-death chain (3 plus states),
+#: and a 10-state cycle (4 plus states), where the eigenvectors of H(s)
+#: the sorted solve uses have condition numbers up to about 1e5
 FLUID_MODELS = {
     "model1": make_experiment_model(5, 10, 1),
     "two_state": FluidQueueModel(
         GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]])),
         np.array([1.0, -1.0])),
+    "birth_death": FluidQueueModel(
+        GeneratorMatrix(np.eye(6, k=1) + np.eye(6, k=-1)
+                        - np.diag([1.0, 2.0, 2.0, 2.0, 2.0, 1.0])),
+        np.array([1.0] * 3 + [-1.0] * 3)),
+    "cycle": FluidQueueModel(
+        GeneratorMatrix(np.roll(np.eye(10), 1, axis=1) - np.eye(10)),
+        np.array([1.0] * 4 + [-1.0] * 6)),
 }
 FLUID_TS = (1.0, 3.0, 10.0, 30.0)
 FLUID_METHODS = ("talbot:24", "euler:15", "tame")

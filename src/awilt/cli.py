@@ -343,7 +343,7 @@ def _bench_a(args, out_dir):
     model = make_experiment_model(5, 10, args.seed)
     lam = model.gen.lam
     t = 1.0
-    ref_m = talbot_method(32)
+    ref_m = talbot_method(24)
     psi_inf_norm = float(np.linalg.norm(psi_infinity(model), np.inf))
     fixed = _fixed_methods(args)
     tame = []
@@ -353,6 +353,8 @@ def _bench_a(args, out_dir):
     paths = []
     for key, transform in zip(("pdf", "cdf"), fluid_psi_transform(model)):
         ref = invert(ref_m, transform, t)
+        # how far the reference itself is from Talbot-20
+        ref_err = _matrix_err(ref, invert(talbot_method(20), transform, t))
         # reference time-derivative for the moment estimate, by a central
         # difference of the reference curve (display aid only)
         h = 1e-3
@@ -363,7 +365,8 @@ def _bench_a(args, out_dir):
         rows = _error_rows(transform, t, ref,
                            float(np.linalg.norm(dref, np.inf)), methods)
         paths.append(_write_csv(os.path.join(out_dir, f"expA_{key}.csv"),
-                                _ERROR_HEADER, rows))
+                                _ERROR_HEADER + ["reference_error"],
+                                (row + [ref_err] for row in rows)))
     return paths
 
 

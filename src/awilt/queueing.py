@@ -5,17 +5,19 @@ solution of a nonsymmetric algebraic Riccati equation.  For Re(s) >= 0 it
 comes from the stable invariant subspace of H(s) = diag(r)^{-1}(sI - Q),
 the states ordered minus-first; for Re(s) < 0 that solution is continued
 along an arc of constant |s| (see :func:`solve_psi`).  Every solve ends in
-the same Newton refinement: at least one and at most NEWTON_STEPS steps,
-each a Sylvester solve by LAPACK gees and trsyl, stopping once the
-residual is within 1e-12 of the scale of the equation's terms.
+Newton refinement: at least one and at most NEWTON_STEPS steps, stopping
+once the residual is within 1e-12 of the scale of the equation's terms.
+A step solves a Sylvester equation: for Re(s) >= 0 in the eigenbasis of
+the subspace, by one stacked np.linalg.solve for all such nodes, and for
+Re(s) < 0 by LAPACK gees and trsyl (Bartels-Stewart).
 
 Nodes are solved as a set (:func:`sweep_psi`; :func:`solve_psi` is the
 set of one).  H(s) is formed for all of them at once, and the nodes with
-Re(s) >= 0 share one stacked eigen-solve.  Taken in order of |arg s|
-within each half-plane, a node with Re(s) < 0 starts Newton from the
-solution at the node before it, and takes the arc only when it has none
-or that Newton fails.  Phase-type transforms solve (sI - Q) at all nodes
-of a t-grid in one stacked call.
+Re(s) >= 0 are solved as one stack, from one stacked eigen-solve.  Taken
+in order of |arg s| within each half-plane, a node with Re(s) < 0 starts
+Newton from the solution at the node before it, and takes the arc only
+when it has none or that Newton fails.  Phase-type transforms solve
+(sI - Q) at all nodes of a t-grid in one stacked call.
 """
 
 import cmath
@@ -179,9 +181,11 @@ def _hamiltonian(model):
 
 
 def _riccati_blocks(H, dm):
-    """(A_pp, A_pm, A_mp, A_mm) of the NARE at one s: slices of H(s)
-    (:func:`_hamiltonian`), whose first dm states are the minus states."""
-    return -H[dm:, dm:], -H[dm:, :dm], H[:dm, dm:], H[:dm, :dm]
+    """(A_pp, A_pm, A_mp, A_mm) of the NARE: slices of H(s)
+    (:func:`_hamiltonian`), whose first dm states are the minus states,
+    at one s or along a stack of them."""
+    return (-H[..., dm:, dm:], -H[..., dm:, :dm], H[..., :dm, dm:],
+            H[..., :dm, :dm])
 
 
 def _schur(a):
@@ -229,28 +233,40 @@ def _solve_sylvester(a, b, q):
 
 
 def _norm_inf(B):
-    # np.linalg.norm(B, np.inf), without its dispatch
-    return np.abs(B).sum(axis=1).max()
+    # np.linalg.norm(B, np.inf), without its dispatch; per node of a stack
+    return np.abs(B).sum(axis=-1).max(axis=-1)
+
+
+def _residual(blocks, norms, X):
+    """The NARE residual R at X, its inf-norm, and the scale of the terms
+    the Newton gate holds it to, at one node or along a stack of them;
+    norms are the inf-norms of (A_pm, A_pp, A_mm, A_mp).
+
+    The gate is a backward error: the residual can only be expected to
+    reach roundoff relative to the magnitude of the NARE terms, which is
+    much larger than ||A|| when ||X|| is large (continuation at Re s < 0
+    can make X big)."""
+    App, Apm, Amp, Amm = blocks
+    n_pm, n_pp, n_mm, n_mp = norms
+    R = Apm + App @ X + X @ Amm + X @ Amp @ X
+    nx = _norm_inf(X)
+    return R, _norm_inf(R), n_pm + n_pp * nx + nx * n_mm + nx * n_mp * nx
+
+
+def _residual_error(res, s):
+    return RiccatiError(f"Riccati residual {res:.3e} exceeds 1e-12 of the "
+                        f"term scale at s={s}")
 
 
 def _newton_refine(blocks, X, s):
     App, Apm, Amp, Amm = blocks
-    n_pm, n_pp, n_mm, n_mp = (_norm_inf(B) for B in (Apm, App, Amm, Amp))
+    norms = tuple(_norm_inf(B) for B in (Apm, App, Amm, Amp))
     for k in range(NEWTON_STEPS + 1):
-        R = Apm + App @ X + X @ Amm + X @ Amp @ X
-        res = _norm_inf(R)
-        # Backward-error denominator: the residual can only be expected to
-        # reach roundoff relative to the magnitude of the NARE terms, which
-        # is much larger than ||A|| when ||X|| is large (continuation at
-        # Re s < 0 can make X big).
-        nx = _norm_inf(X)
-        scale = n_pm + n_pp * nx + nx * n_mm + nx * n_mp * nx
+        R, res, scale = _residual(blocks, norms, X)
         if k >= 1 and res <= 1e-12 * scale:
             return X
         if k == NEWTON_STEPS or not np.isfinite(res):
-            raise RiccatiError(
-                f"Riccati residual {res:.3e} exceeds 1e-12 of the term scale "
-                f"at s={s}")
+            raise _residual_error(res, s)
         try:
             delta = _solve_sylvester(App + X @ Amp, Amm + Amp @ X, -R)
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -258,27 +274,108 @@ def _newton_refine(blocks, X, s):
         X = X + delta
 
 
-def _subspace_solve(H, vals, vecs, s, dm):
-    """The sorted solve at one s with Re(s) >= 0, from the eigenvalues and
-    eigenvectors of H(s): the invariant subspace of the dm eigenvalues of
-    smallest real part, then the Newton refinement every solve ends in.
+def _solve_sylvester_eig(a, mu, q):
+    """Y with a Y + Y diag(mu) = q at each node of a stack: column j of a
+    node solves (a + mu_j I) y = q[:, j], all in one np.linalg.solve."""
+    shifted = a[:, None] + mu[:, :, None, None] * np.eye(a.shape[-1])
+    y = np.linalg.solve(shifted, q.swapaxes(1, 2)[..., None])
+    return y[..., 0].swapaxes(1, 2)
+
+
+def _each_node(f, *stacks):
+    """f of stacks of nodes, in one call or, if that raises LinAlgError,
+    in one call per node.  Returns the values, shaped as the last stack
+    (NaN for a node that raised), and each node's LinAlgError or None."""
+    try:
+        return f(*stacks), [None] * len(stacks[0])
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(stacks[-1].shape, np.nan, dtype=complex)
+    errors = []
+    for i, args in enumerate(zip(*stacks)):
+        try:
+            out[i] = f(*(a[None] for a in args))[0]
+            errors.append(None)
+        except np.linalg.LinAlgError as exc:
+            errors.append(exc)
+    return out, errors
+
+
+def _sorted_solve(Hs, ss, dm):
+    """The sorted solve of each node s of ss, Re(s) >= 0, from H(s) along
+    the stack Hs, all nodes as one stack.  Returns, per node, its solution
+    or the error it raises; each is what solving the node alone gives.
+
+    A node's eigenvalues are sorted by real part, the spectral-gap check
+    asks for a gap after the first dm, and X0 = V_bot T^{-1} comes from
+    the eigenvectors V = [T; V_bot] of those dm eigenvalues mu.  Newton
+    steps follow, with the gate of :func:`_newton_refine`: at least one,
+    at most NEWTON_STEPS.  They run in the eigenbasis: B = A_mm + A_mp X0
+    is T diag(mu) T^{-1}, so the step A D + D B = -R, A = A_pp + X A_mp,
+    is (A + mu_j I) Y_j = -(R T)_j with D = Y T^{-1}, one stacked solve
+    for the nodes still stepping (:func:`_solve_sylvester_eig`).  A later
+    step, rarely needed, keeps that B: it is then off by A_mp (X - X0),
+    of the size of the first correction, so the steps still converge.
 
     This is the minimal solution for Re(s) >= 0; for Re(s) < 0 the sorted
     selection can silently pick a different branch than the analytic
     continuation, so :func:`sweep_psi` does not use it there.
     """
-    order = np.argsort(vals.real, kind="stable")
-    spread = max(float(vals.real.max() - vals.real.min()), 1.0)
-    gap = vals.real[order[dm]] - vals.real[order[dm - 1]]
-    if gap <= GAP_RTOL * spread:
-        raise SpectralGapError(
-            f"ambiguous eigenvalue splitting at s={s}: gap {gap:.3e}")
-    V = vecs[:, order[:dm]]
-    try:
-        X = V[dm:, :] @ np.linalg.inv(V[:dm, :])
-    except np.linalg.LinAlgError as exc:
-        raise RiccatiError(f"singular subspace basis at s={s}: {exc}") from None
-    return _newton_refine(_riccati_blocks(H, dm), X, s)
+    out = [None] * len(ss)
+    vals, vecs = np.linalg.eig(Hs)
+    order = np.argsort(vals.real, axis=-1, kind="stable")
+    re = np.take_along_axis(vals.real, order, axis=-1)
+    gap = re[:, dm] - re[:, dm - 1]
+    live = gap > GAP_RTOL * np.maximum(re[:, -1] - re[:, 0], 1.0)
+    for i in np.flatnonzero(~live):
+        out[i] = SpectralGapError(f"ambiguous eigenvalue splitting at "
+                                  f"s={ss[i]}: gap {gap[i]:.3e}")
+    nodes = np.flatnonzero(live)
+    sel = order[nodes, :dm]
+    mu = np.take_along_axis(vals[nodes], sel, axis=-1)
+    V = np.take_along_axis(vecs[nodes], sel[:, None, :], axis=-1)
+    Tinv, errors = _each_node(np.linalg.inv, V[:, :dm])
+    for i, exc in zip(nodes, errors):
+        if exc is not None:
+            out[i] = RiccatiError(f"singular subspace basis at s={ss[i]}: "
+                                  f"{exc}")
+    ok = np.array([exc is None for exc in errors], dtype=bool)
+    nodes, X = nodes[ok], V[ok, dm:] @ Tinv[ok]
+    blocks = _riccati_blocks(Hs[nodes], dm)
+    App, Apm, Amp, Amm = blocks
+    # per node: the four blocks, their norms, then T, T^{-1} and mu
+    fixed = (blocks + tuple(_norm_inf(B) for B in (Apm, App, Amm, Amp))
+             + (V[ok, :dm], Tinv[ok], mu[ok]))
+    for k in range(NEWTON_STEPS + 1):
+        R, res, scale = _residual(fixed[:4], fixed[4:8], X)
+        done = res <= 1e-12 * scale if k else np.zeros(len(nodes), bool)
+        failed = ~done & ((k == NEWTON_STEPS) | ~np.isfinite(res))
+        for j in np.flatnonzero(done):
+            out[nodes[j]] = X[j]
+        for j in np.flatnonzero(failed):
+            out[nodes[j]] = _residual_error(res[j], ss[nodes[j]])
+        # always copies, so that a node's arrays are laid out alike
+        # whichever nodes share its stack
+        go = ~(done | failed)
+        if not go.any():
+            return out
+        nodes, X, R = nodes[go], X[go], R[go]
+        fixed = tuple(v[go] for v in fixed)
+        App, Apm, Amp, Amm, *_, T, Tinv, mu = fixed
+        A = App + X @ Amp
+        Y, errors = _each_node(_solve_sylvester_eig, A, mu, -(R @ T))
+        # as in _solve_sylvester, a non-finite A or A_mm + A_mp X fails
+        stepped = (np.isfinite(A).all(axis=(1, 2))
+                   & np.isfinite(Amm + Amp @ X).all(axis=(1, 2)))
+        for j, exc in enumerate(errors):
+            if not stepped[j]:
+                exc = "array must not contain infs or NaNs"
+            if exc is not None:
+                out[nodes[j]] = RiccatiError(
+                    f"Newton step failed at s={ss[nodes[j]]}: {exc}")
+                stepped[j] = False
+        nodes, X = nodes[stepped], (X + Y @ Tinv)[stepped]
+        fixed = tuple(v[stepped] for v in fixed)
 
 
 def _continue_arc(model, s, H):
@@ -289,7 +386,7 @@ def _continue_arc(model, s, H):
     theta = math.atan2(s.imag, s.real)
     start = math.copysign(math.pi / 2, theta)
     X = solve_psi(model, complex(0.0, math.copysign(radius, theta)))
-    steps = max(1, math.ceil(16 * (abs(theta) - math.pi / 2) / abs(theta)))
+    steps = max(1, math.ceil(64 * (abs(theta) - math.pi / 2) / abs(theta)))
     k = 0
     while k < steps:
         k += 1
@@ -318,9 +415,9 @@ def solve_psi(model, s):
     ordered minus-first) for the d- eigenvalues of smallest real part,
     refined by Newton steps: at least one and at most NEWTON_STEPS,
     stopping once the residual is within 1e-12 of the scale of the
-    equation's terms, else RiccatiError.  Each step solves a Sylvester
-    equation with LAPACK gees and trsyl, as scipy.linalg.solve_sylvester
-    does.
+    equation's terms, else RiccatiError.  Each step solves its Sylvester
+    equation in the eigenbasis of that subspace, column by column
+    (:func:`_sorted_solve`).
 
     For Re(s) < 0 that splitting no longer tracks the analytic continuation
     of psi_hat.  The sorted solve is then taken at z0 = +-i|s|, where the
@@ -329,9 +426,10 @@ def solve_psi(model, s):
     Newton refinement at each point.  This is the branch that continuing
     from |s| on the real axis gives: the arc from |s| to z0 stays in
     Re z >= 0, where psi_hat is analytic and the sorted solve is the minimal
-    solution.  The angular step is at most |arg s|/16; a step where Newton
+    solution.  The angular step is at most |arg s|/64; a step where Newton
     fails is halved, up to MAX_ARC_STEPS steps, and the last step ends at s
-    itself.
+    itself.  Newton steps on the arc solve their Sylvester equations with
+    LAPACK gees and trsyl, as scipy.linalg.solve_sylvester does.
 
     This is :func:`sweep_psi` of the one node s.
     """
@@ -342,9 +440,10 @@ def sweep_psi(model, ss):
     """psi_hat at each s of one node set.
 
     H(s) is formed for all nodes at once, and the nodes with Re s >= 0
-    get one stacked eigen-solve; each of them then gets the subspace
-    split, its spectral-gap check and the Newton refinement of
-    :func:`solve_psi`, with the same values as solving it alone.
+    are solved as one stack (:func:`_sorted_solve`): one eigen-solve, the
+    subspace split with its spectral-gap check, and Newton steps that are
+    one stacked solve each, with the same values as solving each node
+    alone.
 
     The nodes are split by the sign of Im s (-0.0 counts as negative, as
     in :func:`solve_psi`) and, within each half-plane, taken in order of
@@ -352,7 +451,8 @@ def sweep_psi(model, ss):
     predecessor's solution in that order, with the same 1e-12 residual
     gate, and gets :func:`solve_psi`'s arc if it has no predecessor or
     that Newton raises RiccatiError.  Returns the list of solutions in the
-    order of ss.
+    order of ss.  A node that fails raises its error; of several, the
+    first in that walk (upper half-plane first) is raised.
     """
     ss = [complex(s) for s in ss]
     H = _hamiltonian(model)
@@ -366,15 +466,17 @@ def sweep_psi(model, ss):
                                                        ss[k].real)))
               for half in halves]
     right = [k for half in halves for k in half if ss[k].real >= 0]
-    vals, vecs = np.linalg.eig(Hs[right])
-    eigs = dict(zip(right, zip(vals, vecs)))
+    solved = dict(zip(right, _sorted_solve(Hs[right], [ss[k] for k in right],
+                                           dm)))
     out = [None] * len(ss)
     for half in halves:
         X = None
         for k in half:
             s = ss[k]
             if s.real >= 0:
-                X = _subspace_solve(Hs[k], *eigs[k], s, dm)
+                X = solved[k]
+                if isinstance(X, Exception):
+                    raise X
             elif X is None:
                 X = _continue_arc(model, s, H)
             else:

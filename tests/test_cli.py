@@ -406,6 +406,23 @@ class TestBench:
         tame_errs = [float(r["error"]) for r in rows if r["method"] == "tame"]
         assert min(tame_errs) < 1e-8
 
+    def test_quick_experiment_a_tame_within_bound(self, tmp_path, capsys):
+        # against a Talbot-32 reference the N'=4 row read 6.27e-12, above
+        # its bound of 2.97e-12
+        out_dir = tmp_path / "bench"
+        code, _, _ = run(capsys, "bench", "--experiment", "A", "--quick",
+                         "--seed", "1", "--out-dir", str(out_dir))
+        assert code == 0
+        with open(os.path.join(out_dir, "expA_pdf.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        tame = [r for r in rows if r["method"] == "tame"]
+        assert [r["nprime"] for r in tame] == ["1", "2", "3", "4"]
+        for r in tame:
+            assert float(r["error"]) <= float(r["bound"]), r
+        # ||Talbot-24 - Talbot-20||, the same on every row
+        assert len({r["reference_error"] for r in rows}) == 1
+        assert float(rows[0]["reference_error"]) < 1e-12
+
     def test_quick_experiment_b(self, tmp_path, capsys):
         out_dir = tmp_path / "bench"
         code, _, _ = run(capsys, "bench", "--experiment", "B",

@@ -5,9 +5,10 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import psi_reference
 from awilt import queueing
 from awilt.errors import RiccatiError, SpectralGapError
 from awilt.invert import invert, invert_curve
@@ -55,12 +56,14 @@ def _residual_ok(model, s, X):
 
 
 def _cold_start_arc(model, s):
-    """The continuation as it was before it started on the imaginary axis:
-    sorted solve at |s|, then 16 (or, halving, more) steps along the arc."""
+    """The continuation from the real axis: sorted solve at |s|, then 64
+    (or, halving, more) steps along the arc.  With 16 steps it ends on
+    another solution of the NARE at s = e^{3i} on
+    make_experiment_model(2, 4, 4), 2.30 away."""
     radius = abs(s)
     theta = np.angle(s)
     X = solve_psi(model, complex(radius))
-    steps = 16
+    steps = 64
     k = 0
     while k < steps:
         k += 1
@@ -104,16 +107,21 @@ def _two_option_refine(blocks, X, s, max_steps, min_steps):
 
 def _two_option_solve_psi(model, s):
     """solve_psi under the two-option policy: 2 to 5 steps on the sorted
-    path, 1 to 12 at each arc point.  The first refinement of a solve is
-    the sorted one."""
-    calls = []
+    path (the per-node one of `psi_reference`), 1 to 12 at each arc
+    point."""
+    def sorted_solve(model, z):
+        return psi_reference.sorted_psi(
+            model, z, lambda blocks, X, z: _two_option_refine(blocks, X, z,
+                                                              5, 2))
 
     def refine(blocks, X, sk):
-        policy = (12, 1) if calls else (5, 2)
-        calls.append(sk)
-        return _two_option_refine(blocks, X, sk, *policy)
+        return _two_option_refine(blocks, X, sk, 12, 1)
 
-    with mock.patch.object(queueing, "_newton_refine", refine):
+    if s.real >= 0:
+        return sorted_solve(model, s)
+    # the arc starts from queueing.solve_psi at +-i|s|
+    with mock.patch.object(queueing, "solve_psi", sorted_solve), \
+            mock.patch.object(queueing, "_newton_refine", refine):
         return solve_psi(model, s)
 
 
@@ -129,6 +137,21 @@ def sylvester_calls(monkeypatch):
 
     monkeypatch.setattr(queueing, "_solve_sylvester", spy)
     return calls
+
+
+@pytest.fixture
+def eigenbasis_steps(monkeypatch):
+    """The number of nodes of each Newton step of the sorted solve (one
+    stacked eigenbasis solve per step)."""
+    sizes = []
+    solve = queueing._solve_sylvester_eig
+
+    def spy(a, mu, q):
+        sizes.append(len(a))
+        return solve(a, mu, q)
+
+    monkeypatch.setattr(queueing, "_solve_sylvester_eig", spy)
+    return sizes
 
 
 def _condition(model, s, X):
@@ -288,6 +311,8 @@ class TestSolvePsi:
                                      exclude_min=True),
                            st.just(math.pi)),
            sign=st.sampled_from([1.0, -1.0]))
+    @example(d_plus=2, d_minus=4, seed=4, log_radius=0.0, angle=3.0,
+             sign=1.0)
     def test_continuation_matches_cold_start(self, d_plus, d_minus, seed,
                                              log_radius, angle, sign):
         model = make_experiment_model(d_plus, d_minus, seed)
@@ -318,20 +343,23 @@ class TestSolvePsi:
         s = complex(-2.0, 0.0)
         with pytest.raises(RiccatiError) as info:
             solve_psi(_scalar_model(), s)
-        # a quarter arc starts at 8 steps: 8, 16, ..., 4096 is 10 attempts
-        assert MAX_ARC_STEPS == 4096 and len(calls) == 10
+        # a quarter arc starts at 32 steps: 32, 64, ..., 4096 is 8 attempts
+        assert MAX_ARC_STEPS == 4096 and len(calls) == 8
         msg = str(info.value)
         assert f"s={s}" in msg
         assert f"z={calls[-1]}" in msg
         assert f"{MAX_ARC_STEPS} arc steps" in msg
 
     @pytest.mark.parametrize("s", [0.5, 2.0 + 3.0j, 1e-3 + 40.0j])
-    def test_sorted_solve_makes_one_newton_step(self, s, sylvester_calls):
+    def test_sorted_solve_makes_one_newton_step(self, s, sylvester_calls,
+                                                eigenbasis_steps):
         # the subspace solution plus one step meets the gate, so a second
-        # Sylvester solve is not taken
+        # step is not taken; the step is in the eigenbasis, not by
+        # Bartels-Stewart
         model = make_experiment_model(5, 10, seed=1)
         X = solve_psi(model, s)
-        assert len(sylvester_calls) == 1
+        assert eigenbasis_steps == [1]
+        assert sylvester_calls == []
         assert _residual_ok(model, s, X)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -480,6 +508,45 @@ def test_curve_matches_per_t_invert(d_plus, d_minus, seed, m, ts):
             assert p.value.tobytes() == want.tobytes(), t
 
 
+def _outcome(model, ss, sweep):
+    """(solutions, None) of sweep(model, ss), or (None, its error)."""
+    try:
+        return sweep(model, ss), None
+    except (RiccatiError, SpectralGapError) as exc:
+        return None, exc
+
+
+def _assert_matches_reference(model, ss):
+    """sweep_psi and the per-node reference agree: the same error, or
+    solutions within the gate of test_continuation_matches_cold_start."""
+    got, error = _outcome(model, ss, sweep_psi)
+    want, ref_error = _outcome(model, ss, psi_reference.sweep_psi)
+    assert type(error) is type(ref_error)
+    assert str(error) == str(ref_error)
+    for s, X, ref in zip(ss, got or (), want or ()):
+        if np.array_equal(X, ref):
+            continue
+        nx = np.linalg.norm(ref, np.inf)
+        tol = 1e-10 * max(1.0, nx) * max(1.0, _condition(model, s, ref) / 50)
+        assert np.max(np.abs(X - ref)) <= tol, s
+
+
+def _structured_model(kind, d_plus, d_minus):
+    """A model with repeated eigenvalues: the generator of an equal-rate
+    birth-death chain, of a cycle, or 1 - nI (all jumps at rate 1), with
+    fluid rates +1 on the first d_plus states and -1 on the rest."""
+    n = d_plus + d_minus
+    if kind == "birth_death":
+        Q = np.eye(n, k=1) + np.eye(n, k=-1)
+    elif kind == "cycle":
+        Q = np.roll(np.eye(n), 1, axis=1)
+    else:
+        Q = np.ones((n, n)) - np.eye(n)
+    Q -= np.diag(Q.sum(axis=1))
+    return FluidQueueModel(GeneratorMatrix(Q),
+                           np.array([1.0] * d_plus + [-1.0] * d_minus))
+
+
 class TestSweepPsi:
     @settings(max_examples=60, deadline=None)
     @given(d_plus=st.integers(1, 5), d_minus=st.integers(1, 5),
@@ -519,6 +586,75 @@ class TestSweepPsi:
         with pytest.raises(SpectralGapError,
                            match=r"ambiguous eigenvalue splitting at s=0j:"):
             sweep_psi(model, ss)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d_plus=st.integers(1, 6), d_minus=st.integers(1, 6),
+           seed=st.integers(0, 2**16), t=st.floats(0.1, 30.0),
+           m=_NODE_SETS, zero=st.booleans())
+    def test_matches_per_node_reference(self, d_plus, d_minus, seed, t, m,
+                                        zero):
+        model = make_experiment_model(d_plus, d_minus, seed)
+        ss = [complex(b) / t for b in m.nodes] + [0j] * zero
+        _assert_matches_reference(model, ss)
+
+    @pytest.mark.parametrize("kind", ["birth_death", "cycle", "ones"])
+    @pytest.mark.parametrize("d_plus, d_minus", [(1, 1), (2, 3), (3, 3),
+                                                 (5, 2), (4, 6)])
+    def test_repeated_eigenvalues_match_reference(self, kind, d_plus,
+                                                  d_minus):
+        # equal rates make H(s) have repeated eigenvalues; with d+ = d-
+        # the drift is 0 and s = 0 has no spectral gap
+        model = _structured_model(kind, d_plus, d_minus)
+        for m in (to_full(talbot_method(24)), preset_tame(11.2)):
+            for t in (0.3, 1.0, 10.0):
+                _assert_matches_reference(
+                    model, [complex(b) / t for b in m.nodes])
+        _assert_matches_reference(model, [0.5, 2.0 + 1.0j, 0j, 1e-9j])
+
+    def test_first_error_in_sweep_order(self):
+        # the upper half-plane is walked first, so s = 0j fails before
+        # s = -0j, which comes first in ss
+        model = _scalar_model(1.0, 1.0)
+        with pytest.raises(SpectralGapError,
+                           match=r"ambiguous eigenvalue splitting at s=0j:"):
+            sweep_psi(model, [complex(0.0, -0.0), 1.0 + 1.0j,
+                              complex(0.0, 0.0)])
+
+    def test_later_steps_converge(self, monkeypatch):
+        # a first step off by 1e-6 leaves the gate unmet, so the nodes
+        # take more steps, each keeping B = T diag(mu) T^-1 of X0
+        model = make_experiment_model(3, 4, seed=2)
+        ss = [complex(b) / 2.0 for b in to_full(talbot_method(16)).nodes
+              if complex(b).real >= 0]
+        want = psi_reference.sweep_psi(model, ss)
+        sizes = []
+        solve = queueing._solve_sylvester_eig
+
+        def spoiled_first_step(a, mu, q):
+            sizes.append(len(a))
+            return solve(a, mu, q) + (1e-6 if len(sizes) == 1 else 0.0)
+
+        monkeypatch.setattr(queueing, "_solve_sylvester_eig",
+                            spoiled_first_step)
+        got = sweep_psi(model, ss)
+        assert sizes[:2] == [len(ss), len(ss)]
+        assert len(sizes) <= 4
+        for s, X, ref in zip(ss, got, want):
+            nx = np.linalg.norm(ref, np.inf)
+            tol = 1e-10 * max(1.0, nx) * max(1.0,
+                                             _condition(model, s, ref) / 50)
+            assert np.max(np.abs(X - ref)) <= tol, s
+
+    def test_singular_subspace_basis_fails_its_node_only(self):
+        # the eigenvector of -1 is (0, 1), so its minus part T is 0; the
+        # other node of the stack is solved as it is alone
+        bad = np.array([[2.0, 0.0], [1.0, -1.0]], dtype=complex)
+        good = _hamiltonian(_scalar_model())([1.0])[0]
+        error, X = queueing._sorted_solve(np.array([bad, good]), [2j, 1.0],
+                                          1)
+        assert isinstance(error, RiccatiError)
+        assert str(error) == "singular subspace basis at s=2j: Singular matrix"
+        assert X.tobytes() == solve_psi(_scalar_model(), 1.0).tobytes()
 
     def test_subnormal_phase(self):
         # cmath.phase(2+5e-324j) raises OverflowError; the order of the
