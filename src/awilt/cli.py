@@ -23,9 +23,8 @@ import sys
 import numpy as np
 
 from . import catalog, diagnostics
-from .domains import (Disc, ImagSegment, RealSegment, _fmt, discretize,
-                      fov_circle_bound, fov_hermitian_bound,
-                      fov_rectangle_bound, parse_domain)
+from .domains import (Disc, _fmt, discretize, fov_circle_bound,
+                      fov_hermitian_bound, fov_rectangle_bound, parse_domain)
 from .errors import NumericalError
 from .invert import Transform, invert, invert_curve
 from .methods import (euler_method, gaver_method, load_method, save_method,
@@ -449,20 +448,24 @@ def _offset_grid(upper, n):
 
 
 def _bench_d(args, out_dir):
-    ts = _offset_grid(6.0, 100 if args.quick else 600)
-    # the long imaginary segment needs a denser boundary sampling than the
-    # default for the fit to resolve the oscillatory target
-    m, _, _ = build_tame(ImagSegment(80.0), 20, count=4000)
+    upper = 6.0
+    ts = _offset_grid(upper, 100 if args.quick else 600)
+    # the waves' recipe, a long imaginary segment, needs a denser boundary
+    # sampling than the default for the fit to resolve the oscillatory
+    # target
+    domain = catalog.entry("triangular_wave").domain_recipe(upper)
+    m, _, _ = build_tame(domain, 20, count=4000)
     return [_curve_csv(os.path.join(out_dir, f"expD_{name.split('_')[0]}.csv"),
                        m, catalog.entry(name), ts)
             for name in ("triangular_wave", "square_wave")]
 
 
 def _bench_e(args, out_dir):
-    ts = _offset_grid(50.0, 50 if args.quick else 500)
+    upper = 50.0
+    ts = _offset_grid(upper, 50 if args.quick else 500)
     e = catalog.entry("bs_call", {"q_price": 80.0, "strike": 100.0,
                                   "rate": 0.05, "sigma": 0.1})
-    tame, _, _ = build_tame(RealSegment(100.0), 33)
+    tame, _, _ = build_tame(e.domain_recipe(upper), 33)
     return [_curve_csv(os.path.join(out_dir, f"expE_{label}.csv"), m, e, ts)
             for label, m in (("talbot", talbot_method(20)), ("tame", tame))]
 

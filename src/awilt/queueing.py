@@ -5,11 +5,13 @@ solution of a nonsymmetric algebraic Riccati equation.  For Re(s) >= 0 it
 comes from the stable invariant subspace of H(s) = diag(r)^{-1}(sI - Q),
 the states ordered minus-first; for Re(s) < 0 that solution is continued
 along an arc of constant |s| (see :func:`solve_psi`).  Every solve ends in
-Newton refinement: at least one and at most NEWTON_STEPS steps, stopping
-once the residual is within 1e-12 of the scale of the equation's terms.
-A step solves a Sylvester equation: for Re(s) >= 0 in the eigenbasis of
-the subspace, by one stacked np.linalg.solve for all such nodes, and for
-Re(s) < 0 by LAPACK gees and trsyl (Bartels-Stewart).
+Newton refinement, which stops once the residual is within 1e-12 of the
+scale of the equation's terms.  A node with Re(s) >= 0 takes one Newton
+step in the eigenbasis of the subspace, one stacked np.linalg.solve for
+all such nodes.  Any node that step does not settle is refined from the
+subspace solution by :func:`_newton_refine`, as every point with
+Re(s) < 0 is: at least one and at most NEWTON_STEPS steps, each a
+Sylvester solve by LAPACK gees and trsyl (Bartels-Stewart).
 
 Nodes are solved as a set (:func:`sweep_psi`; :func:`solve_psi` is the
 set of one).  H(s) is formed for all of them at once, and the nodes with
@@ -253,11 +255,6 @@ def _residual(blocks, norms, X):
     return R, _norm_inf(R), n_pm + n_pp * nx + nx * n_mm + nx * n_mp * nx
 
 
-def _residual_error(res, s):
-    return RiccatiError(f"Riccati residual {res:.3e} exceeds 1e-12 of the "
-                        f"term scale at s={s}")
-
-
 def _newton_refine(blocks, X, s):
     App, Apm, Amp, Amm = blocks
     norms = tuple(_norm_inf(B) for B in (Apm, App, Amm, Amp))
@@ -266,7 +263,9 @@ def _newton_refine(blocks, X, s):
         if k >= 1 and res <= 1e-12 * scale:
             return X
         if k == NEWTON_STEPS or not np.isfinite(res):
-            raise _residual_error(res, s)
+            raise RiccatiError(
+                f"Riccati residual {res:.3e} exceeds 1e-12 of the term scale "
+                f"at s={s}")
         try:
             delta = _solve_sylvester(App + X @ Amp, Amm + Amp @ X, -R)
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -308,14 +307,14 @@ def _sorted_solve(Hs, ss, dm):
 
     A node's eigenvalues are sorted by real part, the spectral-gap check
     asks for a gap after the first dm, and X0 = V_bot T^{-1} comes from
-    the eigenvectors V = [T; V_bot] of those dm eigenvalues mu.  Newton
-    steps follow, with the gate of :func:`_newton_refine`: at least one,
-    at most NEWTON_STEPS.  They run in the eigenbasis: B = A_mm + A_mp X0
-    is T diag(mu) T^{-1}, so the step A D + D B = -R, A = A_pp + X A_mp,
-    is (A + mu_j I) Y_j = -(R T)_j with D = Y T^{-1}, one stacked solve
-    for the nodes still stepping (:func:`_solve_sylvester_eig`).  A later
-    step, rarely needed, keeps that B: it is then off by A_mp (X - X0),
-    of the size of the first correction, so the steps still converge.
+    the eigenvectors V = [T; V_bot] of those dm eigenvalues mu.  One
+    Newton step follows, in the eigenbasis: B = A_mm + A_mp X0 is
+    T diag(mu) T^{-1}, so the step A D + D B = -R, A = A_pp + X0 A_mp, is
+    (A + mu_j I) Y_j = -(R T)_j with D = Y T^{-1}, one stacked solve for
+    all nodes (:func:`_solve_sylvester_eig`).  A node whose X1 = X0 + D
+    meets the 1e-12 gate of :func:`_newton_refine` returns X1; any other
+    node (a non-finite residual, a failed shifted solve, an unmet gate) is
+    refined from X0 by :func:`_newton_refine`, as it would be alone.
 
     This is the minimal solution for Re(s) >= 0; for Re(s) < 0 the sorted
     selection can silently pick a different branch than the analytic
@@ -340,42 +339,24 @@ def _sorted_solve(Hs, ss, dm):
             out[i] = RiccatiError(f"singular subspace basis at s={ss[i]}: "
                                   f"{exc}")
     ok = np.array([exc is None for exc in errors], dtype=bool)
-    nodes, X = nodes[ok], V[ok, dm:] @ Tinv[ok]
+    nodes, T, Tinv, mu = nodes[ok], V[ok, :dm], Tinv[ok], mu[ok]
+    X0 = V[ok, dm:] @ Tinv
     blocks = _riccati_blocks(Hs[nodes], dm)
     App, Apm, Amp, Amm = blocks
-    # per node: the four blocks, their norms, then T, T^{-1} and mu
-    fixed = (blocks + tuple(_norm_inf(B) for B in (Apm, App, Amm, Amp))
-             + (V[ok, :dm], Tinv[ok], mu[ok]))
-    for k in range(NEWTON_STEPS + 1):
-        R, res, scale = _residual(fixed[:4], fixed[4:8], X)
-        done = res <= 1e-12 * scale if k else np.zeros(len(nodes), bool)
-        failed = ~done & ((k == NEWTON_STEPS) | ~np.isfinite(res))
-        for j in np.flatnonzero(done):
-            out[nodes[j]] = X[j]
-        for j in np.flatnonzero(failed):
-            out[nodes[j]] = _residual_error(res[j], ss[nodes[j]])
-        # always copies, so that a node's arrays are laid out alike
-        # whichever nodes share its stack
-        go = ~(done | failed)
-        if not go.any():
-            return out
-        nodes, X, R = nodes[go], X[go], R[go]
-        fixed = tuple(v[go] for v in fixed)
-        App, Apm, Amp, Amm, *_, T, Tinv, mu = fixed
-        A = App + X @ Amp
-        Y, errors = _each_node(_solve_sylvester_eig, A, mu, -(R @ T))
-        # as in _solve_sylvester, a non-finite A or A_mm + A_mp X fails
-        stepped = (np.isfinite(A).all(axis=(1, 2))
-                   & np.isfinite(Amm + Amp @ X).all(axis=(1, 2)))
-        for j, exc in enumerate(errors):
-            if not stepped[j]:
-                exc = "array must not contain infs or NaNs"
-            if exc is not None:
-                out[nodes[j]] = RiccatiError(
-                    f"Newton step failed at s={ss[nodes[j]]}: {exc}")
-                stepped[j] = False
-        nodes, X = nodes[stepped], (X + Y @ Tinv)[stepped]
-        fixed = tuple(v[stepped] for v in fixed)
+    norms = tuple(_norm_inf(B) for B in (Apm, App, Amm, Amp))
+    R = _residual(blocks, norms, X0)[0]
+    Y, _ = _each_node(_solve_sylvester_eig, App + X0 @ Amp, mu, -(R @ T))
+    X1 = X0 + Y @ Tinv
+    _, res, scale = _residual(blocks, norms, X1)
+    for j, i in enumerate(nodes):
+        if res[j] <= 1e-12 * scale[j]:
+            out[i] = X1[j]
+            continue
+        try:
+            out[i] = _newton_refine(tuple(B[j] for B in blocks), X0[j], ss[i])
+        except RiccatiError as exc:
+            out[i] = exc
+    return out
 
 
 def _continue_arc(model, s, H):
@@ -412,12 +393,13 @@ def solve_psi(model, s):
     C^{-1}(Q - sI) partitioned by rate sign, C = diag(|r_i|).  For
     Re(s) >= 0 the solution comes from the invariant subspace of
     H(s) = diag(r)^{-1}(sI - Q) = [[A_mm, A_mp], [-A_pm, -A_pp]] (states
-    ordered minus-first) for the d- eigenvalues of smallest real part,
-    refined by Newton steps: at least one and at most NEWTON_STEPS,
-    stopping once the residual is within 1e-12 of the scale of the
-    equation's terms, else RiccatiError.  Each step solves its Sylvester
-    equation in the eigenbasis of that subspace, column by column
-    (:func:`_sorted_solve`).
+    ordered minus-first) for the d- eigenvalues of smallest real part.
+    One Newton step follows, its Sylvester equation solved in the
+    eigenbasis of that subspace, column by column (:func:`_sorted_solve`).
+    If that does not bring the residual within 1e-12 of the scale of the
+    equation's terms, the subspace solution is refined by Bartels-Stewart
+    Newton steps instead: at least one and at most NEWTON_STEPS, stopping
+    once the residual meets that gate, else RiccatiError.
 
     For Re(s) < 0 that splitting no longer tracks the analytic continuation
     of psi_hat.  The sorted solve is then taken at z0 = +-i|s|, where the
@@ -441,9 +423,10 @@ def sweep_psi(model, ss):
 
     H(s) is formed for all nodes at once, and the nodes with Re s >= 0
     are solved as one stack (:func:`_sorted_solve`): one eigen-solve, the
-    subspace split with its spectral-gap check, and Newton steps that are
-    one stacked solve each, with the same values as solving each node
-    alone.
+    subspace split with its spectral-gap check, and one Newton step, one
+    stacked solve in the eigenbasis.  A node that step does not settle is
+    refined from the subspace solution by :func:`_newton_refine`.  Each
+    node gets the same value as when it is solved alone.
 
     The nodes are split by the sign of Im s (-0.0 counts as negative, as
     in :func:`solve_psi`) and, within each half-plane, taken in order of

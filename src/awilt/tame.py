@@ -101,10 +101,11 @@ def aaa_fit(F, Z, max_order, tol=0.0):
 
     ``F`` holds the target's value at each point of Z, in the order of
     the points (for a TAME build, ``np.exp(Z.points)``).  Preconditions
-    (a ValueError otherwise): Z has at least ``2 * max_order`` points, Z
-    is closed under conjugation, F(conj z) = conj F(z) on Z, and F is
-    finite.  Support points are added at the residual argmax (lowest
-    index on ties); a non-real point is added together with its
+    (a ValueError otherwise): Z has at least ``2 * max_order + 1`` points,
+    since at K support points the least-squares matrix is (|Z| - K) x
+    (K + 1); Z is closed under conjugation; F(conj z) = conj F(z) on Z;
+    and F is finite.  Support points are added at the residual argmax
+    (lowest index on ties); a non-real point is added together with its
     conjugate, and the weights are symmetrised, so the fit is
     conjugate-symmetric.  The loop stops with termination reason
     ``no_room_for_pair`` if a pair is next and only one slot is left.
@@ -117,8 +118,8 @@ def aaa_fit(F, Z, max_order, tol=0.0):
     F = np.asarray(F, dtype=complex)
     if F.shape != pts.shape:
         raise ValueError("F needs one value per point of Z")
-    if len(pts) < 2 * max_order:
-        raise ValueError("need |Z| >= 2 * max_order")
+    if len(pts) < 2 * max_order + 1:
+        raise ValueError("need |Z| >= 2 * max_order + 1")
     partner = _conjugate_partners(pts, F)
     if partner is None:
         raise _NotConjugateSymmetric("Z is not closed under conjugation, or "

@@ -5,7 +5,10 @@ stack: each such node alone, from the eigenvectors of H(s) for its d-
 eigenvalues of smallest real part, then `_newton_refine`, whose every
 step is a Bartels-Stewart Sylvester solve (`_solve_sylvester`).  The
 nodes with Re s < 0 are walked as `sweep_psi` walks them.  The tests
-compare `sweep_psi` with it.
+compare `sweep_psi` with it.  A node that the stacked solve's one
+eigenbasis step does not settle is refined from X0 by `_newton_refine`,
+so for such a node the reference is also the exact value, or error, that
+`sweep_psi` must give.
 """
 
 import math
@@ -21,9 +24,13 @@ def sorted_psi(model, s, refine=None):
     """The sorted solve at one s with Re(s) >= 0: the invariant subspace
     of H(s) for its d- eigenvalues of smallest real part, then
     refine(blocks, X, s), by default `queueing._newton_refine`."""
+    return sorted_node(_hamiltonian(model)([s])[0], s, model.d_minus, refine)
+
+
+def sorted_node(H, s, dm, refine=None):
+    """`sorted_psi` from H = H(s), whose first dm states are the minus
+    states."""
     refine = refine or queueing._newton_refine
-    dm = model.d_minus
-    H = _hamiltonian(model)([s])[0]
     vals, vecs = np.linalg.eig(H)
     order = np.argsort(vals.real, kind="stable")
     spread = max(float(vals.real.max() - vals.real.min()), 1.0)

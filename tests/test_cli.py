@@ -72,6 +72,18 @@ class TestGen:
         assert "not symmetric" in err["message"]
         assert not (tmp_path / "x.json").exists()
 
+    def test_tame_grid_too_small(self, tmp_path, capsys):
+        # 20 points are one too few for a budget of 10 support points
+        code, _, stderr = run(capsys, "gen", "--method", "tame",
+                              "--nprime", "5", "--domain", "rseg:4",
+                              "--count", "20", "--out",
+                              str(tmp_path / "x.json"))
+        assert code == 2
+        assert json.loads(stderr) == {
+            "error": "ValueError",
+            "message": "need |Z| >= 2 * max_order + 1"}
+        assert not (tmp_path / "x.json").exists()
+
     def test_tame_requires_domain(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "gen", "--method", "tame",
                               "--nprime", "5", "--out",
@@ -213,6 +225,18 @@ class TestInvert:
                          "--t", "1", "--t-grid", "1:2:2")
         assert code == 2
 
+    @pytest.mark.parametrize("grid,message", [
+        ("0.1:1", "bad t-grid '0.1:1': expected a:b:n"),
+        ("0.1:1:0", "t-grid needs at least one point"),
+    ])
+    def test_bad_t_grid(self, euler_params, capsys, grid, message):
+        code, stdout, stderr = run(capsys, "invert", "--params", euler_params,
+                                   "--transform", "builtin:exp_sum:c=1,a=-1",
+                                   "--t-grid", grid)
+        assert code == 2 and stdout == ""
+        assert json.loads(stderr) == {"error": "ValueError",
+                                      "message": message}
+
     def test_bad_transform_spec(self, euler_params, capsys):
         code, _, _ = run(capsys, "invert", "--params", euler_params,
                          "--transform", "builtin:nope", "--t", "1")
@@ -340,6 +364,17 @@ class TestDiag:
         code, _, _ = run(capsys, "diag", "--params", zakian_params,
                          "--bounds", "zz:eps=1")
         assert code == 2
+
+    @pytest.mark.parametrize("spec,message", [
+        ("se:eps", "bad key=value pair 'eps'"),
+        ("se:eps=1,zz=2", "unknown se bound arguments ['zz']"),
+    ])
+    def test_bad_bound_arguments(self, zakian_params, capsys, spec, message):
+        code, stdout, stderr = run(capsys, "diag", "--params", zakian_params,
+                                   "--bounds", spec)
+        assert code == 2 and stdout == ""
+        assert json.loads(stderr) == {"error": "ValueError",
+                                      "message": message}
 
 
 class TestFluid:

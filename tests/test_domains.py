@@ -66,6 +66,8 @@ class TestGeometry:
         with pytest.raises(ValueError):
             RealSegment(-1.0)
         with pytest.raises(ValueError):
+            ImagSegment(0.0)
+        with pytest.raises(ValueError):
             Rectangle(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             Rectangle(1.0, 1.0, 0.0, 0.0)
@@ -289,6 +291,15 @@ class TestSelectDomain:
             select_domain("nope", r=1.0)
         with pytest.raises(ValueError):
             select_domain("fluid_queue", lam=1.0)
+
+    @pytest.mark.parametrize("problem_class,kwargs", [
+        ("matrix_exponential", {"d": 5}),
+        ("laplace_stieltjes", {"L": 0.0}),
+        ("generic", {}),
+    ])
+    def test_missing_or_bad_arguments(self, problem_class, kwargs):
+        with pytest.raises(ValueError, match=f"{problem_class} needs"):
+            select_domain(problem_class, **kwargs)
 
 
 class TestSerialization:

@@ -621,29 +621,58 @@ class TestSweepPsi:
                               complex(0.0, 0.0)])
 
     def test_later_steps_converge(self, monkeypatch):
-        # a first step off by 1e-6 leaves the gate unmet, so the nodes
-        # take more steps, each keeping B = T diag(mu) T^-1 of X0
+        # a first step off by 1e-6 leaves the gate unmet, so each node is
+        # refined from X0 by _newton_refine, as the reference refines it
         model = make_experiment_model(3, 4, seed=2)
         ss = [complex(b) / 2.0 for b in to_full(talbot_method(16)).nodes
               if complex(b).real >= 0]
         want = psi_reference.sweep_psi(model, ss)
-        sizes = []
+        solve = queueing._solve_sylvester_eig
+        monkeypatch.setattr(queueing, "_solve_sylvester_eig",
+                            lambda a, mu, q: solve(a, mu, q) + 1e-6)
+        for s, X, ref in zip(ss, sweep_psi(model, ss), want):
+            assert X.tobytes() == ref.tobytes(), s
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("spoil", [1e-6, np.nan])
+    def test_unsettled_nodes_get_the_reference(self, monkeypatch, spoil):
+        # node 0 is solved as it is alone; node 1's X0 residual overflows;
+        # node 2's eigenbasis step is spoiled, by 1e-6 (an unmet gate) or
+        # NaN (a failed shifted solve).  Nodes 1 and 2 are refined from X0
+        # by _newton_refine, and so get what the per-node reference gives.
+        huge = 0.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+        H = _hamiltonian(_scalar_model(1.0, 2.0))
+        Hs = np.array([H([1.0])[0], huge, H([2.0 + 1.0j])[0]])
+        ss = [1.0, 3.0, 2.0 + 1.0j]
+        lone = solve_psi(_scalar_model(1.0, 2.0), 1.0)
         solve = queueing._solve_sylvester_eig
 
-        def spoiled_first_step(a, mu, q):
-            sizes.append(len(a))
-            return solve(a, mu, q) + (1e-6 if len(sizes) == 1 else 0.0)
+        def spoiled_step(a, mu, q):
+            y = solve(a, mu, q)
+            y[2] += spoil
+            return y
 
-        monkeypatch.setattr(queueing, "_solve_sylvester_eig",
-                            spoiled_first_step)
-        got = sweep_psi(model, ss)
-        assert sizes[:2] == [len(ss), len(ss)]
-        assert len(sizes) <= 4
-        for s, X, ref in zip(ss, got, want):
-            nx = np.linalg.norm(ref, np.inf)
-            tol = 1e-10 * max(1.0, nx) * max(1.0,
-                                             _condition(model, s, ref) / 50)
-            assert np.max(np.abs(X - ref)) <= tol, s
+        monkeypatch.setattr(queueing, "_solve_sylvester_eig", spoiled_step)
+        got = queueing._sorted_solve(Hs, ss, 1)
+        assert got[0].tobytes() == lone.tobytes()
+        with pytest.raises(RiccatiError, match="Riccati residual nan") as info:
+            psi_reference.sorted_node(huge, ss[1], 1)
+        assert type(got[1]) is RiccatiError
+        assert str(got[1]) == str(info.value)
+        want = psi_reference.sorted_node(Hs[2], ss[2], 1)
+        assert got[2].tobytes() == want.tobytes()
+
+    def test_defective_cluster_fails_as_the_reference(self):
+        # on the 10-state cycle, the six eigenvalues of H(s) near -1 at
+        # s = 738.1i have nearly parallel eigenvectors (cond T = 2.4e34):
+        # the eigenbasis step leaves the gate unmet, and the refinement
+        # from X0 raises as the reference's does (steps that kept the B
+        # of X0 passed the gate with entries of X up to 1.6e15)
+        model = _structured_model("cycle", 4, 6)
+        s = 738.1060695286759j
+        _assert_matches_reference(model, [s])
+        with pytest.raises(RiccatiError, match="Riccati residual"):
+            solve_psi(model, s)
 
     def test_singular_subspace_basis_fails_its_node_only(self):
         # the eigenvector of -1 is (0, 1), so its minus part T is 0; the

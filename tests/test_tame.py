@@ -159,9 +159,15 @@ class TestAAAFit:
         _, report = aaa_fit(np.exp(Z.points), Z, max_order=3, tol=0.0)
         assert report.termination in ("no_room_for_pair", "max_order")
 
-    def test_rejects_small_grid(self):
-        Z = discretize(Disc(complex(0.0), 1.0), 10)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("dom,count", [
+        (Disc(complex(0.0), 1.0), 10),
+        # 2 * max_order points leave 10 rows for 11 unknowns at the end
+        (RealSegment(4.0), 20),
+    ])
+    def test_rejects_small_grid(self, dom, count):
+        Z = discretize(dom, count)
+        with pytest.raises(ValueError, match=r"need \|Z\| >= 2 \* max_order"
+                                             r" \+ 1"):
             aaa_fit(np.exp(Z.points), Z, max_order=10)
 
     @pytest.mark.parametrize("target,dom", [
