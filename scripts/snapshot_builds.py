@@ -78,7 +78,9 @@ FLUID_MODELS = {
         GeneratorMatrix(np.roll(np.eye(10), 1, axis=1) - np.eye(10)),
         np.array([1.0] * 4 + [-1.0] * 6)),
 }
-FLUID_TS = (1.0, 3.0, 10.0, 30.0)
+#: t = 0.3 puts two Talbot-24 nodes of the cycle, s = -731.79 +- 96.34i,
+#: where its tracked eigenvectors are nearly parallel: they are warm started
+FLUID_TS = (0.3, 1.0, 3.0, 10.0, 30.0)
 FLUID_METHODS = ("talbot:24", "euler:15", "tame")
 #: classical methods for the diagnostics, as (method, N') of `aw gen`;
 #: Zakian at every n = 1..20 pins its polished roots and residues

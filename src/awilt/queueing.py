@@ -3,23 +3,26 @@
 The fluid-queue first-return density transform psi_hat(s) is the minimal
 solution of a nonsymmetric algebraic Riccati equation.  For Re(s) >= 0 it
 comes from the stable invariant subspace of H(s) = diag(r)^{-1}(sI - Q),
-the states ordered minus-first; for Re(s) < 0 that solution is continued
-along an arc of constant |s| (see :func:`solve_psi`).  Every solve ends in
-Newton refinement, which stops once the residual is within 1e-12 of the
-scale of the equation's terms.  A node with Re(s) >= 0 takes one Newton
-step in the eigenbasis of the subspace, one stacked np.linalg.solve for
-all such nodes.  Any node that step does not settle is refined from the
-subspace solution by :func:`_newton_refine`, as every point with
-Re(s) < 0 is: at least one and at most NEWTON_STEPS steps, each a
-Sylvester solve by LAPACK gees and trsyl (Bartels-Stewart).
+the states ordered minus-first; for Re(s) < 0 it is the solution
+continued from there (see :func:`solve_psi`).  Every solve ends in Newton
+refinement, which stops once the residual is within 1e-12 of the scale
+of the equation's terms.
 
 Nodes are solved as a set (:func:`sweep_psi`; :func:`solve_psi` is the
-set of one).  H(s) is formed for all of them at once, and the nodes with
-Re(s) >= 0 are solved as one stack, from one stacked eigen-solve.  Taken
-in order of |arg s| within each half-plane, a node with Re(s) < 0 starts
-Newton from the solution at the node before it, and takes the arc only
-when it has none or that Newton fails.  Phase-type transforms solve
-(sI - Q) at all nodes of a t-grid in one stacked call.
+set of one), taken in order of |arg s| within each half-plane.  H(s) is
+formed for all of them at once, and one stacked eigen-solve selects
+each node's invariant subspace: by the real parts of the eigenvalues at
+Re(s) >= 0, and at Re(s) < 0 by nearness to the subspace the node before
+it selected.  From those subspaces every node takes one Newton step in
+the eigenbasis, one stacked np.linalg.solve for all nodes.  A node with
+Re(s) >= 0 that this step does not settle is refined from its subspace
+solution by :func:`_newton_refine`: at least one and at most NEWTON_STEPS
+steps, each a Sylvester solve by LAPACK gees and trsyl (Bartels-Stewart).
+A node with Re(s) < 0 that it does not settle, or whose selection is
+ambiguous, starts that refinement from the solution at the node before
+it, and takes the arc when it has none or that Newton fails.
+Phase-type transforms solve (sI - Q) at all nodes of a t-grid in one
+stacked call.
 """
 
 import cmath
@@ -35,6 +38,10 @@ from .numerics import matrix_exponential
 
 #: relative eigenvalue gap below which the sorted subspace split is ambiguous
 GAP_RTOL = 1e-8
+#: at Re(s) < 0, the choice of the d- eigenvectors nearest to the tracked
+#: subspace is ambiguous unless the d-th distance is below this share of the
+#: (d+1)-th
+TRACK_RATIO = 0.5
 #: the continuation's step count beyond which step halving gives up
 MAX_ARC_STEPS = 4096
 #: Newton (Sylvester) steps beyond which a Riccati refinement gives up
@@ -256,6 +263,17 @@ def _residual(blocks, norms, X):
 
 
 def _newton_refine(blocks, X, s):
+    """Newton steps on the NARE from X at one s, each a Bartels-Stewart
+    Sylvester solve: at least one and at most NEWTON_STEPS, stopping once
+    the residual is within 1e-12 of the scale of the terms
+    (:func:`_residual`), else RiccatiError.
+
+    That gate bounds the backward error only.  The forward error can reach
+    about 1e-12 kappa, kappa the term scale over the separation of the
+    Newton (Sylvester) operator, which grows near branch points of psi_hat
+    at Re(s) < 0.  Two solutions that both pass the gate, from different
+    starts, can differ by as much.
+    """
     App, Apm, Amp, Amm = blocks
     norms = tuple(_norm_inf(B) for B in (Apm, App, Amm, Amp))
     for k in range(NEWTON_STEPS + 1):
@@ -300,42 +318,82 @@ def _each_node(f, *stacks):
     return out, errors
 
 
-def _sorted_solve(Hs, ss, dm):
-    """The sorted solve of each node s of ss, Re(s) >= 0, from H(s) along
-    the stack Hs, all nodes as one stack.  Returns, per node, its solution
-    or the error it raises; each is what solving the node alone gives.
+def _track(U, V, dm):
+    """The indices of the dm columns of V (unit eigenvectors) nearest to
+    the span of the columns of U, or None if that choice is ambiguous: if
+    the dm-th of the distances is not below TRACK_RATIO times the
+    (dm+1)-th."""
+    Q = np.linalg.qr(U)[0]
+    dist = np.linalg.norm(V - Q @ (Q.conj().T @ V), axis=0)
+    order = np.argsort(dist, kind="stable")
+    if dist[order[dm - 1]] < TRACK_RATIO * dist[order[dm]]:
+        return order[:dm]
+    return None
 
-    A node's eigenvalues are sorted by real part, the spectral-gap check
-    asks for a gap after the first dm, and X0 = V_bot T^{-1} comes from
-    the eigenvectors V = [T; V_bot] of those dm eigenvalues mu.  One
-    Newton step follows, in the eigenbasis: B = A_mm + A_mp X0 is
-    T diag(mu) T^{-1}, so the step A D + D B = -R, A = A_pp + X0 A_mp, is
-    (A + mu_j I) Y_j = -(R T)_j with D = Y T^{-1}, one stacked solve for
-    all nodes (:func:`_solve_sylvester_eig`).  A node whose X1 = X0 + D
-    meets the 1e-12 gate of :func:`_newton_refine` returns X1; any other
-    node (a non-finite residual, a failed shifted solve, an unmet gate) is
-    refined from X0 by :func:`_newton_refine`, as it would be alone.
 
-    This is the minimal solution for Re(s) >= 0; for Re(s) < 0 the sorted
-    selection can silently pick a different branch than the analytic
-    continuation, so :func:`sweep_psi` does not use it there.
+def _select(vals, vecs, ss, halves, dm):
+    """Each node's dm eigenvectors, as indices into the eigen-solve
+    (vals, vecs) of H(s) along the stack, the nodes of each half of
+    halves taken in its order.
+
+    A node with Re(s) >= 0 takes the eigenvalues of smallest real part,
+    or gets SpectralGapError if no gap follows them.  A node with
+    Re(s) < 0 tracks the node before it: it takes the eigenvectors
+    nearest to the subspace that node took (:func:`_track`).  It gets
+    None if its choice is ambiguous or the node before it took none (it
+    is the first of its half, or got None itself).  The sorted split gives
+    the minimal solution only for Re(s) >= 0; at Re(s) < 0 it can pick
+    another branch than the continuation.
     """
-    out = [None] * len(ss)
-    vals, vecs = np.linalg.eig(Hs)
     order = np.argsort(vals.real, axis=-1, kind="stable")
     re = np.take_along_axis(vals.real, order, axis=-1)
     gap = re[:, dm] - re[:, dm - 1]
     live = gap > GAP_RTOL * np.maximum(re[:, -1] - re[:, 0], 1.0)
-    for i in np.flatnonzero(~live):
-        out[i] = SpectralGapError(f"ambiguous eigenvalue splitting at "
-                                  f"s={ss[i]}: gap {gap[i]:.3e}")
-    nodes = np.flatnonzero(live)
-    sel = order[nodes, :dm]
-    mu = np.take_along_axis(vals[nodes], sel, axis=-1)
-    V = np.take_along_axis(vecs[nodes], sel[:, None, :], axis=-1)
+    sel = [None] * len(ss)
+    for half in halves:
+        for prev, k in zip([None] + half, half):
+            if ss[k].real >= 0 and live[k]:
+                sel[k] = order[k, :dm]
+            elif ss[k].real >= 0:
+                sel[k] = SpectralGapError(f"ambiguous eigenvalue splitting "
+                                          f"at s={ss[k]}: gap {gap[k]:.3e}")
+            elif prev is not None and isinstance(sel[prev], np.ndarray):
+                sel[k] = _track(vecs[prev][:, sel[prev]], vecs[k], dm)
+    return sel
+
+
+def _stacked_solve(Hs, ss, dm, halves):
+    """Each node s of ss from its eigenvectors of H(s) along the stack Hs,
+    all nodes as one stack.  Returns, per node, its solution, the error
+    it raises, or None: a node with Re(s) < 0 that this does not settle.
+
+    One eigen-solve gives each node's dm eigenvalues mu and eigenvectors
+    V = [T; V_bot] (:func:`_select`, which walks halves), and
+    X0 = V_bot T^{-1}.  One Newton step follows, in the eigenbasis:
+    B = A_mm + A_mp X0 is T diag(mu) T^{-1}, so the step A D + D B = -R,
+    A = A_pp + X0 A_mp, is (A + mu_j I) Y_j = -(R T)_j with D = Y T^{-1},
+    one stacked solve for all nodes (:func:`_solve_sylvester_eig`).  A
+    node whose X1 = X0 + D meets the 1e-12 gate of :func:`_newton_refine`
+    returns X1.
+
+    Any other node with Re(s) >= 0 (a non-finite residual, a failed
+    shifted solve, an unmet gate) is refined from X0 by
+    :func:`_newton_refine`, as it would be alone, and a singular T raises
+    RiccatiError: so each such node gets what solving it alone gives.  A
+    node with Re(s) < 0 gets None instead, as it does for a singular T or
+    no selection; :func:`sweep_psi` then warm starts it.
+    """
+    vals, vecs = np.linalg.eig(Hs)
+    sel = _select(vals, vecs, ss, halves, dm)
+    out = [c if isinstance(c, Exception) else None for c in sel]
+    nodes = np.array([i for i, choice in enumerate(sel)
+                      if isinstance(choice, np.ndarray)], dtype=int)
+    idx = np.array([sel[i] for i in nodes], dtype=int).reshape(-1, dm)
+    mu = np.take_along_axis(vals[nodes], idx, axis=-1)
+    V = np.take_along_axis(vecs[nodes], idx[:, None, :], axis=-1)
     Tinv, errors = _each_node(np.linalg.inv, V[:, :dm])
     for i, exc in zip(nodes, errors):
-        if exc is not None:
+        if exc is not None and ss[i].real >= 0:
             out[i] = RiccatiError(f"singular subspace basis at s={ss[i]}: "
                                   f"{exc}")
     ok = np.array([exc is None for exc in errors], dtype=bool)
@@ -351,11 +409,12 @@ def _sorted_solve(Hs, ss, dm):
     for j, i in enumerate(nodes):
         if res[j] <= 1e-12 * scale[j]:
             out[i] = X1[j]
-            continue
-        try:
-            out[i] = _newton_refine(tuple(B[j] for B in blocks), X0[j], ss[i])
-        except RiccatiError as exc:
-            out[i] = exc
+        elif ss[i].real >= 0:
+            try:
+                out[i] = _newton_refine(tuple(B[j] for B in blocks), X0[j],
+                                        ss[i])
+            except RiccatiError as exc:
+                out[i] = exc
     return out
 
 
@@ -395,7 +454,7 @@ def solve_psi(model, s):
     H(s) = diag(r)^{-1}(sI - Q) = [[A_mm, A_mp], [-A_pm, -A_pp]] (states
     ordered minus-first) for the d- eigenvalues of smallest real part.
     One Newton step follows, its Sylvester equation solved in the
-    eigenbasis of that subspace, column by column (:func:`_sorted_solve`).
+    eigenbasis of that subspace, column by column (:func:`_stacked_solve`).
     If that does not bring the residual within 1e-12 of the scale of the
     equation's terms, the subspace solution is refined by Bartels-Stewart
     Newton steps instead: at least one and at most NEWTON_STEPS, stopping
@@ -421,21 +480,28 @@ def solve_psi(model, s):
 def sweep_psi(model, ss):
     """psi_hat at each s of one node set.
 
-    H(s) is formed for all nodes at once, and the nodes with Re s >= 0
-    are solved as one stack (:func:`_sorted_solve`): one eigen-solve, the
-    subspace split with its spectral-gap check, and one Newton step, one
-    stacked solve in the eigenbasis.  A node that step does not settle is
-    refined from the subspace solution by :func:`_newton_refine`.  Each
-    node gets the same value as when it is solved alone.
-
     The nodes are split by the sign of Im s (-0.0 counts as negative, as
     in :func:`solve_psi`) and, within each half-plane, taken in order of
-    |arg s|.  A node with Re s < 0 starts the Newton refinement from its
-    predecessor's solution in that order, with the same 1e-12 residual
-    gate, and gets :func:`solve_psi`'s arc if it has no predecessor or
-    that Newton raises RiccatiError.  Returns the list of solutions in the
-    order of ss.  A node that fails raises its error; of several, the
-    first in that walk (upper half-plane first) is raised.
+    |arg s|: first those with Re s >= 0, then those with Re s < 0.  H(s)
+    is formed for all nodes at once, and all are solved as one stack
+    (:func:`_stacked_solve`) from one eigen-solve.  A node with Re s >= 0
+    takes the subspace split with its spectral-gap check, and gets the
+    same value as when it is solved alone.  A node with Re s < 0 tracks
+    the node before it in that order: it takes the d- eigenvectors of
+    H(s) nearest to the subspace that node took, so that one stacked
+    eigenbasis Newton step, with the 1e-12 residual gate, follows the
+    branch from the sorted nodes to it.
+
+    A node with Re s < 0 that this does not settle (an ambiguous
+    selection, a singular subspace basis, an unmet gate) starts the
+    Newton refinement (:func:`_newton_refine`) from the solution at the
+    node before it, with the same gate, and gets :func:`solve_psi`'s arc
+    if it has none or that Newton raises RiccatiError.  The gate bounds
+    the backward error only, so a tracked solution can be as far from
+    the warm-started one as that allows: about 1e-12 of the term scale
+    over the separation of the Newton operator.  Returns the list of
+    solutions in the order of ss.  A node that fails raises its error; of
+    several, the first in that walk (upper half-plane first) is raised.
     """
     ss = [complex(s) for s in ss]
     H = _hamiltonian(model)
@@ -448,18 +514,16 @@ def sweep_psi(model, ss):
     halves = [sorted(half, key=lambda k: abs(math.atan2(ss[k].imag,
                                                        ss[k].real)))
               for half in halves]
-    right = [k for half in halves for k in half if ss[k].real >= 0]
-    solved = dict(zip(right, _sorted_solve(Hs[right], [ss[k] for k in right],
-                                           dm)))
+    solved = _stacked_solve(Hs, ss, dm, halves)
     out = [None] * len(ss)
     for half in halves:
         X = None
         for k in half:
             s = ss[k]
-            if s.real >= 0:
+            if isinstance(solved[k], Exception):
+                raise solved[k]
+            if solved[k] is not None:
                 X = solved[k]
-                if isinstance(X, Exception):
-                    raise X
             elif X is None:
                 X = _continue_arc(model, s, H)
             else:

@@ -1,11 +1,13 @@
 """Reference for the sorted Riccati solve of a node set (Re s >= 0).
 
-`sweep_psi` as it was before its Re s >= 0 nodes were solved as one
-stack: each such node alone, from the eigenvectors of H(s) for its d-
+`sweep_psi` as it was before its nodes were solved as one stack: each
+Re s >= 0 node alone, from the eigenvectors of H(s) for its d-
 eigenvalues of smallest real part, then `_newton_refine`, whose every
-step is a Bartels-Stewart Sylvester solve (`_solve_sylvester`).  The
-nodes with Re s < 0 are walked as `sweep_psi` walks them.  The tests
-compare `sweep_psi` with it.  A node that the stacked solve's one
+step is a Bartels-Stewart Sylvester solve (`_solve_sylvester`).  Each
+Re s < 0 node is refined from the solution at the node before it in the
+walk, or continued along the arc: what `sweep_psi` does for the nodes
+its tracked subspaces do not settle.  The tests compare `sweep_psi`
+with it.  A node that the stacked solve's one
 eigenbasis step does not settle is refined from X0 by `_newton_refine`,
 so for such a node the reference is also the exact value, or error, that
 `sweep_psi` must give.

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -653,7 +654,7 @@ class TestSweepPsi:
             return y
 
         monkeypatch.setattr(queueing, "_solve_sylvester_eig", spoiled_step)
-        got = queueing._sorted_solve(Hs, ss, 1)
+        got = queueing._stacked_solve(Hs, ss, 1, [[0, 1, 2]])
         assert got[0].tobytes() == lone.tobytes()
         with pytest.raises(RiccatiError, match="Riccati residual nan") as info:
             psi_reference.sorted_node(huge, ss[1], 1)
@@ -679,8 +680,8 @@ class TestSweepPsi:
         # other node of the stack is solved as it is alone
         bad = np.array([[2.0, 0.0], [1.0, -1.0]], dtype=complex)
         good = _hamiltonian(_scalar_model())([1.0])[0]
-        error, X = queueing._sorted_solve(np.array([bad, good]), [2j, 1.0],
-                                          1)
+        error, X = queueing._stacked_solve(np.array([bad, good]), [2j, 1.0],
+                                           1, [[1, 0]])
         assert isinstance(error, RiccatiError)
         assert str(error) == "singular subspace basis at s=2j: Singular matrix"
         assert X.tobytes() == solve_psi(_scalar_model(), 1.0).tobytes()
@@ -693,12 +694,22 @@ class TestSweepPsi:
         assert np.max(np.abs(X - solve_psi(model, 2.0))) <= 1e-15
 
     def test_failed_warm_start_falls_back_to_the_arc(self, monkeypatch):
+        # the tracked step and then the warm start fail at every Re s < 0
+        # node, so each gets the arc, as it does alone
         model = make_experiment_model(5, 10, seed=1)
         m = to_full(talbot_method(24))
         ss = [complex(b) / 3.0 for b in m.nodes]
         want = [solve_psi(model, s) for s in ss]
-        refine = queueing._newton_refine
-        forced = []
+        stacked, refine = queueing._stacked_solve, queueing._newton_refine
+        unsettled, forced = [], []
+
+        def failing_tracked_step(Hs, ss, dm, halves):
+            out = stacked(Hs, ss, dm, halves)
+            for i, s in enumerate(ss):
+                if s.real < 0 and out[i] is not None:
+                    unsettled.append(s)
+                    out[i] = None
+            return out
 
         def failing_warm_start(blocks, X, s):
             # the refinements sweep_psi itself makes are the warm starts
@@ -707,12 +718,106 @@ class TestSweepPsi:
                 raise RiccatiError(f"forced failure at s={s}")
             return refine(blocks, X, s)
 
+        monkeypatch.setattr(queueing, "_stacked_solve", failing_tracked_step)
         monkeypatch.setattr(queueing, "_newton_refine", failing_warm_start)
         got = sweep_psi(model, ss)
         # each Re s < 0 node has a predecessor: Talbot starts at Re s > 0
-        assert len(forced) == sum(s.real < 0 for s in ss)
+        left = [s for s in ss if s.real < 0]
+        assert sorted(unsettled, key=ss.index) == left
+        assert sorted(forced, key=ss.index) == left
         for X, ref in zip(got, want):
             assert np.array_equal(X, ref)
+
+    def test_defective_cluster_takes_the_warm_start(self, monkeypatch):
+        # Talbot-24 at t = 0.3 on the 10-state cycle: at s = -731.79
+        # +- 96.34i the six tracked eigenvectors are nearly parallel
+        # (cond T = 2.4e34), the eigenbasis step misses the gate, and
+        # these two nodes alone are warm started
+        model = _structured_model("cycle", 4, 6)
+        ss = [complex(b) / 0.3 for b in to_full(talbot_method(24)).nodes]
+        refine = queueing._newton_refine
+        warm = []
+
+        def spy(blocks, X, s):
+            if sys._getframe(1).f_code is sweep_psi.__code__:
+                warm.append(s)
+            return refine(blocks, X, s)
+
+        monkeypatch.setattr(queueing, "_newton_refine", spy)
+        _assert_matches_reference(model, ss)
+        assert sorted(warm, key=lambda s: s.imag) == [
+            complex(-731.7914697830261, -96.342174710087),
+            complex(-731.7914697830261, 96.342174710087)]
+
+    def test_ambiguous_selection_takes_the_warm_start(self, sylvester_calls):
+        # H(-1) of the symmetric scalar model is real with eigenvalues +-i:
+        # its two eigenvectors are conjugate, so equally far from the real
+        # one H(0.5) selects, and s = -1 is warm started from s = 0.5
+        model = _scalar_model(1.0, 1.0)
+        vals, vecs = np.linalg.eig(_hamiltonian(model)([0.5, -1.0]))
+        assert queueing._select(vals, vecs, [0.5, -1.0 + 0j], [[0, 1]],
+                                1)[1] is None
+        X = sweep_psi(model, [0.5, complex(-1.0, 0.0)])[1]
+        assert len(sylvester_calls) >= 1
+        assert abs(X - solve_psi(model, complex(-1.0, 0.0))).max() <= 1e-12
+
+    def test_singular_tracked_basis_is_left_to_the_warm_start(self):
+        # the Re s < 0 node tracks the eigenvector (-0.05, 1) of the node
+        # before it to its eigenvector (0, 1), whose minus part T is 0
+        before = np.array([[1.0, 0.1], [0.0, -1.0]], dtype=complex)
+        bad = np.array([[2.0, 0.0], [1.0, -1.0]], dtype=complex)
+        X, left = queueing._stacked_solve(np.array([before, bad]),
+                                          [1.0, -1.0 + 1.0j], 1, [[0, 1]])
+        assert left is None
+        alone, = queueing._stacked_solve(before[None], [1.0], 1, [[0]])
+        assert X.tobytes() == alone.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(d_plus=st.integers(1, 5), d_minus=st.integers(1, 5),
+           seed=st.integers(0, 2**16), t=st.floats(0.1, 30.0),
+           m=_NODE_SETS)
+    def test_tracked_eigenvalues_certify_the_warm_start(self, d_plus,
+                                                        d_minus, seed, t, m):
+        # at each Re s < 0 node the tracked path settles, the spectrum of
+        # B = A_mm + A_mp X is the tracked set mu, for X the tracked
+        # solution and for X the warm start from the node before it (the
+        # per-node reference): both are on the branch mu names
+        model = make_experiment_model(d_plus, d_minus, seed)
+        ss = [complex(b) / t for b in m.nodes]
+        select, stacked = queueing._select, queueing._stacked_solve
+        tracked, settled = {}, []
+
+        def select_spy(vals, vecs, ss, halves, dm):
+            sel = select(vals, vecs, ss, halves, dm)
+            tracked.update((k, vals[k][c]) for k, c in enumerate(sel)
+                           if ss[k].real < 0 and isinstance(c, np.ndarray))
+            return sel
+
+        def stacked_spy(*args):
+            out = stacked(*args)
+            settled.extend(k for k, X in enumerate(out)
+                           if k in tracked and isinstance(X, np.ndarray))
+            return out
+
+        with mock.patch.object(queueing, "_select", select_spy), \
+                mock.patch.object(queueing, "_stacked_solve", stacked_spy):
+            got = sweep_psi(model, ss)
+        want = psi_reference.sweep_psi(model, ss)
+        for k in settled:
+            s, mu = ss[k], tracked[k]
+            App, Apm, Amp, Amm = _blocks(model, s)
+            for X in (got[k], want[k]):
+                lam, W = np.linalg.eig(Amm + Amp @ X)
+                dist = np.abs(mu[:, None] - lam[None, :])
+                rows, cols = scipy.optimize.linear_sum_assignment(dist)
+                # a move of X within the gate moves B by ||A_mp|| times as
+                # much, and its eigenvalues by cond(W) times that
+                nx = np.linalg.norm(X, np.inf)
+                tol = (1e-10 * max(1.0, nx)
+                       * max(1.0, _condition(model, s, X) / 50)
+                       * max(1.0, np.linalg.norm(Amp, np.inf))
+                       * np.linalg.cond(W))
+                assert dist[rows, cols].max() <= tol, s
 
     def test_half_planes_split_by_sign_of_imag(self):
         # psi_hat of the scalar model jumps across its cut [-2, 0]; a node
@@ -730,8 +835,9 @@ class TestSweepPsi:
         for transform in fluid_psi_transform(model):
             sylvester_calls.clear()
             invert(talbot_method(24), transform, 1.0)
-            # 144 when each node is solved on its own
-            assert len(sylvester_calls) <= 40
+            # 144 when each node is solved on its own, 44 when the Re s < 0
+            # nodes are warm started
+            assert len(sylvester_calls) == 0
 
     def test_psi_and_Psi_nodes(self):
         model = make_experiment_model(2, 3, seed=4)
