@@ -472,7 +472,10 @@ def solve_psi(model, s):
     itself.  Newton steps on the arc solve their Sylvester equations with
     LAPACK gees and trsyl, as scipy.linalg.solve_sylvester does.
 
-    This is :func:`sweep_psi` of the one node s.
+    This is :func:`sweep_psi` of the one node s.  In a set of nodes, a
+    node with Re(s) < 0 that follows another in the sweep's walk is
+    solved by tracking that node's subspace instead, and falls back to
+    this arc only when that and the warm start from it fail.
     """
     return sweep_psi(model, [s])[0]
 
