@@ -205,13 +205,20 @@ def smallest_singular_vector(A):
     """Unit-norm vector u minimizing ||A u||_2.
 
     A must have at least as many rows as columns and finite entries.
+
+    u is the last right singular vector of the R factor of A = QR (Chan's
+    R-SVD), so Q and the left singular vectors are never formed.  LAPACK's
+    zgesdd factors A by QR first itself when m >= floor(17 n / 9), so
+    from there (in particular for m >= 2n, as in every AAA step of a
+    TAME build) u has the bits of the last right singular vector of a
+    plain SVD of A; below that ratio it agrees to rounding.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
         raise ValueError("need a matrix with rows >= cols")
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite entries")
-    _, _, Vh = np.linalg.svd(A, full_matrices=False)
+    _, _, Vh = np.linalg.svd(np.linalg.qr(A, mode="r"), full_matrices=False)
     return Vh[-1].conj()
 
 

@@ -17,7 +17,7 @@ it selected.  From those subspaces every node takes one Newton step in
 the eigenbasis, one stacked np.linalg.solve for all nodes.  A node with
 Re(s) >= 0 that this step does not settle is refined from its subspace
 solution by :func:`_newton_refine`: at least one and at most NEWTON_STEPS
-steps, each a Sylvester solve by LAPACK gees and trsyl (Bartels-Stewart).
+steps, each a Bartels-Stewart Sylvester solve (scipy's solve_sylvester).
 A node with Re(s) < 0 that it does not settle, or whose selection is
 ambiguous, starts that refinement from the solution at the node before
 it, and takes the arc when it has none or that Newton fails.
@@ -197,48 +197,10 @@ def _riccati_blocks(H, dm):
             H[..., :dm, :dm])
 
 
-def _schur(a):
-    # scipy.linalg.schur(a, output="real"): LAPACK gees, workspace queried
-    from scipy.linalg import lapack
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    gees, = lapack.get_lapack_funcs(("gees",), (a,))
-    lwork = gees(_no_sort, a, lwork=-1)[-2][0].real.astype(np.int_)
-    result = gees(_no_sort, a, lwork=lwork, sort_t=0)
-    info = result[-1]
-    if info < 0:
-        raise ValueError(
-            f"illegal value in {-info}-th argument of internal gees")
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            "Schur form not found. Possibly ill-conditioned.")
-    return result[0], result[-3]
-
-
-def _no_sort(*_):
-    return None
-
-
 def _solve_sylvester(a, b, q):
-    """X with a X + X b = q (Bartels-Stewart).
-
-    The calls of scipy.linalg.solve_sylvester: LAPACK gees for the Schur
-    forms of a and of b^H, then trsyl, with its workspace sizes and
-    arguments and in its order, so X has the same bits.  Its failures are
-    kept: non-finite a or b raises ValueError, a Schur form that gees does
-    not find or an illegal trsyl argument raises LinAlgError.
-    """
-    from scipy.linalg import lapack
-    r, u = _schur(a)
-    s, v = _schur(b.conj().transpose())
-    f = np.dot(np.dot(u.conj().transpose(), q), v)
-    trsyl, = lapack.get_lapack_funcs(("trsyl",), (r, s, f))
-    y, scale, info = trsyl(r, s, f, tranb="C")
-    y = scale * y
-    if info < 0:
-        raise np.linalg.LinAlgError(
-            f"Illegal value encountered in the {-info} term")
-    return np.dot(np.dot(u, y), v.conj().transpose())
+    """X with a X + X b = q (Bartels-Stewart)."""
+    from scipy.linalg import solve_sylvester
+    return solve_sylvester(a, b, q)
 
 
 def _norm_inf(B):
@@ -470,7 +432,7 @@ def solve_psi(model, s):
     solution.  The angular step is at most |arg s|/64; a step where Newton
     fails is halved, up to MAX_ARC_STEPS steps, and the last step ends at s
     itself.  Newton steps on the arc solve their Sylvester equations with
-    LAPACK gees and trsyl, as scipy.linalg.solve_sylvester does.
+    scipy.linalg.solve_sylvester (Bartels-Stewart).
 
     This is :func:`sweep_psi` of the one node s.  In a set of nodes, a
     node with Re(s) < 0 that follows another in the sweep's walk is

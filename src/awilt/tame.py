@@ -63,9 +63,7 @@ def barycentric_eval(b, z):
     exact = diffs == 0
     hit = exact.any(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        C = 1.0 / diffs
-        num = C @ (b.weights[1:] * b.values)
-        den = b.weights[0] + C @ b.weights[1:]
+        num, den = _barycentric_sums(1.0 / diffs, b.weights, b.values)
     out = np.empty(len(pts), dtype=complex)
     free = ~hit
     if np.any(den[free] == 0):
@@ -74,6 +72,12 @@ def barycentric_eval(b, z):
     for i in np.flatnonzero(hit):
         out[i] = b.values[int(np.argmax(exact[i]))]
     return complex(out[0]) if scalar else out
+
+
+def _barycentric_sums(C, weights, values):
+    """Numerator and denominator of r at the rows of the Cauchy matrix
+    C[i, k] = 1/(z_i - z_k)."""
+    return C @ (weights[1:] * values), weights[0] + C @ weights[1:]
 
 
 class _NotConjugateSymmetric(ValueError):
@@ -109,6 +113,9 @@ def aaa_fit(F, Z, max_order, tol=0.0):
     conjugate, and the weights are symmetrised, so the fit is
     conjugate-symmetric.  The loop stops with termination reason
     ``no_room_for_pair`` if a pair is next and only one slot is left.
+    The Cauchy and Loewner matrices are kept over all of Z for the whole
+    fit: a support point's columns are computed once, when it is added,
+    and each iteration takes the rows of the points not yet in support.
     Returns ``(BarycentricApproximant, AAAReport)``.
     """
     if max_order < 2:
@@ -127,8 +134,14 @@ def aaa_fit(F, Z, max_order, tol=0.0):
     if not np.all(np.isfinite(F)):
         raise ValueError("F is non-finite on Z")
 
+    # Column 0 holds the u0 term (a constant 1 in the Cauchy matrix, and a
+    # support column's expression at f = 0 in the Loewner matrix), and
+    # column 1 + k the k-th support point, filled once when it is added.
+    cauchy = np.ones((len(pts), max_order + 1), dtype=complex)
+    loewner = np.empty_like(cauchy)
+    loewner[:, 0] = F * cauchy[:, 0] - cauchy[:, 0] * 0j
     support = []          # indices into pts
-    groups = []           # positions in `support` added together (1 or 2)
+    pairs = []            # positions in u of a conjugate pair's first point
     u = None
     active = np.ones(len(pts), dtype=bool)
     residual = np.abs(F).astype(float)
@@ -153,35 +166,33 @@ def aaa_fit(F, Z, max_order, tol=0.0):
                 termination = "no_room_for_pair"
                 break
             new = [j, int(partner[j])]
-        pos = len(support)
-        support.extend(new)
-        groups.append(tuple(range(pos, pos + len(new))))
+        if len(new) == 2:
+            pairs.append(1 + len(support))
         for k in new:
+            support.append(k)
             active[k] = False
+            col = len(support)
+            # rows of support points (here 1/0) are never read
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cauchy[:, col] = 1.0 / (pts - pts[k])
+                loewner[:, col] = F * cauchy[:, col] - cauchy[:, col] * F[k]
 
-        zs = pts[support]
+        K = len(support)
         fs = F[support]
         rows = np.flatnonzero(active)
-        C = 1.0 / (pts[rows, None] - zs[None, :])
-        Ct = np.concatenate([np.ones((len(rows), 1)), C], axis=1)
-        d2 = np.concatenate([[0.0], fs])
-        Atil = F[rows, None] * Ct - Ct * d2[None, :]
-        u = smallest_singular_vector(Atil)
-        for g in groups:
-            if len(g) == 2:
-                a = 0.5 * (u[1 + g[0]] + u[1 + g[1]].conjugate())
-                u[1 + g[0]] = a
-                u[1 + g[1]] = a.conjugate()
-            else:
-                u[1 + g[0]] = complex(u[1 + g[0]].real)
-        u[0] = complex(u[0].real)
+        u = smallest_singular_vector(loewner[rows, :K + 1])
+        first = np.array(pairs, dtype=int)
+        mean = 0.5 * (u[first] + u[first + 1].conjugate())
+        real = np.ones(K + 1, dtype=bool)
+        real[first] = real[first + 1] = False
+        u[real] = u[real].real
+        u[first], u[first + 1] = mean, mean.conjugate()
         nrm = np.linalg.norm(u)
         if nrm > 0:
             u = u / nrm
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            num = C @ (u[1:] * fs)
-            den = u[0] + C @ u[1:]
+            num, den = _barycentric_sums(cauchy[rows, 1:K + 1], u, fs)
             r = num / den
         residual = np.zeros(len(pts))
         err = np.abs(F[rows] - r)

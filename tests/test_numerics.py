@@ -55,6 +55,29 @@ class TestSmallestSingularVector:
         v = v / np.linalg.norm(v)
         assert np.linalg.norm(A @ u) <= np.linalg.norm(A @ v) + 1e-10
 
+    @given(n=st.integers(1, 70), extra=st.integers(0, 140),
+           seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_tall_matches_plain_svd_bitwise(self, n, extra, seed, log_scale):
+        # zgesdd itself factors A by QR first from m >= floor(17n/9) < 2n
+        A = 10.0 ** log_scale * _random_complex(
+            np.random.default_rng(seed), (2 * n + extra, n))
+        want = np.linalg.svd(A, full_matrices=False)[2][-1].conj()
+        assert smallest_singular_vector(A).tobytes() == want.tobytes()
+
+    @given(n=st.integers(1, 70), extra=st.integers(0, 69),
+           seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_near_square_is_minimal_to_rounding(self, n, extra, seed,
+                                                log_scale):
+        A = 10.0 ** log_scale * _random_complex(
+            np.random.default_rng(seed), (n + extra % n, n))
+        u = smallest_singular_vector(A)
+        s = np.linalg.svd(A, compute_uv=False)
+        assert np.linalg.norm(A @ u) <= s[-1] + 100 * n * U * s[0]
+        # LAPACK normalises v to a few u; random draws reached 12u
+        assert abs(np.linalg.norm(u) - 1.0) <= 32 * U
+
 
 class TestDenseEigenvalues:
     def test_standard_problem_matches_numpy(self):

@@ -16,9 +16,8 @@ from awilt.invert import invert, invert_curve
 from awilt.methods import talbot_method, to_full
 from awilt.queueing import (MAX_ARC_STEPS, FluidQueueModel, GeneratorMatrix,
                             PhaseType, _hamiltonian, _newton_refine,
-                            _riccati_blocks, _solve_sylvester,
-                            fluid_psi_transform, make_experiment_model,
-                            phase_type_ground_truth,
+                            _riccati_blocks, fluid_psi_transform,
+                            make_experiment_model, phase_type_ground_truth,
                             phase_type_transform, psi_infinity, solve_psi,
                             sweep_psi)
 from awilt.tame import PRESET_ROWS, preset_tame
@@ -406,46 +405,11 @@ class TestSolvePsi:
 
 
 class TestSolveSylvester:
-    @settings(max_examples=150, deadline=None)
-    @given(m=st.integers(1, 12), n=st.integers(1, 12),
-           seed=st.integers(0, 2**32 - 1),
-           log_scale=st.floats(-3.0, 3.0))
-    def test_matches_scipy_bitwise(self, m, n, seed, log_scale):
-        rng = np.random.default_rng(seed)
-        a, b, q = (10.0 ** log_scale * (rng.standard_normal(shape)
-                                       + 1j * rng.standard_normal(shape))
-                   for shape in ((m, m), (n, n), (m, n)))
-        got = _solve_sylvester(a, b, q)
-        want = scipy.linalg.solve_sylvester(a, b, q)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    def test_blocked_lapack_matches_scipy_bitwise(self):
-        # from about n = 130 LAPACK takes blocked paths, whose results
-        # depend on the workspace size
-        rng = np.random.default_rng(0)
-        a, b, q = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                   for shape in ((130, 130), (3, 3), (130, 3)))
-        assert (_solve_sylvester(a, b, q).tobytes()
-                == scipy.linalg.solve_sylvester(a, b, q).tobytes())
-
     def test_norm_is_the_inf_norm(self):
         rng = np.random.default_rng(1)
         for shape in ((1, 1), (3, 5), (5, 3), (10, 10)):
             B = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             assert queueing._norm_inf(B) == np.linalg.norm(B, np.inf)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("which", [0, 1])
-    def test_non_finite_input_raises_as_scipy_does(self, bad, which):
-        args = [np.eye(3, dtype=complex), 2.0 * np.eye(2, dtype=complex),
-                np.ones((3, 2), dtype=complex)]
-        args[which][0, 0] = bad
-        with pytest.raises(ValueError) as want:
-            scipy.linalg.solve_sylvester(*args)
-        with pytest.raises(ValueError) as got:
-            _solve_sylvester(*args)
-        assert str(got.value) == str(want.value)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_operand_raises_riccati_error(self):

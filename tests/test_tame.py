@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from awilt import tame
 from awilt.diagnostics import epsilon_accuracy
 from awilt.domains import (Disc, ImagSegment, RealSegment, Rectangle,
-                           discretize, distance_to, format_domain)
+                           discretize, distance_to, format_domain,
+                           fov_hermitian_bound)
 from awilt.errors import NumericalError, PoleInsideDomainError
 from awilt.methods import (AWMethod, load_method, pair_conjugates, to_full,
                            to_reduced)
+from awilt.numerics import U
+from awilt.queueing import make_experiment_model
 from awilt.tame import (PRESET_ROWS, AAAReport, BarycentricApproximant,
                         aaa_fit, barycentric_eval, build_presets, build_tame,
                         extract_poles, extract_residues, preset_entry,
@@ -180,6 +183,32 @@ class TestAAAFit:
         with pytest.raises(ValueError, match="conjugat"):
             Z = discretize(dom, 200)
             aaa_fit(target(Z.points), Z, max_order=8)
+
+
+class TestAAAMatchesReference:
+    """`aaa_fit`, whose matrices gain a support point's columns once,
+    against the loop that rebuilt them every iteration
+    (`build_reference.aaa_fit_reference`), on the first fit of a build and
+    on a fit at its refits' tolerance."""
+
+    @pytest.mark.parametrize("dom, nprime", [
+        *((Disc(complex(-r), r), n) for r, n in PRESET_ROWS),
+        (ImagSegment(80.0), 20),
+        (RealSegment(100.0), 33),
+        (fov_hermitian_bound(make_experiment_model(5, 10, 1).gen.Q,
+                             generator=True), 6),
+    ])
+    @pytest.mark.parametrize("at_floor", [False, True])
+    def test_same_bits(self, dom, nprime, at_floor):
+        Z = discretize(dom, 1000)
+        F = np.exp(Z.points)
+        tol = 1e2 * U * float(np.max(np.abs(F))) if at_floor else 0.0
+        b, report = aaa_fit(F, Z, max_order=2 * nprime, tol=tol)
+        want, ref = build_reference.aaa_fit_reference(F, Z, 2 * nprime, tol)
+        assert report.support_order == ref.support_order
+        assert b.weights.tobytes() == want.weights.tobytes()
+        assert report.residuals == ref.residuals
+        assert report.termination == ref.termination
 
 
 _parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5])
