@@ -11,9 +11,11 @@ writes to OUT_DIR/fluid/ the models of FLUID_MODELS and, for each
 `aw fluid --entry all` run on them (psi and Psi, each t of FLUID_TS, each
 method of FLUID_METHODS), its CSV NAME.csv and NAME.out.  Last, writes to
 OUT_DIR/diag/ the method files of DIAG_METHODS and, for them, the presets
-and the builds, the `aw diag --moments` output NAME_moments.out and, where
-every node has Re(beta) > 0, the `aw diag --bounds LS_BOUND` output
-NAME_ls.out.  Then writes to OUT_DIR/invert/ the `aw invert --t-grid`
+and the builds, the `aw diag --domain` output NAME_eps.out (epsilon on the
+method's own domain: DIAG_DOMAIN for DIAG_METHODS, the built one for the
+presets and the builds), the `aw diag --moments` output NAME_moments.out
+and, where every node has Re(beta) > 0, the `aw diag --bounds LS_BOUND`
+output NAME_ls.out.  Then writes to OUT_DIR/invert/ the `aw invert --t-grid`
 CSV NAME.csv and NAME.out of each transform of INVERT_TRANSFORMS with
 each method of INVERT_METHODS, and to OUT_DIR/library/ the `invert_curve`
 CSV NAME.csv of each transform of `library_transforms` (the library ones
@@ -44,7 +46,7 @@ from awilt.invert import invert_curve
 from awilt.methods import load_method
 from awilt.queueing import (FluidQueueModel, GeneratorMatrix, PhaseType,
                             make_experiment_model, phase_type_transform)
-from awilt.tame import build_presets
+from awilt.tame import PRESET_ROWS, build_presets
 
 #: (name, domain spec, N', extra `aw gen` arguments)
 BUILDS = (
@@ -86,6 +88,8 @@ FLUID_METHODS = ("talbot:24", "euler:15", "tame")
 #: Zakian at every n = 1..20 pins its polished roots and residues
 DIAG_METHODS = (("euler", 15), ("gaver", 12), ("talbot", 20),
                 *(("zakian", n) for n in range(1, 21)))
+#: the domain on which `aw diag --domain` measures epsilon of DIAG_METHODS
+DIAG_DOMAIN = "disc:-1:1"
 #: the Laplace-Stieltjes bound with eps = 0 and eta = 1: 1 + ||delta_hat||_1
 LS_BOUND = "ls:eps=0,eta=1,mu_total=1"
 #: every CLI catalog entry, as (name, transform spec, t-grid); bs_call on
@@ -177,21 +181,24 @@ def fluid():
                     yield f"{name}.csv"
 
 
-def diag(paths):
-    """`aw diag` of the DIAG_METHODS and of each method file in paths into
-    diag/NAME_moments.out and, where every node has Re(beta) > 0,
-    diag/NAME_ls.out; yields the .out paths."""
+def diag(methods):
+    """`aw diag` of the DIAG_METHODS and of each (method file, domain spec)
+    in methods into diag/NAME_eps.out, diag/NAME_moments.out and, where
+    every node has Re(beta) > 0, diag/NAME_ls.out; yields the .out
+    paths."""
     os.makedirs("diag", exist_ok=True)
     classical = []
     for method, nprime in DIAG_METHODS:
         name = f"diag/{method}{nprime}"
         aw(name, ["gen", "--method", method, "--nprime", str(nprime),
                   "--out", f"{name}.json"])
-        classical.append(f"{name}.json")
-    for path in classical + paths:
+        classical.append((f"{name}.json", DIAG_DOMAIN))
+    for path, spec in classical + methods:
         if not os.path.exists(path):  # a build that failed
             continue
         name = "diag/" + os.path.basename(path)[:-len(".json")]
+        aw(f"{name}_eps", ["diag", "--params", path, "--domain", spec])
+        yield f"{name}_eps.out"
         aw(f"{name}_moments", ["diag", "--params", path, "--moments"])
         yield f"{name}_moments.out"
         if all(b.real > 0 for b in load_method(path)[0].nodes):
@@ -238,6 +245,8 @@ def main():
     paths = build_presets("presets")
     for path in paths:
         print(path)
+    methods = [(path, f"disc:{-r!r}:{r!r}")
+               for path, (r, _) in zip(paths, PRESET_ROWS)]
     builds = list(BUILDS)
     for seed in FOV_SEEDS:
         for label, spec in fov_specs(seed).items():
@@ -246,10 +255,10 @@ def main():
     for build in builds:
         gen(*build)
         print(f"{build[0]}.json")
-        paths.append(f"{build[0]}.json")
+        methods.append((f"{build[0]}.json", build[1]))
     for path in fluid():
         print(path)
-    for path in diag(paths):
+    for path in diag(methods):
         print(path)
     for path in invert():
         print(path)

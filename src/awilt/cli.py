@@ -228,19 +228,20 @@ def cmd_diag(args):
         _write_csv(args.out, ["y", "value"], zip(ys.tolist(), values.tolist()))
         return 0
     report = {"name": m.name, "entries": m.n_entries, "n": m.n_full}
+    full = to_full(m)
     if args.domain:
         Z = discretize(parse_domain(args.domain), args.count)
-        eps = diagnostics.epsilon_accuracy(m, Z)
-        maxw = max(abs(complex(w)) for w in to_full(m).weights)
+        eps = diagnostics.epsilon_accuracy(full, Z)
+        maxw = max(abs(w) for w in full.weights)
         report["epsilon"] = eps
         report["max_abs_weight"] = maxw
         report["eta"] = diagnostics.eta_proxy(eps, maxw)
     if args.moments:
-        mom = diagnostics.moments(m)
+        mom = diagnostics.moments(full)
         report["moments"] = {"mu0": mom.mu0, "mu1": mom.mu1, "mu2": mom.mu2,
                              "nu2": mom.nu2, "scv": mom.scv}
     if args.bounds:
-        report["bounds"] = [_eval_bound(m, spec) for spec in args.bounds]
+        report["bounds"] = [_eval_bound(full, spec) for spec in args.bounds]
     _write_text(args.out, json.dumps(report, indent=2))
     return 0
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Discretization
+from .errors import NumericalError
 from .invert import Transform, invert, pointwise
 from .methods import to_full
 from .numerics import DoubleDouble, U
@@ -30,11 +31,19 @@ class MomentSet:
     mu1_error: float = 0.0   # error bound of mu1 (see `moments`)
 
 
+def _pole_sum(w, D):
+    """sum_n w_n / D[:, n] of each row of D = beta - z (points x nodes)."""
+    return (w / D).sum(axis=1)
+
+
 def rational_approximant(m, z):
     """sum w_n / (beta_n - z) of the full-form method.
 
     For a scalar z this is :func:`awilt.invert.invert` of F(s) = 1/(s - z)
-    at t = 1, each 1/(s - z) divided as CPython divides complex numbers.
+    at t = 1, each 1/(s - z) divided as CPython divides complex numbers,
+    so a z on a node raises ZeroDivisionError.  For an array z it is one
+    pass over the points x nodes array beta - z, and a z on a node gives
+    inf or nan, with numpy's RuntimeWarning.
     """
     full = to_full(m)
     zs = np.asarray(z, dtype=complex)
@@ -42,24 +51,44 @@ def rational_approximant(m, z):
         zz = complex(zs)
         return invert(full, Transform(pointwise(lambda s: 1.0 / (s - zz))),
                       1.0)
-    w = np.asarray(full.weights)
     b = np.asarray(full.nodes)
-    return (w[None, :] / (b[None, :] - zs[:, None])).sum(axis=1)
+    return _pole_sum(np.asarray(full.weights), b - zs[:, None])
 
 
 def epsilon_accuracy(m, Z):
-    """max over Z of |e^z - sum w/(beta - z)| (full-form evaluation)."""
-    pts = Z.points if isinstance(Z, Discretization) else np.asarray(Z, complex)
-    pts = np.asarray(pts, dtype=complex)
+    """max over Z of |e^z - sum w/(beta - z)| (full-form evaluation).
+
+    One pass over one points x nodes array D = beta - z.  Its smallest
+    |D| gates the on-grid check: a node within 1e-13 (1 + |beta|) of a
+    grid point raises ValueError, naming the lowest-index such node,
+    before any division.  The pole sum then divides the weights by D
+    itself.  An empty grid raises ValueError, and a grid point where
+    e^z - r(z) is not finite (e^z overflows, say) raises NumericalError
+    naming the first such point; the on-grid check comes first.  numpy
+    warns of nothing.
+    """
+    pts = np.asarray(Z.points if isinstance(Z, Discretization) else Z,
+                     dtype=complex)
+    if pts.size == 0:
+        raise ValueError("empty evaluation grid")
     full = to_full(m)
     b = np.asarray(full.nodes)
-    on_grid = (np.min(np.abs(pts[:, None] - b), axis=0)
-               <= 1e-13 * (1.0 + np.abs(b)))
-    if on_grid.any():
-        node = full.nodes[int(np.argmax(on_grid))]
-        raise ValueError(f"node {node} lies on the evaluation grid")
-    R = rational_approximant(full, pts)
-    return float(np.max(np.abs(np.exp(pts) - R)))
+    with np.errstate(all="ignore"):
+        D = b - pts[:, None]
+        absD = np.abs(D)
+        tol = 1e-13 * (1.0 + np.abs(b))
+        if absD.min() <= tol.max():
+            on_grid = (absD <= tol).any(axis=0)
+            if on_grid.any():
+                node = full.nodes[int(np.argmax(on_grid))]
+                raise ValueError(f"node {node} lies on the evaluation grid")
+        err = np.abs(np.exp(pts) - _pole_sum(np.asarray(full.weights), D))
+    eps = float(err.max())  # inf or nan where any err is
+    if not math.isfinite(eps):
+        first = int(np.argmax(~np.isfinite(err)))
+        raise NumericalError("e^z - r(z) is not finite at the grid point "
+                             f"{complex(pts[first])}")
+    return eps
 
 
 # -- Dirac approximant -------------------------------------------------------

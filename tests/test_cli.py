@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ import pytest
 import awilt
 from awilt import catalog, diagnostics
 from awilt.cli import _parse_method, main, save_model
+from awilt.domains import discretize, parse_domain
 from awilt.invert import invert
-from awilt.methods import euler_method, load_method, method_to_json
+from awilt.methods import euler_method, load_method, method_to_json, to_full
 from awilt.queueing import make_experiment_model, solve_psi
 from awilt.tame import preset_tame
 
@@ -277,6 +279,45 @@ class TestDiag:
         assert rep["epsilon"] < 1e-3  # low-order fit on a small disc
         assert rep["eta"] >= rep["epsilon"]
         assert rep["moments"]["mu0"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_domain_report_is_the_library_one(self, capsys):
+        # the stored method is reduced; the report's counts are its own,
+        # and epsilon is that of the library on the same grid
+        path = str(resources.files("awilt") / "presets" / "tame_r7_n6.json")
+        m = load_method(path)[0]
+        code, stdout, _ = run(capsys, "diag", "--params", path,
+                              "--domain", "disc:-7:7", "--count", "500")
+        assert code == 0
+        rep = json.loads(stdout)
+        assert (rep["entries"], rep["n"]) == (6, 12) == (m.n_entries,
+                                                         m.n_full)
+        assert rep["epsilon"] == diagnostics.epsilon_accuracy(
+            m, discretize(parse_domain("disc:-7:7"), 500))
+        assert rep["max_abs_weight"] == max(
+            abs(w) for w in to_full(m).weights)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_epsilon_exits_1(self, capsys):
+        # e^z overflows on the disc; no warning, and no "Infinity" report
+        path = str(resources.files("awilt") / "presets" / "tame_r7_n6.json")
+        code, stdout, stderr = run(capsys, "diag", "--params", path,
+                                   "--domain", "disc:705:10")
+        assert code == 1 and stdout == ""
+        assert json.loads(stderr) == {
+            "error": "NumericalError",
+            "message": "e^z - r(z) is not finite at the grid point "
+                       "(715+0j)"}
+
+    def test_node_on_the_grid_exits_2(self, tmp_path, capsys):
+        # Zakian-1 has its one node at z = 1, a point of disc:0:1
+        params = tmp_path / "z1.json"
+        run(capsys, "gen", "--method", "zakian", "--nprime", "1",
+            "--out", str(params))
+        code, stdout, stderr = run(capsys, "diag", "--params", str(params),
+                                   "--domain", "disc:0:1")
+        assert code == 2 and stdout == ""
+        assert json.loads(stderr)["message"] == ("node (1+0j) lies on the "
+                                                 "evaluation grid")
 
     def test_bounds(self, zakian_params, capsys):
         code, stdout, _ = run(capsys, "diag", "--params", zakian_params,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,11 +15,15 @@ from awilt.diagnostics import (MomentSet, bound_fluid, bound_fluid_cdf,
                                moment_error_bound_second_order,
                                moment_error_estimate, moments, nu2_tilde,
                                rational_approximant)
+from awilt.domains import Disc, discretize
+from awilt.errors import NumericalError
 from awilt.invert import Transform, invert, pointwise
 from awilt.methods import (AWMethod, euler_method, gaver_method, talbot_method,
                            to_full, zakian_method)
 from awilt.numerics import U
 from awilt.tame import preset_tame
+from epsilon_reference import (epsilon_accuracy_reference,
+                               rational_approximant_reference)
 from mp_reference import DPS, moment_sums, near_midpoint
 
 SQRT2P1 = 1.0 + math.sqrt(2.0)
@@ -55,6 +60,144 @@ class TestEpsilonAccuracy:
         for z in (0.0 + 0j, -1.0 + 0.5j, 0.3 - 0.2j):
             F = Transform(pointwise(lambda s, z=z: 1.0 / (s - z)))
             assert rational_approximant(full, z) == invert(full, F, 1.0)
+
+    def test_scalar_on_a_node_raises_as_invert(self):
+        full = to_full(zakian_method(2))
+        with pytest.raises(ZeroDivisionError):
+            rational_approximant(full, full.nodes[0])
+
+    def test_array_matches_reference_bitwise(self):
+        full = to_full(preset_tame(4.0))
+        z = discretize(Disc(-4.0, 4.0), 1000).points
+        assert (rational_approximant(full, z).tobytes()
+                == rational_approximant_reference(full, z).tobytes())
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_names_the_first_point(self):
+        # e^800 overflows; r(z) stays finite
+        with pytest.raises(NumericalError) as info:
+            epsilon_accuracy(zakian_method(1), np.array([0.5, 800.0, 900.0]))
+        assert str(info.value) == ("e^z - r(z) is not finite at the grid "
+                                   "point (800+0j)")
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_pole_sum(self):
+        # a point just outside the on-grid tolerance of a node with a huge
+        # weight: w / (beta - z) overflows
+        m = AWMethod(name="big", weights=(1e300,), nodes=(1.0,),
+                     reduced=False)
+        with pytest.raises(NumericalError, match=r"\(1\+3e-13j\)"):
+            epsilon_accuracy(m, np.array([0.0, 1.0 + 3e-13j]))
+
+    def test_empty_grid(self):
+        with pytest.raises(ValueError) as info:
+            epsilon_accuracy(zakian_method(1), np.array([], dtype=complex))
+        assert str(info.value) == "empty evaluation grid"
+
+    @pytest.mark.filterwarnings("error")
+    def test_on_grid_precedes_non_finite(self):
+        full = to_full(zakian_method(2))
+        with pytest.raises(ValueError, match="lies on the evaluation grid"):
+            epsilon_accuracy(full, np.array([800.0, full.nodes[1]]))
+
+    def test_gate_holds_the_largest_tolerance(self):
+        # |beta - z| equals the largest tolerance exactly: on the grid
+        b = 30.0
+        tol = 1e-13 * (1.0 + b)
+        m = AWMethod(name="edge", weights=(1.0, 2.0), nodes=(0.5, b),
+                     reduced=False)
+        with pytest.raises(ValueError, match="node \\(30\\+0j\\)"):
+            epsilon_accuracy(m, np.array([-1.0, complex(b, tol)]))
+        assert math.isfinite(epsilon_accuracy(
+            m, np.array([-1.0, complex(b, 2.0 * tol)])))
+
+
+@st.composite
+def epsilon_cases(draw):
+    """(method, grid): a conjugate-closed full-form method of at most 40
+    nodes, and a grid of at most 5000 points in a box of the same scale.
+    The grid may hold points on one or two nodes, points just inside or
+    just outside the on-grid tolerance 1e-13 (1 + |beta|) of a node, or a
+    point at exactly the largest tolerance from an added real node of the
+    largest modulus.  A scale of 1000 puts grid points where e^z
+    overflows."""
+    mode = draw(st.sampled_from(("none", "none", "none", "outside",
+                                 "outside", "one", "two", "inside",
+                                 "boundary")))
+    cap = 40 - (mode == "boundary")
+    n_pairs = draw(st.integers(0, cap // 2))
+    n_real = draw(st.integers(0 if n_pairs else 1, cap - 2 * n_pairs))
+    size = draw(st.integers(1, 5000))
+    scale = 10.0 ** draw(st.integers(-2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def weights(n):
+        return rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+
+    pairs = scale * (rng.uniform(-1.0, 1.0, n_pairs)
+                     + 1j * rng.uniform(0.0, 1.0, n_pairs))
+    reals = scale * rng.uniform(-1.0, 1.0, n_real)
+    wp = weights(n_pairs) + 1j * weights(n_pairs)
+    nodes = [*reals, *pairs, *pairs.conj()]
+    ws = [*weights(n_real), *wp, *wp.conj()]
+    if mode == "boundary":
+        nodes.append(float(rng.choice((-1.0, 1.0)))
+                     * (2.0 * max(abs(complex(b)) for b in nodes) + 1.0))
+        ws.append(float(weights(1)[0]))
+    assume(len(set(nodes)) == len(nodes) and all(b.imag for b in pairs))
+    m = AWMethod(name="random", weights=ws, nodes=nodes, reduced=False)
+    b = np.asarray(m.nodes)
+    tol = 1e-13 * (1.0 + np.abs(b))
+    pts = scale * (rng.uniform(-1.0, 1.0, size)
+                   + 1j * rng.uniform(-1.0, 1.0, size))
+    if mode in ("one", "two"):
+        k = min(len(b), size, 1 if mode == "one" else 2)
+        pts[rng.choice(size, k, replace=False)] = b[rng.choice(len(b), k,
+                                                               replace=False)]
+    elif mode in ("inside", "outside"):
+        n = rng.integers(len(b))
+        f = 1.0 - 1e-6 if mode == "inside" else 1.0 + 1e-6
+        pts[rng.integers(size)] = (b[n] + tol[n] * f
+                                   * np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
+    elif mode == "boundary":
+        # beta - z = -i tol exactly, so |beta - z| == tol
+        pts[rng.integers(size)] = complex(b[-1].real, tol[-1])
+    return m, pts
+
+
+class TestEpsilonMatchesReference:
+    """epsilon_accuracy returns the reference's float bit for bit, or
+    raises its ValueError with the same message; where the reference's
+    value is not finite, it raises NumericalError.  It never warns."""
+
+    @given(epsilon_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits(self, case):
+        m, pts = case
+        with np.errstate(all="ignore"):
+            try:
+                want = epsilon_accuracy_reference(m, pts)
+            except ValueError as exc:
+                want = exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(want, ValueError):
+                with pytest.raises(ValueError) as info:
+                    epsilon_accuracy(m, pts)
+                assert str(info.value) == str(want)
+            elif math.isfinite(want):
+                assert epsilon_accuracy(m, pts).hex() == want.hex()
+            else:
+                with pytest.raises(NumericalError):
+                    epsilon_accuracy(m, pts)
+
+    @pytest.mark.parametrize("r", [0.6, 1.8, 4.0, 7.0, 11.2, 16.8, 22.7,
+                                   31.6])
+    def test_presets_on_their_discs(self, r):
+        m = preset_tame(r)
+        grid = discretize(Disc(-r, r), 4000)
+        assert (epsilon_accuracy(m, grid).hex()
+                == epsilon_accuracy_reference(m, grid).hex())
 
 
 class TestDirac:
