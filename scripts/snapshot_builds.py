@@ -81,7 +81,8 @@ FLUID_MODELS = {
         np.array([1.0] * 4 + [-1.0] * 6)),
 }
 #: t = 0.3 puts two Talbot-24 nodes of the cycle, s = -731.79 +- 96.34i,
-#: where its tracked eigenvectors are nearly parallel: they are warm started
+#: where its tracked eigenvectors are nearly parallel: they are solved from
+#: their Schur bases
 FLUID_TS = (0.3, 1.0, 3.0, 10.0, 30.0)
 FLUID_METHODS = ("talbot:24", "euler:15", "tame")
 #: classical methods for the diagnostics, as (method, N') of `aw gen`;

@@ -42,8 +42,8 @@ def rational_approximant(m, z):
     For a scalar z this is :func:`awilt.invert.invert` of F(s) = 1/(s - z)
     at t = 1, each 1/(s - z) divided as CPython divides complex numbers,
     so a z on a node raises ZeroDivisionError.  For an array z it is one
-    pass over the points x nodes array beta - z, and a z on a node gives
-    inf or nan, with numpy's RuntimeWarning.
+    pass over the points x nodes array beta - z, and a z on a node raises
+    ZeroDivisionError naming the first such z.  numpy warns of nothing.
     """
     full = to_full(m)
     zs = np.asarray(z, dtype=complex)
@@ -51,8 +51,13 @@ def rational_approximant(m, z):
         zz = complex(zs)
         return invert(full, Transform(pointwise(lambda s: 1.0 / (s - zz))),
                       1.0)
-    b = np.asarray(full.nodes)
-    return _pole_sum(np.asarray(full.weights), b - zs[:, None])
+    D = np.asarray(full.nodes) - zs[:, None]
+    on_node = (D == 0).any(axis=1)
+    if on_node.any():
+        raise ZeroDivisionError(
+            f"z={complex(zs[on_node.argmax()])} is a node of the method")
+    with np.errstate(all="ignore"):
+        return _pole_sum(np.asarray(full.weights), D)
 
 
 def epsilon_accuracy(m, Z):

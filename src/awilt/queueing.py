@@ -13,14 +13,17 @@ set of one), taken in order of |arg s| within each half-plane.  H(s) is
 formed for all of them at once, and one stacked eigen-solve selects
 each node's invariant subspace: by the real parts of the eigenvalues at
 Re(s) >= 0, and at Re(s) < 0 by nearness to the subspace the node before
-it selected.  From those subspaces every node takes one Newton step in
-the eigenbasis, one stacked np.linalg.solve for all nodes.  A node with
-Re(s) >= 0 that this step does not settle is refined from its subspace
-solution by :func:`_newton_refine`: at least one and at most NEWTON_STEPS
-steps, each a Bartels-Stewart Sylvester solve (scipy's solve_sylvester).
-A node with Re(s) < 0 that it does not settle, or whose selection is
-ambiguous, starts that refinement from the solution at the node before
-it, and takes the arc when it has none or that Newton fails.
+it selected.  Every node then takes one of three routes:
+
+1. one Newton step in the eigenbasis of its subspace, one stacked
+   np.linalg.solve for all nodes (:func:`_stacked_solve`);
+2. if that does not settle it, Newton refinement (:func:`_newton_refine`,
+   Bartels-Stewart Sylvester solves) from the Schur basis of the same
+   subspace (:func:`_schur_solve`);
+3. at Re(s) < 0, if its selection is ambiguous or missing, or route 2
+   fails, a path from the node before it, bisected where the selection
+   is in doubt, whose nodes take routes 1 and 2 (:func:`_refined_path`).
+
 Phase-type transforms solve (sI - Q) at all nodes of a t-grid in one
 stacked call.
 """
@@ -41,9 +44,10 @@ GAP_RTOL = 1e-8
 #: at Re(s) < 0, the choice of the d- eigenvectors nearest to the tracked
 #: subspace is ambiguous unless the d-th distance is below this share of the
 #: (d+1)-th
-TRACK_RATIO = 0.5
-#: the continuation's step count beyond which step halving gives up
-MAX_ARC_STEPS = 4096
+TRACK_RATIO = 0.2
+#: the bisections of a refined path's step beyond which it gives up: near
+#: the resolution of a double in log z
+PATH_DEPTH = 50
 #: Newton (Sylvester) steps beyond which a Riccati refinement gives up
 NEWTON_STEPS = 12
 
@@ -263,21 +267,19 @@ def _solve_sylvester_eig(a, mu, q):
 
 def _each_node(f, *stacks):
     """f of stacks of nodes, in one call or, if that raises LinAlgError,
-    in one call per node.  Returns the values, shaped as the last stack
-    (NaN for a node that raised), and each node's LinAlgError or None."""
+    in one call per node, NaN for a node that raises.  The values are
+    shaped as the last stack."""
     try:
-        return f(*stacks), [None] * len(stacks[0])
+        return f(*stacks)
     except np.linalg.LinAlgError:
         pass
     out = np.full(stacks[-1].shape, np.nan, dtype=complex)
-    errors = []
     for i, args in enumerate(zip(*stacks)):
         try:
             out[i] = f(*(a[None] for a in args))[0]
-            errors.append(None)
-        except np.linalg.LinAlgError as exc:
-            errors.append(exc)
-    return out, errors
+        except np.linalg.LinAlgError:
+            pass
+    return out
 
 
 def _track(U, V, dm):
@@ -293,19 +295,17 @@ def _track(U, V, dm):
     return None
 
 
-def _select(vals, vecs, ss, halves, dm):
+def _select(vals, vecs, ss, halves, dm, start=None):
     """Each node's dm eigenvectors, as indices into the eigen-solve
     (vals, vecs) of H(s) along the stack, the nodes of each half of
     halves taken in its order.
 
     A node with Re(s) >= 0 takes the eigenvalues of smallest real part,
-    or gets SpectralGapError if no gap follows them.  A node with
-    Re(s) < 0 tracks the node before it: it takes the eigenvectors
-    nearest to the subspace that node took (:func:`_track`).  It gets
-    None if its choice is ambiguous or the node before it took none (it
-    is the first of its half, or got None itself).  The sorted split gives
-    the minimal solution only for Re(s) >= 0; at Re(s) < 0 it can pick
-    another branch than the continuation.
+    or gets SpectralGapError if no gap follows them; at Re(s) < 0 that
+    split can pick another branch than the continuation.  A node with
+    Re(s) < 0 takes the eigenvectors nearest (:func:`_track`) to the
+    subspace the node before it took or, first in its half, to the span
+    of start.  It gets None if that choice is ambiguous or missing.
     """
     order = np.argsort(vals.real, axis=-1, kind="stable")
     re = np.take_along_axis(vals.real, order, axis=-1)
@@ -313,98 +313,120 @@ def _select(vals, vecs, ss, halves, dm):
     live = gap > GAP_RTOL * np.maximum(re[:, -1] - re[:, 0], 1.0)
     sel = [None] * len(ss)
     for half in halves:
-        for prev, k in zip([None] + half, half):
+        U = start
+        for k in half:
             if ss[k].real >= 0 and live[k]:
                 sel[k] = order[k, :dm]
             elif ss[k].real >= 0:
                 sel[k] = SpectralGapError(f"ambiguous eigenvalue splitting "
                                           f"at s={ss[k]}: gap {gap[k]:.3e}")
-            elif prev is not None and isinstance(sel[prev], np.ndarray):
-                sel[k] = _track(vecs[prev][:, sel[prev]], vecs[k], dm)
+            elif U is not None:
+                sel[k] = _track(U, vecs[k], dm)
+            U = (vecs[k][:, sel[k]] if isinstance(sel[k], np.ndarray)
+                 else None)
     return sel
 
 
-def _stacked_solve(Hs, ss, dm, halves):
+def _schur_solve(H, mu, dm, s):
+    """The NARE solution at one s for the invariant subspace of H = H(s)
+    with eigenvalues mu: :func:`_newton_refine` from X0 = Q_bot Q_top^{-1},
+    Q the complex Schur basis reordered (LAPACK ztrsen) so that the
+    eigenvalues matched one to one to mu come first.  Q is unitary, so
+    Q_top stays well conditioned where the eigenvectors are nearly
+    parallel.  Raises RiccatiError."""
+    from scipy.linalg import schur
+    from scipy.linalg.lapack import ztrsen
+    try:
+        T, Q = schur(H, output="complex")
+        diag = np.diag(T)
+        free = np.ones(len(diag), dtype=bool)
+        for m in mu:
+            free[np.argmin(np.where(free, np.abs(diag - m), np.inf))] = False
+        _, Q, *_, info = ztrsen((~free).astype(np.int32), T, Q, job="N")
+        if info:
+            raise np.linalg.LinAlgError(f"ztrsen info {info}")
+        X0 = Q[dm:, :dm] @ np.linalg.inv(Q[:dm, :dm])
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise RiccatiError(f"no Schur basis at s={s}: {exc}") from None
+    return _newton_refine(_riccati_blocks(H, dm), X0, s)
+
+
+def _stacked_solve(Hs, ss, dm, halves, start=None):
     """Each node s of ss from its eigenvectors of H(s) along the stack Hs,
     all nodes as one stack.  Returns, per node, its solution, the error
-    it raises, or None: a node with Re(s) < 0 that this does not settle.
+    it raises, or None: a node with Re(s) < 0 that gets no selection.
 
     One eigen-solve gives each node's dm eigenvalues mu and eigenvectors
-    V = [T; V_bot] (:func:`_select`, which walks halves), and
+    V = [T; V_bot] (:func:`_select`, walking halves from start), and
     X0 = V_bot T^{-1}.  One Newton step follows, in the eigenbasis:
     B = A_mm + A_mp X0 is T diag(mu) T^{-1}, so the step A D + D B = -R,
     A = A_pp + X0 A_mp, is (A + mu_j I) Y_j = -(R T)_j with D = Y T^{-1},
     one stacked solve for all nodes (:func:`_solve_sylvester_eig`).  A
     node whose X1 = X0 + D meets the 1e-12 gate of :func:`_newton_refine`
-    returns X1.
-
-    Any other node with Re(s) >= 0 (a non-finite residual, a failed
-    shifted solve, an unmet gate) is refined from X0 by
-    :func:`_newton_refine`, as it would be alone, and a singular T raises
-    RiccatiError: so each such node gets what solving it alone gives.  A
-    node with Re(s) < 0 gets None instead, as it does for a singular T or
-    no selection; :func:`sweep_psi` then warm starts it.
+    returns X1; any other (a singular T, a failed shifted solve, an unmet
+    gate) is solved alone from its Schur basis (:func:`_schur_solve`).
     """
     vals, vecs = np.linalg.eig(Hs)
-    sel = _select(vals, vecs, ss, halves, dm)
+    sel = _select(vals, vecs, ss, halves, dm, start)
     out = [c if isinstance(c, Exception) else None for c in sel]
     nodes = np.array([i for i, choice in enumerate(sel)
                       if isinstance(choice, np.ndarray)], dtype=int)
     idx = np.array([sel[i] for i in nodes], dtype=int).reshape(-1, dm)
     mu = np.take_along_axis(vals[nodes], idx, axis=-1)
     V = np.take_along_axis(vecs[nodes], idx[:, None, :], axis=-1)
-    Tinv, errors = _each_node(np.linalg.inv, V[:, :dm])
-    for i, exc in zip(nodes, errors):
-        if exc is not None and ss[i].real >= 0:
-            out[i] = RiccatiError(f"singular subspace basis at s={ss[i]}: "
-                                  f"{exc}")
-    ok = np.array([exc is None for exc in errors], dtype=bool)
-    nodes, T, Tinv, mu = nodes[ok], V[ok, :dm], Tinv[ok], mu[ok]
-    X0 = V[ok, dm:] @ Tinv
+    T, Tinv = V[:, :dm], _each_node(np.linalg.inv, V[:, :dm])
+    X0 = V[:, dm:] @ Tinv
     blocks = _riccati_blocks(Hs[nodes], dm)
     App, Apm, Amp, Amm = blocks
     norms = tuple(_norm_inf(B) for B in (Apm, App, Amm, Amp))
     R = _residual(blocks, norms, X0)[0]
-    Y, _ = _each_node(_solve_sylvester_eig, App + X0 @ Amp, mu, -(R @ T))
+    Y = _each_node(_solve_sylvester_eig, App + X0 @ Amp, mu, -(R @ T))
     X1 = X0 + Y @ Tinv
     _, res, scale = _residual(blocks, norms, X1)
     for j, i in enumerate(nodes):
         if res[j] <= 1e-12 * scale[j]:
             out[i] = X1[j]
-        elif ss[i].real >= 0:
-            try:
-                out[i] = _newton_refine(tuple(B[j] for B in blocks), X0[j],
-                                        ss[i])
-            except RiccatiError as exc:
-                out[i] = exc
+            continue
+        try:
+            out[i] = _schur_solve(Hs[i], mu[j], dm, ss[i])
+        except RiccatiError as exc:
+            out[i] = exc
     return out
 
 
-def _continue_arc(model, s, H):
-    """psi_hat at one s with Re(s) < 0, continued along |z| = |s| from
-    the sorted solve at +-i|s| (:func:`solve_psi`)."""
-    dm = model.d_minus
-    radius = abs(s)
-    theta = math.atan2(s.imag, s.real)
-    start = math.copysign(math.pi / 2, theta)
-    X = solve_psi(model, complex(0.0, math.copysign(radius, theta)))
-    steps = max(1, math.ceil(64 * (abs(theta) - math.pi / 2) / abs(theta)))
-    k = 0
-    while k < steps:
-        k += 1
-        angle = start + (theta - start) * k / steps
-        sk = s if k == steps else radius * cmath.exp(1j * angle)
-        try:
-            X = _newton_refine(_riccati_blocks(H([sk])[0], dm), X, sk)
-        except RiccatiError as exc:
-            if steps >= MAX_ARC_STEPS:
-                raise RiccatiError(
-                    f"continuation to s={s} failed at z={sk} with {steps} "
-                    f"arc steps: {exc}") from exc
-            # halve the step size and restart the failed step
-            k = 2 * (k - 1)
-            steps *= 2
-    return X
+def _refined_path(H, dm, s, before):
+    """psi_hat at one s with Re(s) < 0, tracked along a path to it from
+    before, the node before s and its solution (z0, X0), or, if there is
+    none or z0 is 0, from the sorted solve at z0 = +-i|s| (then the path is
+    the arc of :func:`solve_psi`).  A step of the path solves its end alone
+    by :func:`_stacked_solve`, tracking the span of [I; X] at its start.
+    A step that this does not settle is bisected, linearly in log z, and
+    a step still in doubt after PATH_DEPTH bisections raises RiccatiError.
+    """
+    if before is None or before[0] == 0:
+        z0 = complex(0.0, math.copysign(abs(s), s.imag))
+        X0 = _stacked_solve(H([z0]), [z0], dm, [[0]])[0]
+        if isinstance(X0, Exception):
+            raise X0
+    else:
+        z0, X0 = before
+
+    def step(za, Xa, zb, depth):
+        Xb = _stacked_solve(H([zb]), [zb], dm, [[0]],
+                            np.concatenate([np.eye(dm), Xa]))[0]
+        if isinstance(Xb, np.ndarray):
+            return Xb
+        if depth == PATH_DEPTH:
+            raise RiccatiError(
+                f"no tracked path to s={s}: the step from z={za} to z={zb} "
+                f"is in doubt after {PATH_DEPTH} bisections")
+        # math.atan2 keeps the half-plane of -0.0 (and has no underflow)
+        zm = cmath.rect(math.sqrt(abs(za)) * math.sqrt(abs(zb)),
+                        (math.atan2(za.imag, za.real)
+                         + math.atan2(zb.imag, zb.real)) / 2)
+        return step(zm, step(za, Xa, zm, depth + 1), zb, depth + 1)
+
+    return step(z0, X0, s, 0)
 
 
 def solve_psi(model, s):
@@ -414,30 +436,20 @@ def solve_psi(model, s):
     C^{-1}(Q - sI) partitioned by rate sign, C = diag(|r_i|).  For
     Re(s) >= 0 the solution comes from the invariant subspace of
     H(s) = diag(r)^{-1}(sI - Q) = [[A_mm, A_mp], [-A_pm, -A_pp]] (states
-    ordered minus-first) for the d- eigenvalues of smallest real part.
-    One Newton step follows, its Sylvester equation solved in the
-    eigenbasis of that subspace, column by column (:func:`_stacked_solve`).
-    If that does not bring the residual within 1e-12 of the scale of the
-    equation's terms, the subspace solution is refined by Bartels-Stewart
-    Newton steps instead: at least one and at most NEWTON_STEPS, stopping
-    once the residual meets that gate, else RiccatiError.
+    ordered minus-first) for the d- eigenvalues of smallest real part:
+    one Newton step in its eigenbasis or, if that misses the 1e-12 gate,
+    Newton refinement from its Schur basis (:func:`_stacked_solve`).
 
     For Re(s) < 0 that splitting no longer tracks the analytic continuation
     of psi_hat.  The sorted solve is then taken at z0 = +-i|s|, where the
     arc |z| = |s| crosses the imaginary axis on the side of s (the sign of
-    Im s, -0.0 included), and continued along that arc to s, with the same
-    Newton refinement at each point.  This is the branch that continuing
-    from |s| on the real axis gives: the arc from |s| to z0 stays in
-    Re z >= 0, where psi_hat is analytic and the sorted solve is the minimal
-    solution.  The angular step is at most |arg s|/64; a step where Newton
-    fails is halved, up to MAX_ARC_STEPS steps, and the last step ends at s
-    itself.  Newton steps on the arc solve their Sylvester equations with
-    scipy.linalg.solve_sylvester (Bartels-Stewart).
+    Im s, -0.0 included), and the subspace is tracked along that arc to s,
+    bisecting each step whose choice is in doubt (:func:`_refined_path`).
+    This is the branch that continuing from |s| on the real axis gives:
+    the arc from |s| to z0 stays in Re z >= 0, where psi_hat is analytic
+    and the sorted solve is the minimal solution.
 
-    This is :func:`sweep_psi` of the one node s.  In a set of nodes, a
-    node with Re(s) < 0 that follows another in the sweep's walk is
-    solved by tracking that node's subspace instead, and falls back to
-    this arc only when that and the warm start from it fail.
+    This is :func:`sweep_psi` of the one node s.
     """
     return sweep_psi(model, [s])[0]
 
@@ -447,31 +459,22 @@ def sweep_psi(model, ss):
 
     The nodes are split by the sign of Im s (-0.0 counts as negative, as
     in :func:`solve_psi`) and, within each half-plane, taken in order of
-    |arg s|: first those with Re s >= 0, then those with Re s < 0.  H(s)
-    is formed for all nodes at once, and all are solved as one stack
-    (:func:`_stacked_solve`) from one eigen-solve.  A node with Re s >= 0
-    takes the subspace split with its spectral-gap check, and gets the
-    same value as when it is solved alone.  A node with Re s < 0 tracks
-    the node before it in that order: it takes the d- eigenvectors of
-    H(s) nearest to the subspace that node took, so that one stacked
-    eigenbasis Newton step, with the 1e-12 residual gate, follows the
-    branch from the sorted nodes to it.
+    |arg s|: first those with Re s >= 0, then those with Re s < 0.  All
+    are solved as one stack (:func:`_stacked_solve`), from one eigen-solve
+    of H(s).  A node with Re s >= 0 takes the sorted split, and gets the
+    same value as when it is solved alone.  A node with Re s < 0 takes the
+    d- eigenvectors nearest to the subspace the node before it took, so
+    that the branch is followed from the sorted nodes to it.  One whose
+    choice is ambiguous or missing, or that its Schur basis does not
+    solve, is tracked along a bisected path from the node before it, or
+    from +-i|s| if it is the first of its half (:func:`_refined_path`).
 
-    A node with Re s < 0 that this does not settle (an ambiguous
-    selection, a singular subspace basis, an unmet gate) starts the
-    Newton refinement (:func:`_newton_refine`) from the solution at the
-    node before it, with the same gate, and gets :func:`solve_psi`'s arc
-    if it has none or that Newton raises RiccatiError.  The gate bounds
-    the backward error only, so a tracked solution can be as far from
-    the warm-started one as that allows: about 1e-12 of the term scale
-    over the separation of the Newton operator.  Returns the list of
-    solutions in the order of ss.  A node that fails raises its error; of
-    several, the first in that walk (upper half-plane first) is raised.
+    Returns the list of solutions in the order of ss.  A node that fails
+    raises its error; of several, the first in that walk (upper
+    half-plane first) is raised.
     """
     ss = [complex(s) for s in ss]
     H = _hamiltonian(model)
-    Hs = H(ss)
-    dm = model.d_minus
     halves = ([], [])
     for k, s in enumerate(ss):
         halves[math.copysign(1.0, s.imag) < 0].append(k)
@@ -479,24 +482,15 @@ def sweep_psi(model, ss):
     halves = [sorted(half, key=lambda k: abs(math.atan2(ss[k].imag,
                                                        ss[k].real)))
               for half in halves]
-    solved = _stacked_solve(Hs, ss, dm, halves)
-    out = [None] * len(ss)
+    out = _stacked_solve(H(ss), ss, model.d_minus, halves)
     for half in halves:
-        X = None
-        for k in half:
-            s = ss[k]
-            if isinstance(solved[k], Exception):
-                raise solved[k]
-            if solved[k] is not None:
-                X = solved[k]
-            elif X is None:
-                X = _continue_arc(model, s, H)
-            else:
-                try:
-                    X = _newton_refine(_riccati_blocks(Hs[k], dm), X, s)
-                except RiccatiError:
-                    X = _continue_arc(model, s, H)
-            out[k] = X
+        for prev, k in zip([None] + half, half):
+            if isinstance(out[k], np.ndarray):
+                continue
+            if ss[k].real >= 0:
+                raise out[k]
+            before = None if prev is None else (ss[prev], out[prev])
+            out[k] = _refined_path(H, model.d_minus, ss[k], before)
     return out
 
 
@@ -506,7 +500,7 @@ def fluid_psi_transform(model):
     The evaluators solve each row of their array of s, the nodes of one
     t, by one :func:`sweep_psi`; a single s is thus solved as
     :func:`solve_psi` solves it.  The rows are swept one by one, so that
-    each warm start stays on its t's contour.
+    each node tracks its subspace from a node of its own t's contour.
     """
     def psi(S):
         return np.array([sweep_psi(model, row) for row in S])

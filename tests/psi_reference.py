@@ -1,18 +1,17 @@
-"""Reference for the sorted Riccati solve of a node set (Re s >= 0).
+"""Reference Riccati solves of a node set, node by node.
 
 `sweep_psi` as it was before its nodes were solved as one stack: each
 Re s >= 0 node alone, from the eigenvectors of H(s) for its d-
 eigenvalues of smallest real part, then `_newton_refine`, whose every
 step is a Bartels-Stewart Sylvester solve (`_solve_sylvester`).  Each
-Re s < 0 node is refined from the solution at the node before it in the
-walk, or continued along the arc: what `sweep_psi` does for the nodes
-its tracked subspaces do not settle.  The tests compare `sweep_psi`
-with it.  A node that the stacked solve's one
-eigenbasis step does not settle is refined from X0 by `_newton_refine`,
-so for such a node the reference is also the exact value, or error, that
-`sweep_psi` must give.
+Re s < 0 node is warm started: refined from the solution at the node
+before it in the walk, or, if it has none or that fails, continued from
+|s| along the arc by `arc_psi`, a fixed-step Newton continuation that
+shares no step rule with `queueing`.  The tests compare `sweep_psi` and
+`solve_psi` with them.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -48,6 +47,26 @@ def sorted_node(H, s, dm, refine=None):
     return refine(_riccati_blocks(H, dm), X, s)
 
 
+def arc_psi(model, s, steps=1024):
+    """psi_hat at one s, continued from the sorted solve at |s| along the
+    arc |z| = |s| (through the half-plane of the sign of Im s, -0.0
+    included) in steps equal steps.  Each step is refined by
+    `queueing._newton_refine` from the quadratic extrapolation of the
+    three solutions before it (the solution before it, for the first two
+    steps), so that one Newton step usually meets the gate.  A step whose
+    refinement misses the 1e-12 gate raises RiccatiError; no step is
+    halved."""
+    H = _hamiltonian(model)
+    radius, theta = abs(s), math.atan2(s.imag, s.real)
+    Xs = [sorted_psi(model, complex(radius))]
+    for k in range(1, steps + 1):
+        z = s if k == steps else radius * cmath.exp(1j * theta * k / steps)
+        X = 3 * Xs[-1] - 3 * Xs[-2] + Xs[-3] if k > 2 else Xs[-1]
+        Xs.append(queueing._newton_refine(
+            _riccati_blocks(H([z])[0], model.d_minus), X, z))
+    return Xs[-1]
+
+
 def sweep_psi(model, ss):
     """psi_hat at each s of ss, in the order of ss, each Re s >= 0 node
     by `sorted_psi`."""
@@ -66,12 +85,12 @@ def sweep_psi(model, ss):
             if s.real >= 0:
                 X = sorted_psi(model, s)
             elif X is None:
-                X = queueing._continue_arc(model, s, H)
+                X = arc_psi(model, s)
             else:
                 try:
                     X = queueing._newton_refine(
                         _riccati_blocks(H([s])[0], dm), X, s)
                 except RiccatiError:
-                    X = queueing._continue_arc(model, s, H)
+                    X = arc_psi(model, s)
             out[k] = X
     return out

@@ -66,6 +66,15 @@ class TestEpsilonAccuracy:
         with pytest.raises(ZeroDivisionError):
             rational_approximant(full, full.nodes[0])
 
+    def test_array_on_a_node_raises_without_a_warning(self):
+        full = to_full(zakian_method(2))
+        z = np.array([0.5, full.nodes[1], full.nodes[0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroDivisionError) as info:
+                rational_approximant(full, z)
+        assert str(info.value).startswith(f"z={complex(full.nodes[1])} ")
+
     def test_array_matches_reference_bitwise(self):
         full = to_full(preset_tame(4.0))
         z = discretize(Disc(-4.0, 4.0), 1000).points

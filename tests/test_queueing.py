@@ -1,5 +1,4 @@
 import math
-import sys
 from unittest import mock
 
 import numpy as np
@@ -14,7 +13,7 @@ from awilt import queueing
 from awilt.errors import RiccatiError, SpectralGapError
 from awilt.invert import invert, invert_curve
 from awilt.methods import talbot_method, to_full
-from awilt.queueing import (MAX_ARC_STEPS, FluidQueueModel, GeneratorMatrix,
+from awilt.queueing import (FluidQueueModel, GeneratorMatrix,
                             PhaseType, _hamiltonian, _newton_refine,
                             _riccati_blocks, fluid_psi_transform,
                             make_experiment_model, phase_type_ground_truth,
@@ -55,27 +54,23 @@ def _residual_ok(model, s, X):
     return _nare_residual(model, s, X) < 1e-10 * scale * max(1.0, nx) ** 2
 
 
-def _cold_start_arc(model, s):
-    """The continuation from the real axis: sorted solve at |s|, then 64
-    (or, halving, more) steps along the arc.  With 16 steps it ends on
-    another solution of the NARE at s = e^{3i} on
-    make_experiment_model(2, 4, 4), 2.30 away."""
-    radius = abs(s)
-    theta = np.angle(s)
-    X = solve_psi(model, complex(radius))
-    steps = 64
-    k = 0
-    while k < steps:
-        k += 1
-        sk = radius * np.exp(1j * theta * k / steps)
-        try:
-            X = _newton_refine(_blocks(model, sk), X, sk)
-        except RiccatiError:
-            if steps >= 4096:
-                raise
-            k = 2 * (k - 1)
-            steps *= 2
-    return X
+def _assert_matches_arc(d_plus, d_minus, seed, log_radius, angle, sign):
+    """solve_psi at s = 10^log_radius e^{+-i angle} (-r +- 0.0j at angle
+    pi) is the fixed-step continuation from |s| (`psi_reference.arc_psi`),
+    within the gate that the condition of the NARE at s allows."""
+    model = make_experiment_model(d_plus, d_minus, seed)
+    r = 10.0 ** log_radius
+    s = (complex(-r, sign * 0.0) if angle == math.pi
+         else complex(r * math.cos(angle), sign * r * math.sin(angle)))
+    X = solve_psi(model, s)
+    ref = psi_reference.arc_psi(model, s)
+    nx = np.linalg.norm(X, np.inf)
+    # Both solves pass the same 1e-12 residual gate, so they can differ by
+    # about 1e-12 times the condition number; near a branch point of psi_hat
+    # (condition 300 to 3000 in 4000 random draws) that reaches 2e-10.
+    tol = 1e-10 * max(1.0, nx) * max(1.0, _condition(model, s, X) / 50)
+    assert np.max(np.abs(X - ref)) <= tol
+    assert _residual_ok(model, s, X)
 
 
 def _two_option_refine(blocks, X, s, max_steps, min_steps):
@@ -106,23 +101,10 @@ def _two_option_refine(blocks, X, s, max_steps, min_steps):
 
 
 def _two_option_solve_psi(model, s):
-    """solve_psi under the two-option policy: 2 to 5 steps on the sorted
-    path (the per-node one of `psi_reference`), 1 to 12 at each arc
-    point."""
-    def sorted_solve(model, z):
-        return psi_reference.sorted_psi(
-            model, z, lambda blocks, X, z: _two_option_refine(blocks, X, z,
-                                                              5, 2))
-
-    def refine(blocks, X, sk):
-        return _two_option_refine(blocks, X, sk, 12, 1)
-
-    if s.real >= 0:
-        return sorted_solve(model, s)
-    # the arc starts from queueing.solve_psi at +-i|s|
-    with mock.patch.object(queueing, "solve_psi", sorted_solve), \
-            mock.patch.object(queueing, "_newton_refine", refine):
-        return solve_psi(model, s)
+    """solve_psi at Re s >= 0 under the two-option policy: 2 to 5 steps on
+    the sorted path (the per-node one of `psi_reference`)."""
+    return psi_reference.sorted_psi(
+        model, s, lambda blocks, X, z: _two_option_refine(blocks, X, z, 5, 2))
 
 
 @pytest.fixture
@@ -136,6 +118,20 @@ def sylvester_calls(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(queueing, "_solve_sylvester", spy)
+    return calls
+
+
+@pytest.fixture
+def schur_calls(monkeypatch):
+    """The s of every node solved from its Schur basis."""
+    calls = []
+    solve = queueing._schur_solve
+
+    def spy(H, mu, dm, s):
+        calls.append(s)
+        return solve(H, mu, dm, s)
+
+    monkeypatch.setattr(queueing, "_schur_solve", spy)
     return calls
 
 
@@ -288,9 +284,11 @@ class TestSolvePsi:
         # continuation of psi_hat to C minus [-2, 0]; the form
         # sqrt((1+s)^2 - 1) jumps on Re s = -1.  Its product with
         # (1+s) + sqrt(s) sqrt(s+2) is 1, so the reciprocal of that is the
-        # same function without the cancellation at large |s|.
+        # same function without the cancellation at large |s|.  -2 + 1e-9j
+        # is 1e-9 from the branch point -2.
         model = _scalar_model(1.0, 1.0)
-        pts = [-0.5 + 1e-3j, -3.0 + 0.1j, -10.0 - 5.0j, -100.0 + 0.5j]
+        pts = [-0.5 + 1e-3j, -3.0 + 0.1j, -10.0 - 5.0j, -100.0 + 0.5j,
+               -2.0 + 1e-9j]
         for t in (1.0, 3.0, 10.0, 30.0):
             for m in (talbot_method(24), preset_tame(model.gen.lam * t)):
                 pts += [complex(b) / t for b in to_full(m).nodes
@@ -303,7 +301,8 @@ class TestSolvePsi:
             # s = -3+0.1j, where the error is 1.5e-12.
             assert abs(x - want) <= 2e-12 * abs(want), s
 
-    @settings(max_examples=100, deadline=None)
+    # each example's reference is a 1024-step Newton arc (about 0.1 s)
+    @settings(max_examples=25, deadline=None)
     @given(d_plus=st.integers(1, 5), d_minus=st.integers(1, 5),
            seed=st.integers(0, 2**16),
            log_radius=st.floats(-1.5, 1.5),
@@ -313,42 +312,57 @@ class TestSolvePsi:
            sign=st.sampled_from([1.0, -1.0]))
     @example(d_plus=2, d_minus=4, seed=4, log_radius=0.0, angle=3.0,
              sign=1.0)
+    # two eigenvalues of H(z) come within 0.05 of each other near
+    # arg z = 3.04 on this arc: a Newton walk along it with step halving,
+    # from +-i|s| or from |s| at 64 steps, ends on another solution
+    @example(d_plus=5, d_minus=5, seed=1, log_radius=0.0,
+             angle=3.1404879563965915, sign=1.0)
     def test_continuation_matches_cold_start(self, d_plus, d_minus, seed,
                                              log_radius, angle, sign):
-        model = make_experiment_model(d_plus, d_minus, seed)
-        r = 10.0 ** log_radius
-        s = (complex(-r, sign * 0.0) if angle == math.pi
-             else complex(r * math.cos(angle), sign * r * math.sin(angle)))
-        X = solve_psi(model, s)
-        ref = _cold_start_arc(model, s)
-        nx = np.linalg.norm(X, np.inf)
-        # Both solves pass the same 1e-12 residual gate, so they can differ
-        # by about 1e-12 times the condition number; near a branch point of
-        # psi_hat (condition 300 to 3000 in 4000 random draws) that reaches
-        # 2e-10.
-        tol = 1e-10 * max(1.0, nx) * max(1.0, _condition(model, s, X) / 50)
-        assert np.max(np.abs(X - ref)) <= tol
-        assert _residual_ok(model, s, X)
+        _assert_matches_arc(d_plus, d_minus, seed, log_radius, angle, sign)
+
+    @settings(max_examples=10, deadline=None)
+    @given(d_plus=st.integers(1, 5), d_minus=st.integers(1, 5),
+           seed=st.integers(0, 2**16),
+           log_radius=st.floats(-1.5, 1.5),
+           offset=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+           sign=st.sampled_from([1.0, -1.0]))
+    @example(d_plus=2, d_minus=5, seed=2, log_radius=0.0, offset=0.0,
+             sign=1.0)
+    def test_near_negative_axis_matches_cold_start(self, d_plus, d_minus,
+                                                   seed, log_radius, offset,
+                                                   sign):
+        # offset 0 is s = -r +- 0.0j
+        _assert_matches_arc(d_plus, d_minus, seed, log_radius,
+                            math.pi - offset, sign)
 
     def test_continuation_failure_names_both_points(self, monkeypatch):
-        calls = []
+        # every tracked choice is ambiguous, so the first step of the arc
+        # from 2j is bisected PATH_DEPTH times, and then the path gives up
+        ends = []
+        stacked = queueing._stacked_solve
 
-        def failing(blocks, X, s):
-            calls.append(s)
-            raise RiccatiError(f"Newton step failed at s={s}")
+        def spy(Hs, ss, *args):
+            ends.append(ss[-1])
+            return stacked(Hs, ss, *args)
 
-        monkeypatch.setattr(queueing, "solve_psi",
-                            lambda model, s: np.zeros((1, 1), complex))
-        monkeypatch.setattr(queueing, "_newton_refine", failing)
+        monkeypatch.setattr(queueing, "_track", lambda U, V, dm: None)
+        monkeypatch.setattr(queueing, "_stacked_solve", spy)
         s = complex(-2.0, 0.0)
         with pytest.raises(RiccatiError) as info:
             solve_psi(_scalar_model(), s)
-        # a quarter arc starts at 32 steps: 32, 64, ..., 4096 is 8 attempts
-        assert MAX_ARC_STEPS == 4096 and len(calls) == 8
-        msg = str(info.value)
-        assert f"s={s}" in msg
-        assert f"z={calls[-1]}" in msg
-        assert f"{MAX_ARC_STEPS} arc steps" in msg
+        # the sweep's own stack, the sorted start 2j, then s and the 50
+        # points that halve the step from 2j in log z, each alone
+        assert queueing.PATH_DEPTH == 50
+        assert ends[:3] == [s, 2j, s] and len(ends) == 53
+        assert [abs(z) for z in ends[3:]] == pytest.approx([2.0] * 50,
+                                                          rel=1e-15)
+        args = [math.atan2(z.imag, z.real) for z in ends[2:]]
+        assert args == pytest.approx([math.pi / 2 + math.pi / 2 ** (k + 1)
+                                      for k in range(51)], rel=1e-15)
+        assert str(info.value) == (
+            f"no tracked path to s={s}: the step from z=2j to z={ends[-1]} "
+            f"is in doubt after 50 bisections")
 
     @pytest.mark.parametrize("s", [0.5, 2.0 + 3.0j, 1e-3 + 40.0j])
     def test_sorted_solve_makes_one_newton_step(self, s, sylvester_calls,
@@ -377,10 +391,13 @@ class TestSolvePsi:
     @given(d_plus=st.integers(1, 5), d_minus=st.integers(1, 5),
            seed=st.integers(0, 2**16),
            log_radius=st.floats(-1.5, 1.5),
-           angle=st.floats(0.0, math.pi),
+           angle=st.floats(0.0, 0.5 * math.pi),
            sign=st.sampled_from([1.0, -1.0]))
     def test_matches_two_option_policy(self, d_plus, d_minus, seed,
                                        log_radius, angle, sign):
+        # Re s >= 0 only: at Re s < 0 no Newton refinement walks an arc
+        # any more, and test_continuation_matches_cold_start compares with
+        # the fixed-step one
         model = make_experiment_model(d_plus, d_minus, seed)
         r = 10.0 ** log_radius
         s = complex(r * math.cos(angle), sign * r * math.sin(angle))
@@ -585,26 +602,28 @@ class TestSweepPsi:
             sweep_psi(model, [complex(0.0, -0.0), 1.0 + 1.0j,
                               complex(0.0, 0.0)])
 
-    def test_later_steps_converge(self, monkeypatch):
+    def test_later_steps_converge(self, monkeypatch, schur_calls):
         # a first step off by 1e-6 leaves the gate unmet, so each node is
-        # refined from X0 by _newton_refine, as the reference refines it
+        # solved from its Schur basis, and gets the reference's value, the
+        # refinement from its eigenvectors, within the gate
         model = make_experiment_model(3, 4, seed=2)
         ss = [complex(b) / 2.0 for b in to_full(talbot_method(16)).nodes
               if complex(b).real >= 0]
-        want = psi_reference.sweep_psi(model, ss)
         solve = queueing._solve_sylvester_eig
         monkeypatch.setattr(queueing, "_solve_sylvester_eig",
                             lambda a, mu, q: solve(a, mu, q) + 1e-6)
-        for s, X, ref in zip(ss, sweep_psi(model, ss), want):
-            assert X.tobytes() == ref.tobytes(), s
+        _assert_matches_reference(model, ss)
+        assert sorted(schur_calls, key=ss.index) == ss
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("spoil", [1e-6, np.nan])
-    def test_unsettled_nodes_get_the_reference(self, monkeypatch, spoil):
+    def test_unsettled_nodes_take_the_schur_basis(self, monkeypatch, spoil):
         # node 0 is solved as it is alone; node 1's X0 residual overflows;
         # node 2's eigenbasis step is spoiled, by 1e-6 (an unmet gate) or
-        # NaN (a failed shifted solve).  Nodes 1 and 2 are refined from X0
-        # by _newton_refine, and so get what the per-node reference gives.
+        # NaN (a failed shifted solve).  Nodes 1 and 2 are solved from
+        # their Schur bases, alone: node 1's refinement fails as the
+        # per-node reference's does, and node 2 gets what _schur_solve
+        # gives it.
         huge = 0.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
         H = _hamiltonian(_scalar_model(1.0, 2.0))
         Hs = np.array([H([1.0])[0], huge, H([2.0 + 1.0j])[0]])
@@ -624,30 +643,47 @@ class TestSweepPsi:
             psi_reference.sorted_node(huge, ss[1], 1)
         assert type(got[1]) is RiccatiError
         assert str(got[1]) == str(info.value)
-        want = psi_reference.sorted_node(Hs[2], ss[2], 1)
+        vals = np.linalg.eigvals(Hs[2])
+        mu = vals[np.argsort(vals.real, kind="stable")[:1]]
+        want = queueing._schur_solve(Hs[2], mu, 1, ss[2])
         assert got[2].tobytes() == want.tobytes()
+        ref = psi_reference.sorted_node(Hs[2], ss[2], 1)
+        assert np.abs(got[2] - ref).max() <= 1e-15
 
-    def test_defective_cluster_fails_as_the_reference(self):
+    def test_defective_cluster_solves_from_the_schur_basis(self,
+                                                          schur_calls):
         # on the 10-state cycle, the six eigenvalues of H(s) near -1 at
         # s = 738.1i have nearly parallel eigenvectors (cond T = 2.4e34):
-        # the eigenbasis step leaves the gate unmet, and the refinement
-        # from X0 raises as the reference's does (steps that kept the B
-        # of X0 passed the gate with entries of X up to 1.6e15)
+        # the eigenbasis step leaves the gate unmet, and so does the
+        # refinement from X0 = V_bot T^-1 (steps that kept the B of X0
+        # passed the gate with entries of X up to 1.6e15).  The Schur basis
+        # of the same eigenvalues has cond Q_top near 1, and its refinement
+        # meets the gate.
         model = _structured_model("cycle", 4, 6)
         s = 738.1060695286759j
-        _assert_matches_reference(model, [s])
         with pytest.raises(RiccatiError, match="Riccati residual"):
-            solve_psi(model, s)
+            psi_reference.sorted_psi(model, s)
+        X = solve_psi(model, s)
+        assert schur_calls == [s]
+        assert _residual_ok(model, s, X)
+        # X is the minimal solution: A_mm + A_mp X has the d- eigenvalues
+        # of H(s) of smallest real part (the cluster near -1 - 738.1i)
+        App, Apm, Amp, Amm = _blocks(model, s)
+        got = np.sort_complex(np.linalg.eigvals(Amm + Amp @ X))
+        vals = np.linalg.eigvals(_hamiltonian(model)([s])[0])
+        want = np.sort_complex(vals[np.argsort(vals.real)[:6]])
+        assert np.abs(got - want).max() <= 1e-2
 
     def test_singular_subspace_basis_fails_its_node_only(self):
-        # the eigenvector of -1 is (0, 1), so its minus part T is 0; the
-        # other node of the stack is solved as it is alone
+        # the eigenvector of -1 is (0, 1), so its minus part T is 0, and so
+        # is Q_top of its Schur basis; the other node of the stack is
+        # solved as it is alone
         bad = np.array([[2.0, 0.0], [1.0, -1.0]], dtype=complex)
         good = _hamiltonian(_scalar_model())([1.0])[0]
         error, X = queueing._stacked_solve(np.array([bad, good]), [2j, 1.0],
                                            1, [[1, 0]])
         assert isinstance(error, RiccatiError)
-        assert str(error) == "singular subspace basis at s=2j: Singular matrix"
+        assert str(error) == "no Schur basis at s=2j: Singular matrix"
         assert X.tobytes() == solve_psi(_scalar_model(), 1.0).tobytes()
 
     def test_subnormal_phase(self):
@@ -657,82 +693,145 @@ class TestSweepPsi:
         X, = sweep_psi(model, [complex(2.0, 5e-324)])
         assert np.max(np.abs(X - solve_psi(model, 2.0))) <= 1e-15
 
-    def test_failed_warm_start_falls_back_to_the_arc(self, monkeypatch):
-        # the tracked step and then the warm start fail at every Re s < 0
-        # node, so each gets the arc, as it does alone
+    def test_path_after_a_node_at_zero_starts_on_the_arc(self, monkeypatch):
+        # no path is linear in log z from 0: a node whose choice is in
+        # doubt after s = 0 is tracked from +-i|s|, as if it were first
+        model = make_experiment_model(2, 3, seed=1)
+        s = -1.0 + 1.0j
+        track, stacked = queueing._track, queueing._stacked_solve
+        calls, ends = [], []
+
+        def doubtful_once(U, V, dm):
+            calls.append(None)
+            return None if len(calls) == 1 else track(U, V, dm)
+
+        def spy(Hs, ss, *args):
+            ends.append(ss[-1])
+            return stacked(Hs, ss, *args)
+
+        monkeypatch.setattr(queueing, "_track", doubtful_once)
+        monkeypatch.setattr(queueing, "_stacked_solve", spy)
+        X = sweep_psi(model, [0j, s])[1]
+        assert ends[:2] == [s, complex(0.0, abs(s))]
+        monkeypatch.undo()
+        assert np.abs(X - solve_psi(model, s)).max() <= 1e-12
+
+    def test_failed_start_of_the_arc_raises(self, monkeypatch):
+        # no route solves the sorted start 2j of the lone node's arc, and
+        # its error is raised
+        monkeypatch.setattr(queueing, "_solve_sylvester_eig",
+                            lambda a, mu, q: np.full(q.shape, np.nan))
+
+        def failing(H, mu, dm, s):
+            raise RiccatiError(f"forced failure at s={s}")
+
+        monkeypatch.setattr(queueing, "_schur_solve", failing)
+        with pytest.raises(RiccatiError, match=r"^forced failure at s=2j$"):
+            solve_psi(_scalar_model(), complex(-2.0, 0.0))
+
+    def test_failed_schur_reordering_raises(self, monkeypatch):
+        # ztrsen's info 1: eigenvalues too close to reorder
+        import scipy.linalg.lapack
+        reorder = scipy.linalg.lapack.ztrsen
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsen",
+                            lambda *args, **kw: (*reorder(*args, **kw)[:-1],
+                                                 1))
+        H = _hamiltonian(_scalar_model(1.0, 2.0))([1.0])[0]
+        vals = np.linalg.eigvals(H)
+        with pytest.raises(RiccatiError,
+                           match=r"^no Schur basis at s=1.0: ztrsen info 1$"):
+            queueing._schur_solve(H, vals[np.argsort(vals.real)[:1]], 1, 1.0)
+
+    def test_unsolved_nodes_take_the_refined_path(self, monkeypatch):
+        # every Re s < 0 node of the sweep's own stack is left unsolved, as
+        # when its Schur basis raises, so each takes a refined path from
+        # the node before it, and gets the value the sweep gives it
         model = make_experiment_model(5, 10, seed=1)
         m = to_full(talbot_method(24))
         ss = [complex(b) / 3.0 for b in m.nodes]
-        want = [solve_psi(model, s) for s in ss]
-        stacked, refine = queueing._stacked_solve, queueing._newton_refine
-        unsettled, forced = [], []
+        want = sweep_psi(model, ss)
+        stacked = queueing._stacked_solve
+        paths = []
 
-        def failing_tracked_step(Hs, ss, dm, halves):
-            out = stacked(Hs, ss, dm, halves)
-            for i, s in enumerate(ss):
-                if s.real < 0 and out[i] is not None:
-                    unsettled.append(s)
-                    out[i] = None
+        def unsolved(Hs, path, dm, halves, start=None):
+            out = stacked(Hs, path, dm, halves, start)
+            if paths:
+                paths[-1].append((path[-1], start))
+            else:  # the sweep's own stack
+                out = [RiccatiError(f"forced failure at s={s}")
+                       if s.real < 0 else X for s, X in zip(path, out)]
+            paths.append([])
             return out
 
-        def failing_warm_start(blocks, X, s):
-            # the refinements sweep_psi itself makes are the warm starts
-            if sys._getframe(1).f_code is sweep_psi.__code__:
-                forced.append(s)
-                raise RiccatiError(f"forced failure at s={s}")
-            return refine(blocks, X, s)
-
-        monkeypatch.setattr(queueing, "_stacked_solve", failing_tracked_step)
-        monkeypatch.setattr(queueing, "_newton_refine", failing_warm_start)
+        monkeypatch.setattr(queueing, "_stacked_solve", unsolved)
         got = sweep_psi(model, ss)
-        # each Re s < 0 node has a predecessor: Talbot starts at Re s > 0
+        ends = [end for call in paths for end, _ in call]
+        # each Re s < 0 node has a predecessor (Talbot starts at Re s > 0),
+        # and its path of 4 steps settles
         left = [s for s in ss if s.real < 0]
-        assert sorted(unsettled, key=ss.index) == left
-        assert sorted(forced, key=ss.index) == left
-        for X, ref in zip(got, want):
-            assert np.array_equal(X, ref)
+        assert sorted(ends, key=ss.index) == left
+        assert all(start is not None for call in paths for _, start in call)
+        for s, X, ref in zip(ss, got, want):
+            nx = np.linalg.norm(ref, np.inf)
+            tol = 1e-10 * max(1.0, nx) * max(1.0,
+                                             _condition(model, s, ref) / 50)
+            assert np.max(np.abs(X - ref)) <= tol, s
 
-    def test_defective_cluster_takes_the_warm_start(self, monkeypatch):
+    def test_defective_cluster_takes_the_schur_basis(self, schur_calls):
         # Talbot-24 at t = 0.3 on the 10-state cycle: at s = -731.79
         # +- 96.34i the six tracked eigenvectors are nearly parallel
-        # (cond T = 2.4e34), the eigenbasis step misses the gate, and
-        # these two nodes alone are warm started
+        # (cond T = 3e60), the eigenbasis step misses the gate, and these
+        # two nodes alone are solved from their Schur bases.  They get the
+        # warm start from the node before them in the walk (which the
+        # sweep gave them before it had Schur bases) within 1e-15.
         model = _structured_model("cycle", 4, 6)
         ss = [complex(b) / 0.3 for b in to_full(talbot_method(24)).nodes]
-        refine = queueing._newton_refine
-        warm = []
-
-        def spy(blocks, X, s):
-            if sys._getframe(1).f_code is sweep_psi.__code__:
-                warm.append(s)
-            return refine(blocks, X, s)
-
-        monkeypatch.setattr(queueing, "_newton_refine", spy)
+        got = sweep_psi(model, ss)
+        pair = [complex(-731.7914697830261, -96.342174710087),
+                complex(-731.7914697830261, 96.342174710087)]
+        assert sorted(schur_calls, key=lambda s: s.imag) == pair
+        for s in pair:
+            half = sorted((z for z in ss if z.imag * s.imag > 0),
+                          key=lambda z: abs(math.atan2(z.imag, z.real)))
+            before = got[ss.index(half[half.index(s) - 1])]
+            warm = _newton_refine(_blocks(model, s), before, s)
+            assert (np.abs(got[ss.index(s)] - warm).max()
+                    <= 1e-15 * np.linalg.norm(warm, np.inf))
         _assert_matches_reference(model, ss)
-        assert sorted(warm, key=lambda s: s.imag) == [
-            complex(-731.7914697830261, -96.342174710087),
-            complex(-731.7914697830261, 96.342174710087)]
 
-    def test_ambiguous_selection_takes_the_warm_start(self, sylvester_calls):
+    def test_ambiguous_selection_takes_the_refined_path(self, monkeypatch):
         # H(-1) of the symmetric scalar model is real with eigenvalues +-i:
         # its two eigenvectors are conjugate, so equally far from the real
-        # one H(0.5) selects, and s = -1 is warm started from s = 0.5
+        # one H(0.5) selects, and s = -1 takes a refined path from s = 0.5
         model = _scalar_model(1.0, 1.0)
         vals, vecs = np.linalg.eig(_hamiltonian(model)([0.5, -1.0]))
         assert queueing._select(vals, vecs, [0.5, -1.0 + 0j], [[0, 1]],
                                 1)[1] is None
-        X = sweep_psi(model, [0.5, complex(-1.0, 0.0)])[1]
-        assert len(sylvester_calls) >= 1
-        assert abs(X - solve_psi(model, complex(-1.0, 0.0))).max() <= 1e-12
+        refined = queueing._refined_path
+        paths = []
 
-    def test_singular_tracked_basis_is_left_to_the_warm_start(self):
+        def spy(H, dm, s, before):
+            paths.append((s, before[0]))
+            return refined(H, dm, s, before)
+
+        monkeypatch.setattr(queueing, "_refined_path", spy)
+        X = sweep_psi(model, [0.5, complex(-1.0, 0.0)])[1]
+        assert paths == [(complex(-1.0, 0.0), 0.5)]
+        # the oracle of test_left_halfplane_oracle, -1j at s = -1 + 0.0j
+        assert abs(X[0, 0] - (-1j)) <= 1e-12
+
+    def test_singular_tracked_basis_is_left_to_the_refined_path(self):
         # the Re s < 0 node tracks the eigenvector (-0.05, 1) of the node
-        # before it to its eigenvector (0, 1), whose minus part T is 0
+        # before it to its eigenvector (0, 1), whose minus part T is 0, as
+        # is Q_top of its Schur basis: it gets that error, which sweep_psi
+        # answers with a refined path
         before = np.array([[1.0, 0.1], [0.0, -1.0]], dtype=complex)
         bad = np.array([[2.0, 0.0], [1.0, -1.0]], dtype=complex)
         X, left = queueing._stacked_solve(np.array([before, bad]),
                                           [1.0, -1.0 + 1.0j], 1, [[0, 1]])
-        assert left is None
+        assert type(left) is RiccatiError
+        assert str(left) == ("no Schur basis at s=(-1+1j): "
+                             "Singular matrix")
         alone, = queueing._stacked_solve(before[None], [1.0], 1, [[0]])
         assert X.tobytes() == alone.tobytes()
 
@@ -749,18 +848,22 @@ class TestSweepPsi:
         model = make_experiment_model(d_plus, d_minus, seed)
         ss = [complex(b) / t for b in m.nodes]
         select, stacked = queueing._select, queueing._stacked_solve
-        tracked, settled = {}, []
+        tracked, settled, calls = {}, [], []
 
-        def select_spy(vals, vecs, ss, halves, dm):
-            sel = select(vals, vecs, ss, halves, dm)
-            tracked.update((k, vals[k][c]) for k, c in enumerate(sel)
-                           if ss[k].real < 0 and isinstance(c, np.ndarray))
+        def select_spy(vals, vecs, ss, halves, dm, start=None):
+            sel = select(vals, vecs, ss, halves, dm, start)
+            if len(calls) == 1:  # the sweep's own stack, not a path's
+                tracked.update((k, vals[k][c]) for k, c in enumerate(sel)
+                               if ss[k].real < 0
+                               and isinstance(c, np.ndarray))
             return sel
 
         def stacked_spy(*args):
+            calls.append(None)
             out = stacked(*args)
-            settled.extend(k for k, X in enumerate(out)
-                           if k in tracked and isinstance(X, np.ndarray))
+            if len(calls) == 1:
+                settled.extend(k for k, X in enumerate(out)
+                               if k in tracked and isinstance(X, np.ndarray))
             return out
 
         with mock.patch.object(queueing, "_select", select_spy), \
@@ -799,8 +902,7 @@ class TestSweepPsi:
         for transform in fluid_psi_transform(model):
             sylvester_calls.clear()
             invert(talbot_method(24), transform, 1.0)
-            # 144 when each node is solved on its own, 44 when the Re s < 0
-            # nodes are warm started
+            # every node is settled by the stacked eigenbasis step
             assert len(sylvester_calls) == 0
 
     def test_psi_and_Psi_nodes(self):
