@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the lines of src/awilt that no test runs.
+"""Print the lines of src/awilt that no test runs, and fail if there are any.
 
 Usage: PYTHONPATH=src python scripts/unreached_lines.py [PYTEST_ARGS...]
 
@@ -11,9 +11,10 @@ pytest's report and a count of those lines go to stderr.  A line is
 executable when an instruction of the code compiled from its file starts
 on it (co_lines), as coverage.py counts it.  Lines run only in a
 subprocess, such as the one that imports the CLI in
-`test_import_loads_no_scipy`, are not seen.  The tracer roughly doubles
-the suite's wall time, so this is not part of Tier-1.  Exits with
-pytest's exit code.
+`test_import_loads_no_scipy`, are not seen.  The tracer more than
+doubles the suite's wall time, so this is not part of Tier-1.  Exits with
+pytest's exit code when pytest fails, else with 1 when a line was not
+run and 0 when every line was.
 """
 
 import contextlib
@@ -88,7 +89,7 @@ def main():
                 print(f"{os.path.relpath(path, ROOT)}:{line}: "
                       f"{source[line - 1].strip()}")
     print(f"{missed} of {total} executable lines not run", file=sys.stderr)
-    return int(code)
+    return int(code) or int(missed > 0)
 
 
 if __name__ == "__main__":

@@ -8,11 +8,10 @@ queueing applications (phase-type distributions, fluid queues).
 
 from .errors import (NodeCollisionError, NumericalError,
                      PoleInsideDomainError, RiccatiError, SpectralGapError)
-from .domains import (Disc, ImagSegment, RealSegment, Rectangle,
-                      Discretization, contains, discretize, distance_to,
-                      fov_circle_bound, fov_hermitian_bound,
-                      fov_rectangle_bound, parse_domain, format_domain,
-                      select_domain)
+from .domains import (Disc, ImagSegment, RealSegment, Rectangle, contains,
+                      discretize, distance_to, fov_circle_bound,
+                      fov_hermitian_bound, fov_rectangle_bound, parse_domain,
+                      format_domain, select_domain)
 from .methods import (AWMethod, MethodMetadata, euler_method, gaver_method,
                       talbot_method, zakian_method, load_method, save_method,
                       method_from_json, method_to_json, pair_conjugates,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Discretization
 from .errors import NumericalError
 from .invert import Transform, invert, pointwise
 from .methods import to_full
@@ -61,19 +60,20 @@ def rational_approximant(m, z):
 
 
 def epsilon_accuracy(m, Z):
-    """max over Z of |e^z - sum w/(beta - z)| (full-form evaluation).
+    """max over the points Z of |e^z - sum w/(beta - z)| (full-form
+    evaluation).
 
-    One pass over one points x nodes array D = beta - z.  Its smallest
-    |D| gates the on-grid check: a node within 1e-13 (1 + |beta|) of a
-    grid point raises ValueError, naming the lowest-index such node,
-    before any division.  The pole sum then divides the weights by D
-    itself.  An empty grid raises ValueError, and a grid point where
-    e^z - r(z) is not finite (e^z overflows, say) raises NumericalError
-    naming the first such point; the on-grid check comes first.  numpy
-    warns of nothing.
+    Z is an array of points, as `domains.discretize` returns.  One pass
+    over one points x nodes array D = beta - z.  Its smallest |D| gates
+    the on-grid check: a node within 1e-13 (1 + |beta|) of a grid point
+    raises ValueError, naming the lowest-index such node, before any
+    division.  The pole sum then divides the weights by D itself.  An
+    empty grid raises ValueError, and a grid point where e^z - r(z) is
+    not finite (e^z overflows, say) raises NumericalError naming the
+    first such point; the on-grid check comes first.  numpy warns of
+    nothing.
     """
-    pts = np.asarray(Z.points if isinstance(Z, Discretization) else Z,
-                     dtype=complex)
+    pts = np.asarray(Z, dtype=complex)
     if pts.size == 0:
         raise ValueError("empty evaluation grid")
     full = to_full(m)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import symmetric_eigen_range
-
 
 @dataclass(frozen=True)
 class Disc:
@@ -62,13 +60,6 @@ class Rectangle:
 Domain = Disc | RealSegment | ImagSegment | Rectangle
 
 
-@dataclass(frozen=True)
-class Discretization:
-    points: np.ndarray
-    domain: Domain
-    count: int
-
-
 def domain_scale(d):
     """Characteristic length used in relative tolerances."""
     if isinstance(d, Disc):
@@ -112,27 +103,26 @@ def _interval_dist(x, a, b):
 def discretize(d, count=1000):
     """Equispaced boundary points, conjugate-closed for symmetric domains.
 
-    ``count`` is the requested number of points.  A disc B(c, R) gets
-    c + R e^(2 pi i j/m), j < m, with m the count rounded up to even so
-    that both real points c +- R are present; the lower half mirrors the
-    upper half when c is real.  A rectangle gets its edges clockwise from
-    the top-left corner, corners included, so its count can differ
-    slightly; a repeated point is kept where it first occurs.  The arrays
-    equal the scalar loops of ``tests/domain_reference.py`` bit for bit.
+    Returns the points as a complex array.  ``count`` is the requested
+    number of points.  A disc B(c, R) gets c + R e^(2 pi i j/m), j < m,
+    with m the count rounded up to even so that both real points c +- R
+    are present; the lower half mirrors the upper half when c is real.
+    A rectangle gets its edges clockwise from the top-left corner,
+    corners included, so its count can differ slightly; a repeated point
+    is kept where it first occurs.  The arrays equal the scalar loops of
+    ``tests/domain_reference.py`` bit for bit.
     """
     if count < 3:
         raise ValueError("count must be at least 3")
     if isinstance(d, Disc):
-        pts = _disc_points(d, count)
-    elif isinstance(d, RealSegment):
-        pts = np.linspace(-d.length, 0.0, count).astype(complex)
-    elif isinstance(d, ImagSegment):
-        pts = 1j * _mirrored_linspace(d.half_width, count)
-    elif isinstance(d, Rectangle):
-        pts = _rectangle_points(d, count)
-    else:
-        raise TypeError(f"not a domain: {d!r}")
-    return Discretization(points=pts, domain=d, count=len(pts))
+        return _disc_points(d, count)
+    if isinstance(d, RealSegment):
+        return np.linspace(-d.length, 0.0, count).astype(complex)
+    if isinstance(d, ImagSegment):
+        return 1j * _mirrored_linspace(d.half_width, count)
+    if isinstance(d, Rectangle):
+        return _rectangle_points(d, count)
+    raise TypeError(f"not a domain: {d!r}")
 
 
 def _disc_points(d, count):
@@ -210,6 +200,8 @@ def fov_rectangle_bound(d, lam):
 def fov_hermitian_bound(A, generator=False):
     """Rectangle [range of (A+A*)/2] + i[range of (A-A*)/2i].
 
+    Each range is that of the eigenvalues (`np.linalg.eigvalsh`) of the
+    Hermitian matrix, re-symmetrised as 0.5 (S + S*) against rounding.
     With ``generator=True`` the caller certifies A is a (sub)generator
     (times a positive scalar), and the real part is clipped to Re <= 0.
     Degenerate axes are widened outward by a small floor so the result is
@@ -219,8 +211,9 @@ def fov_hermitian_bound(A, generator=False):
     A = np.asarray(A, dtype=complex)
     X = 0.5 * (A + A.conj().T)
     Y = (A - A.conj().T) / 2j
-    x0, x1 = symmetric_eigen_range(X)
-    y0, y1 = symmetric_eigen_range(Y)
+    x = np.linalg.eigvalsh(0.5 * (X + X.conj().T))
+    y = np.linalg.eigvalsh(0.5 * (Y + Y.conj().T))
+    x0, x1, y0, y1 = float(x[0]), float(x[-1]), float(y[0]), float(y[-1])
     if real_input:
         # For real A the skew part has an exactly +-paired spectrum; snap
         # the range so downstream discretizations are conjugate-closed.

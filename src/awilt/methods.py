@@ -41,7 +41,10 @@ class AWMethod:
         object.__setattr__(self, "nodes", b)
         if len(w) != len(b) or not w:
             raise ValueError("weights and nodes must be equal-length, nonempty")
-        for wi, bi in zip(w, b):
+        for i, (wi, bi) in enumerate(zip(w, b)):
+            if not (cmath.isfinite(wi) and cmath.isfinite(bi)):
+                raise ValueError(f"entry {i} is not finite: weight {wi!r}, "
+                                 f"node {bi!r}")
             if bi.imag == 0.0 and wi.imag != 0.0:
                 raise ValueError(f"real node {bi.real!r} has a non-real "
                                  f"weight {wi!r}")
@@ -172,7 +175,11 @@ def zakian_method(n):
     The poles are the roots of the binary64-rounded Pade denominator
     (`polynomial_roots`).  The residues -p(r)/q'(r) are evaluated at all
     roots at once by double-double Horner schemes on double-double values
-    of the exact rational coefficients, and rounded to binary64."""
+    of the exact rational coefficients, and rounded to binary64.  It works
+    for n <= 26 in binary64: from n = 27 on the root polish does not
+    converge (NumericalError), and from n = 135 on the rounded
+    coefficients break `np.roots` or the leading one underflows to 0
+    (ValueError)."""
     if n < 1:
         raise ValueError("zakian_method needs n >= 1")
     num, den = _pade_exp_coeffs(n)

@@ -1,9 +1,12 @@
 """Dense small-matrix and scalar kernels.
 
-Matrix kernels run in binary64 through numpy/scipy.  The extended-precision
-work runs on one complex double-double kernel, `DoubleDouble`: the Newton
-polish of the binary64 pole eigenvalues and the residues (`tame`), the
-moments (`diagnostics`), the polynomial roots here and the Zakian residues
+Matrix kernels run in binary64 through numpy/scipy: the AAA least-squares
+vector, the pole pencil and the matrix exponential.  The last two take
+the square matrices their callers build or have validated, and do not
+check their shapes again.  The extended-precision work runs on one
+complex double-double kernel, `DoubleDouble`: the Newton polish of the
+binary64 pole eigenvalues and the residues (`tame`), the moments
+(`diagnostics`), the polynomial roots here and the Zakian residues
 (`methods`).  A double-double holds a value as an unevaluated sum hi + lo
 of two binary64 numbers per component, about 106 bits; its operations are
 built on error-free transformations (Dekker, Numer. Math. 18, 1971; Ogita,
@@ -222,54 +225,30 @@ def smallest_singular_vector(A):
     return Vh[-1].conj()
 
 
-def dense_eigenvalues(A, B=None):
-    """Generalized eigenvalues of the pencil (A, B) in binary64.
+def dense_eigenvalues(A, B):
+    """Finite generalized eigenvalues of the square pencil (A, B) in
+    binary64.
 
-    Returns ``(finite, n_infinite)`` where ``finite`` is an array of the
-    finite eigenvalues and ``n_infinite`` counts infinite eigenvalues
-    (from a singular B), which are excluded.  Callers that need more than
-    binary64 accuracy polish the eigenvalues themselves, as
+    An eigenvalue alpha/beta with |beta| < 1e3 u max(|alpha|, 1) counts
+    as infinite (from a singular B) and is left out.  Callers that need
+    more than binary64 accuracy polish the eigenvalues themselves, as
     ``tame.extract_poles`` does.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    n = A.shape[0]
-    if B is None:
-        B = np.eye(n)
-    B = np.asarray(B, dtype=complex)
-    if B.shape != A.shape:
-        raise ValueError("A and B must have the same shape")
     import scipy.linalg
     alpha, beta = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
     infinite = np.abs(beta) < 1e3 * U * np.maximum(np.abs(alpha), 1.0)
-    finite = alpha[~infinite] / beta[~infinite]
-    return finite, int(np.count_nonzero(infinite))
-
-
-def symmetric_eigen_range(S):
-    """(lambda_min, lambda_max) of a real symmetric (or Hermitian) matrix."""
-    S = np.asarray(S)
-    if np.isrealobj(S):
-        S = S.astype(float)
-    scale = np.linalg.norm(S)
-    if np.linalg.norm(S - S.conj().T) > 1e-12 * max(scale, 1.0):
-        raise ValueError("matrix is not symmetric within tolerance")
-    w = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
-    return float(w[0]), float(w[-1])
+    return alpha[~infinite] / beta[~infinite]
 
 
 def matrix_exponential(A):
     """exp(A) for a square matrix (scipy.linalg.expm)."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
     import scipy.linalg
-    return scipy.linalg.expm(A)
+    return scipy.linalg.expm(np.asarray(A, dtype=complex))
 
 
 def polynomial_roots(coeffs):
-    """Roots of sum_k coeffs[k] z^k (ascending order, leading coeff nonzero).
+    """Roots of sum_k coeffs[k] z^k, for at least two coefficients in
+    ascending order; a zero leading coefficient raises ValueError.
 
     The binary64 roots of `np.roots` are polished by `newton_polish` with
     a double-double Horner scheme on the same binary64 coefficients, so
@@ -278,8 +257,6 @@ def polynomial_roots(coeffs):
     POLISH_STEPS steps or its binary64 residual is too large.
     """
     c = np.asarray(list(coeffs), dtype=complex)
-    if len(c) < 2:
-        raise ValueError("need degree >= 1")
     if c[-1] == 0:
         raise ValueError("leading coefficient is zero")
     dc = c[1:] * np.arange(1, len(c))

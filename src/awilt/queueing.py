@@ -97,12 +97,11 @@ class PhaseType:
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
         object.__setattr__(self, "alpha", alpha)
-        GeneratorMatrix(self.Q, kind="subgenerator")  # validates
+        # validates; rows sum to <= 0, so the exit rates are nonnegative
+        GeneratorMatrix(self.Q, kind="subgenerator")
         object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float))
         if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-12:
             raise ValueError("alpha must be a stochastic vector")
-        if np.any(self.exit_rates < -1e-12 * max(np.linalg.norm(self.Q), 1)):
-            raise ValueError("exit rates must be nonnegative")
 
     @property
     def exit_rates(self):

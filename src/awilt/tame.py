@@ -25,8 +25,8 @@ from importlib import resources
 import numpy as np
 
 from .diagnostics import epsilon_accuracy, eta_proxy
-from .domains import (Disc, Discretization, discretize, distance_to,
-                      domain_scale, format_domain)
+from .domains import (Disc, discretize, distance_to, domain_scale,
+                      format_domain)
 from .errors import NumericalError, PoleInsideDomainError
 from .methods import (AWMethod, MethodMetadata, _is_real, load_method,
                       pair_conjugates, save_method, to_reduced)
@@ -101,17 +101,18 @@ def _conjugate_partners(pts, F):
 
 
 def aaa_fit(F, Z, max_order, tol=0.0):
-    """Greedy AAA fit of the values ``F`` on the discretization Z.
+    """Greedy AAA fit of the values ``F`` on the points Z.
 
-    ``F`` holds the target's value at each point of Z, in the order of
-    the points (for a TAME build, ``np.exp(Z.points)``).  Preconditions
-    (a ValueError otherwise): Z has at least ``2 * max_order + 1`` points,
-    since at K support points the least-squares matrix is (|Z| - K) x
-    (K + 1); Z is closed under conjugation; F(conj z) = conj F(z) on Z;
-    and F is finite.  Support points are added at the residual argmax
-    (lowest index on ties); a non-real point is added together with its
-    conjugate, and the weights are symmetrised, so the fit is
-    conjugate-symmetric.  The loop stops with termination reason
+    Z is an array of points, as `discretize` returns, and ``F`` holds the
+    target's value at each of them, in their order (for a TAME build,
+    ``np.exp(Z)``).  Preconditions (a ValueError otherwise, checked in
+    this order): ``max_order >= 2``; one value per point; Z has at least
+    ``2 * max_order + 1`` points, since at K support points the
+    least-squares matrix is (|Z| - K) x (K + 1); F is finite; Z is closed
+    under conjugation and F(conj z) = conj F(z) on Z.  Support points are
+    added at the residual argmax (lowest index on ties); a non-real point
+    is added together with its conjugate, and the weights are
+    symmetrised, so the fit is conjugate-symmetric.  The loop stops with termination reason
     ``no_room_for_pair`` if a pair is next and only one slot is left.
     The Cauchy and Loewner matrices are kept over all of Z for the whole
     fit: a support point's columns are computed once, when it is added,
@@ -120,19 +121,18 @@ def aaa_fit(F, Z, max_order, tol=0.0):
     """
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
-    pts = Z.points if isinstance(Z, Discretization) else np.asarray(Z, complex)
-    pts = np.asarray(pts, dtype=complex)
+    pts = np.asarray(Z, dtype=complex)
     F = np.asarray(F, dtype=complex)
     if F.shape != pts.shape:
         raise ValueError("F needs one value per point of Z")
     if len(pts) < 2 * max_order + 1:
         raise ValueError("need |Z| >= 2 * max_order + 1")
+    if not np.all(np.isfinite(F)):
+        raise ValueError("F is non-finite on Z")
     partner = _conjugate_partners(pts, F)
     if partner is None:
         raise _NotConjugateSymmetric("Z is not closed under conjugation, or "
                                      "F is not conjugate-symmetric on Z")
-    if not np.all(np.isfinite(F)):
-        raise ValueError("F is non-finite on Z")
 
     # Column 0 holds the u0 term (a constant 1 in the Cauchy matrix, and a
     # support column's expression at f = 0 in the Loewner matrix), and
@@ -253,7 +253,7 @@ def _pencil_eigenvalues(b):
         A[2 + k, 0] = 1.0
         A[2 + k, 2 + k] = b.support[k]
     B = np.diag([0.0, 0.0] + [1.0] * K).astype(complex)
-    return dense_eigenvalues(A, B)[0]
+    return dense_eigenvalues(A, B)
 
 
 def _first_close_pair(points):
@@ -338,7 +338,8 @@ def build_tame(domain, n_reduced_target, count=1000):
     if n_reduced_target < 1:
         raise ValueError("n_reduced_target must be >= 1")
     Z = discretize(domain, count)
-    F = np.exp(Z.points)
+    with np.errstate(over="ignore"):
+        F = np.exp(Z)
     floor = 1e2 * U * float(np.max(np.abs(F)))
     max_order = 2 * n_reduced_target
     refits = []

@@ -39,7 +39,7 @@ def build_tame(domain, n_reduced_target, count=1000):
     """``(nodes, weights, report)`` of the full method, before the
     reduction and the epsilon re-measure."""
     Z = discretize(domain, count)
-    F = np.exp(Z.points)
+    F = np.exp(Z)
     max_order = 2 * n_reduced_target
     refits = []
     while True:
@@ -76,7 +76,7 @@ def build_tame(domain, n_reduced_target, count=1000):
 def aaa_fit_reference(F, Z, max_order, tol=0.0):
     """`aaa_fit` with every matrix rebuilt each iteration, for inputs that
     meet its preconditions."""
-    pts = np.asarray(Z.points, dtype=complex)
+    pts = np.asarray(Z, dtype=complex)
     F = np.asarray(F, dtype=complex)
     partner = _conjugate_partners(pts, F)
     support = []          # indices into pts

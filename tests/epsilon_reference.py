@@ -11,7 +11,6 @@ ValueError.  The tests compare `epsilon_accuracy` with it bit for bit.
 
 import numpy as np
 
-from awilt.domains import Discretization
 from awilt.methods import to_full
 
 
@@ -26,8 +25,7 @@ def rational_approximant_reference(m, z):
 
 def epsilon_accuracy_reference(m, Z):
     """max over Z of |e^z - sum w/(beta - z)| (full-form evaluation)."""
-    pts = Z.points if isinstance(Z, Discretization) else np.asarray(Z, complex)
-    pts = np.asarray(pts, dtype=complex)
+    pts = np.asarray(Z, dtype=complex)
     full = to_full(m)
     b = np.asarray(full.nodes)
     on_grid = (np.min(np.abs(pts[:, None] - b), axis=0)

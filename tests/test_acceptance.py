@@ -104,7 +104,7 @@ class TestCriterion03EqualityCase:
         m, meta, r_max = preset_entry(4.0)
         full = to_full(m)
         dom = Disc(complex(-r_max), r_max)
-        grid = discretize(dom, 100).points
+        grid = discretize(dom, 100)
         for z in grid:
             z = complex(z)
             F = Transform(pointwise(lambda s, z=z: 1.0 / (s - z)))

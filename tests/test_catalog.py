@@ -75,6 +75,13 @@ class TestExpSum:
         open_ = exp_sum([1.0 + 1.0j], [-1.0 + 2.0j])
         assert not open_.transform.conjugate_symmetric
 
+    def test_complex_ground_truth_stays_complex(self):
+        # f(t) = e^{it} is not real, so the value is not snapped
+        e = exp_sum(1.0, 1.0j)
+        assert not e.transform.conjugate_symmetric
+        assert e.f(1.0) == cmath.exp(1.0j)
+        assert e.f_prime(1.0) == 1.0j * cmath.exp(1.0j)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             exp_sum([1.0, 2.0], [-1.0])

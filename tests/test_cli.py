@@ -1,20 +1,26 @@
+import argparse
 import csv
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
 import awilt
-from awilt import catalog, diagnostics
-from awilt.cli import _parse_method, main, save_model
+from awilt import catalog, cli, diagnostics
+from awilt.cli import (_error_rows, _fixed_methods, _parse_method, main,
+                       save_model)
 from awilt.domains import discretize, parse_domain
+from awilt.errors import NumericalError
 from awilt.invert import invert
-from awilt.methods import euler_method, load_method, method_to_json, to_full
+from awilt.methods import (AWMethod, euler_method, load_method,
+                           method_to_json, save_method, to_full)
 from awilt.queueing import make_experiment_model, solve_psi
 from awilt.tame import preset_tame
 
@@ -36,6 +42,16 @@ def test_import_loads_no_scipy():
          "m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # `python -m awilt.cli`; runpy warns that the module is imported already
+    monkeypatch.setattr(sys, "argv", ["aw", "--help"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("awilt.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: aw")
 
 
 class TestGen:
@@ -84,6 +100,27 @@ class TestGen:
         assert json.loads(stderr) == {
             "error": "ValueError",
             "message": "need |Z| >= 2 * max_order + 1"}
+        assert not (tmp_path / "x.json").exists()
+
+    def test_tame_overflowing_domain_prints_one_line(self, tmp_path, capsys):
+        # e^z overflows on disc:700:20; the library warns of nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run(
+                capsys, "gen", "--method", "tame", "--nprime", "3",
+                "--domain", "disc:700:20", "--out", str(tmp_path / "x.json"))
+        assert code == 2 and stdout == "" and caught == []
+        assert stderr.count("\n") == 1
+        assert json.loads(stderr) == {"error": "ValueError",
+                                      "message": "F is non-finite on Z"}
+
+    def test_zakian_beyond_its_range_exits_1(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "gen", "--method", "zakian",
+                              "--nprime", "27", "--out",
+                              str(tmp_path / "x.json"))
+        assert code == 1
+        assert json.loads(stderr) == {"error": "NumericalError",
+                                      "message": "root polish did not converge"}
         assert not (tmp_path / "x.json").exists()
 
     def test_tame_requires_domain(self, tmp_path, capsys):
@@ -261,6 +298,28 @@ class TestInvert:
                               "--t", "1.0")
         assert code == 1
         assert "error" in json.loads(stderr.splitlines()[0])
+
+
+class TestNonFiniteMethod:
+    @pytest.fixture
+    def nan_file(self, tmp_path):
+        obj = method_to_json(euler_method(5))
+        obj["weights"][1]["re"] = "nan"
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--transform", "builtin:exp_sum:c=1,a=-1", "--t", "1"],
+        ["diag", "--moments"],
+    ])
+    def test_refused(self, nan_file, capsys, argv):
+        code, stdout, stderr = run(capsys, *argv, "--params", nan_file)
+        assert code == 2 and stdout == ""
+        err = json.loads(stderr)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("entry 1 is not finite: weight "
+                                         "(nan")
 
 
 class TestDiag:
@@ -445,6 +504,22 @@ class TestFluid:
         vals = np.array([float(r["value"]) for r in rows])
         assert np.all(vals >= -1e-10)
 
+    @pytest.mark.parametrize("obj,message", [
+        ({"Q": [[-1.0, 1.0]], "rates": [1.0]}, "Q must be square"),
+        ({"Q": [[-1.0, 1.0], [1.0, -1.0]], "rates": [1.0, -1.0],
+          "kind": "markov"}, "unknown kind 'markov'"),
+        ({"Q": [[-1.0, 1.0], [1.0, -1.0]], "rates": [1.0, -1.0, 2.0]},
+         "rates length must match generator dimension"),
+    ])
+    def test_bad_model_file(self, tmp_path, capsys, obj, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, stdout, stderr = run(capsys, "fluid", "--model", str(path),
+                                   "--t", "1.0")
+        assert code == 2 and stdout == ""
+        assert json.loads(stderr) == {"error": "ValueError",
+                                      "message": message}
+
     def test_bad_t(self, model_file, capsys):
         code, _, _ = run(capsys, "fluid", "--model", model_file,
                          "--t", "-1.0")
@@ -464,6 +539,58 @@ class TestFluid:
 
 
 class TestBench:
+    def test_fixed_methods_take_the_cme_file(self, tmp_path, capsys):
+        path = tmp_path / "cme.json"
+        save_method(path, euler_method(5))
+        methods = _fixed_methods(argparse.Namespace(
+            quick=True, nprime_max=25, cme_params=str(path)))
+        assert methods[-1] == ("cme", euler_method(5), None)
+        assert capsys.readouterr().err == ""
+
+    def test_fixed_methods_omit_what_cannot_be_built(self, capsys):
+        # zakian stops at N' = 26 in binary64; N' = 27 gets a notice
+        methods = _fixed_methods(argparse.Namespace(
+            quick=False, nprime_max=27, cme_params=None))
+        zakian = [m.n_full for label, m, _ in methods if label == "zakian"]
+        assert zakian == list(range(1, 27))
+        assert [json.loads(line) for line in
+                capsys.readouterr().err.splitlines()] == [
+            {"notice": "zakian N'=27: root polish did not converge"},
+            {"notice": "no --cme-params file given; CME rows omitted"}]
+
+    def test_error_rows_skip_failed_inversions(self, capsys):
+        # a node on the transform's pole fails to invert and gets a
+        # notice; a node at 0 inverts, but has no moments to estimate from
+        transform = catalog.entry("exp_sum", {"c": 1.0, "a": -1.0}).transform
+        methods = [("euler", euler_method(5), None),
+                   ("on_pole", AWMethod("p", (1.0,), (-1.0,), False), None),
+                   ("at_zero", AWMethod("z", (1.0,), (0.0,), False), None)]
+        rows = _error_rows(transform, 1.0, np.array([math.exp(-1.0)]),
+                           math.exp(-1.0), methods)
+        assert [r[0] for r in rows] == ["euler", "at_zero"]
+        assert rows[0][5] is not None and rows[1][5] is None
+        assert rows[1][3] == pytest.approx(1.0 - math.exp(-1.0))
+        notice = json.loads(capsys.readouterr().err)["notice"]
+        assert notice.startswith("on_pole N'=1: node (-1+0j)/t collides")
+
+    def test_experiment_b_skips_failed_inversions(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def failing(m, transform, t):
+            if m.name.endswith("@disc:-0.5:0.5"):
+                raise NumericalError("no value")
+            return invert(m, transform, t)
+
+        monkeypatch.setattr(cli, "invert", failing)
+        code, _, stderr = run(capsys, "bench", "--experiment", "B", "--quick",
+                              "--out-dir", str(tmp_path))
+        assert code == 0
+        assert [json.loads(line)["notice"] for line in stderr.splitlines()] \
+            == [f"tame r=0.5 t={t}: no value" for t in (1.0, 3.0)
+                for _ in (4, 8)]
+        with open(tmp_path / "expB.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["r"] != "0.5" for r in rows)
+
     def test_quick_experiment_a(self, tmp_path, capsys):
         out_dir = tmp_path / "bench"
         code, stdout, stderr = run(capsys, "bench", "--experiment", "A",

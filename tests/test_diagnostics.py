@@ -77,7 +77,7 @@ class TestEpsilonAccuracy:
 
     def test_array_matches_reference_bitwise(self):
         full = to_full(preset_tame(4.0))
-        z = discretize(Disc(-4.0, 4.0), 1000).points
+        z = discretize(Disc(-4.0, 4.0), 1000)
         assert (rational_approximant(full, z).tobytes()
                 == rational_approximant_reference(full, z).tobytes())
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from awilt.domains import (Disc, ImagSegment, Discretization, RealSegment,
-                           Rectangle, contains, discretize, distance_to,
+from awilt.domains import (Disc, ImagSegment, RealSegment, Rectangle,
+                           contains, discretize, distance_to,
                            domain_from_json, domain_scale, domain_to_json,
                            format_domain, fov_circle_bound,
                            fov_hermitian_bound, fov_rectangle_bound,
@@ -78,6 +78,16 @@ class TestGeometry:
         assert domain_scale(Rectangle(-3.0, 1.0, -2.0, 2.0)) == 3.0
 
 
+@pytest.mark.parametrize("call", [
+    domain_scale, lambda d: distance_to(d, 0j), discretize, domain_to_json,
+    format_domain,
+], ids=["domain_scale", "distance_to", "discretize", "domain_to_json",
+        "format_domain"])
+def test_not_a_domain(call):
+    with pytest.raises(TypeError, match="not a domain: 'disc:-4:4'"):
+        call("disc:-4:4")
+
+
 class TestDiscretize:
     @pytest.mark.parametrize("dom", [
         Disc(complex(-4.0), 4.0),
@@ -88,23 +98,19 @@ class TestDiscretize:
     ])
     def test_exact_conjugate_closure(self, dom):
         Z = discretize(dom, 137)
-        pts = set(map(complex, Z.points))
+        pts = set(map(complex, Z))
         for z in pts:
             assert z.conjugate() in pts
 
     def test_points_on_boundary(self):
         dom = Disc(complex(-1.0), 2.0)
         Z = discretize(dom, 64)
-        assert np.max(np.abs(np.abs(Z.points + 1.0) - 2.0)) < 1e-12
+        assert np.max(np.abs(np.abs(Z + 1.0) - 2.0)) < 1e-12
 
     def test_disc_contains_both_real_extremes(self):
         Z = discretize(Disc(complex(-3.0), 2.0), 50)
-        pts = set(map(complex, Z.points))
+        pts = set(map(complex, Z))
         assert complex(-1.0) in pts and complex(-5.0) in pts
-
-    def test_count_reported(self):
-        Z = discretize(ImagSegment(1.0), 11)
-        assert Z.count == len(Z.points) == 11
 
     def test_minimum_count(self):
         with pytest.raises(ValueError):
@@ -112,7 +118,7 @@ class TestDiscretize:
 
     def test_rectangle_corners_present(self):
         dom = Rectangle(-2.0, 0.0, -1.0, 1.0)
-        pts = set(map(complex, discretize(dom, 40).points))
+        pts = set(map(complex, discretize(dom, 40)))
         for corner in (-2 - 1j, -2 + 1j, 0 - 1j, 0 + 1j):
             assert complex(corner) in pts
 
@@ -120,7 +126,7 @@ class TestDiscretize:
     @settings(max_examples=30, deadline=None)
     def test_disc_closure_any_count(self, n):
         Z = discretize(Disc(complex(-2.0), 1.5), n)
-        pts = set(map(complex, Z.points))
+        pts = set(map(complex, Z))
         assert all(z.conjugate() in pts for z in pts)
 
 
@@ -130,7 +136,7 @@ def _bits(z):
 
 
 def _assert_same_points(d, count, reference):
-    got, want = discretize(d, count).points, reference(d, count)
+    got, want = discretize(d, count), reference(d, count)
     assert got.shape == want.shape
     np.testing.assert_array_equal(_bits(got), _bits(want))
 
@@ -251,6 +257,24 @@ class TestFieldOfValuesBounds:
         assert r.x_min == pytest.approx(lo)
         assert r.x_max == pytest.approx(hi)
         assert r.y_max - r.y_min < 1e-6  # widened only by the floor
+
+    def test_hermitian_bound_ranges_of_both_parts(self):
+        # the real range of a real symmetric A, and the imaginary range of
+        # i S for a Hermitian S: both are the eigenvalue ranges
+        r = fov_hermitian_bound(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert (r.x_min, r.x_max) == pytest.approx((1.0, 3.0), abs=1e-12)
+        S = np.array([[0.0, 1j], [-1j, 0.0]])
+        r = fov_hermitian_bound(S)
+        assert (r.x_min, r.x_max) == pytest.approx((-1.0, 1.0), abs=1e-12)
+        r = fov_hermitian_bound(1j * S)
+        assert (r.y_min, r.y_max) == pytest.approx((-1.0, 1.0), abs=1e-12)
+
+    def test_scalar_hermitian_part_is_widened(self):
+        # (A + A*)/2 = -I: a zero-width real range, widened by the floor
+        # 1e-8 (1 + |x0|) to each side
+        r = fov_hermitian_bound(np.array([[-1.0, 1.0], [-1.0, -1.0]]))
+        assert (r.x_min, r.x_max) == (-1.0 - 2e-8, -1.0 + 2e-8)
+        assert (r.y_min, r.y_max) == pytest.approx((-1.0, 1.0), abs=1e-12)
 
     def test_generator_clips_to_left_half_plane(self):
         Q = np.array([[-1.0, 1.0], [2.0, -2.0]])

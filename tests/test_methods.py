@@ -169,6 +169,10 @@ class TestForms:
                                  - np.array(m.weights))) < 1e-15 * max(
                 abs(w) for w in m.weights)
 
+    def test_reduced_of_reduced_is_itself(self):
+        m = euler_method(5)
+        assert to_reduced(m) is m
+
     def test_full_halves_paired_weights(self):
         m = talbot_method(3)
         f = to_full(m)
@@ -190,6 +194,23 @@ class TestValidation:
     def test_duplicate_nodes(self):
         with pytest.raises(ValueError):
             AWMethod("x", (1.0, 1.0), (2.0, 2.0), reduced=False)
+
+    @pytest.mark.parametrize("weights,nodes", [((), ()),
+                                               ((1.0,), (1.0, 2.0))])
+    def test_entries_nonempty_and_equal_in_number(self, weights, nodes):
+        with pytest.raises(ValueError, match="equal-length, nonempty"):
+            AWMethod("x", weights, nodes, reduced=False)
+
+    @pytest.mark.parametrize("weights,nodes,message", [
+        ((1.0, math.nan), (1.0, 2.0), r"entry 1 is not finite: weight "
+                                      r"\(nan\+0j\), node \(2\+0j\)"),
+        ((1.0, 2.0), (math.inf, 2.0), r"entry 0 .* node \(inf\+0j\)"),
+        ((complex(1.0, math.inf),), (1.0 + 1.0j,), r"entry 0 .* weight "
+                                                   r"\(1\+infj\)"),
+    ])
+    def test_non_finite_entry_rejected(self, weights, nodes, message):
+        with pytest.raises(ValueError, match=message):
+            AWMethod("x", weights, nodes, reduced=True)
 
     def test_missing_conjugate_partner(self):
         with pytest.raises(ValueError):

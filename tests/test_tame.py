@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import warnings
 
 import mpmath
 import numpy as np
@@ -88,6 +89,14 @@ class TestBarycentricEval:
         assert abs(barycentric_eval(b, 1e8)) < 1.01e-8  # vanishes at infinity
         assert barycentric_eval(b, 0.0) == 1.0  # interpolation is exact
 
+    def test_denominator_zero_off_support(self):
+        # d(z) = 1 + 1/z vanishes at z = -1, which is not a support point
+        b = BarycentricApproximant(support=np.array([0.0 + 0j]),
+                                   values=np.array([1.0 + 0j]),
+                                   weights=np.array([1.0 + 0j, 1.0 + 0j]))
+        with pytest.raises(NumericalError, match="denominator vanishes"):
+            barycentric_eval(b, -1.0)
+
     def test_interpolation_near_support(self):
         b = _single_pole_approximant(2.0)
         z = 1e-9  # raw formula just off the support point
@@ -110,9 +119,9 @@ class TestAAAFit:
             return complex(np.sum(res / (poles - z)))
 
         Z = discretize(Disc(complex(0.0), 2.0), 400)
-        F = np.array([target(z) for z in Z.points])
+        F = np.array([target(z) for z in Z])
         b, report = aaa_fit(F, Z, max_order=8, tol=1e-13)
-        grid = discretize(Disc(complex(0.0), 2.0), 997).points
+        grid = discretize(Disc(complex(0.0), 2.0), 997)
         err = np.abs(barycentric_eval(b, grid)
                      - np.array([target(z) for z in grid]))
         assert np.max(err) < 1e-12
@@ -124,12 +133,12 @@ class TestAAAFit:
     ])
     def test_exp_fit_accuracy(self, radius, order, eps_max):
         Z = discretize(Disc(complex(-radius), radius), 1000)
-        b, report = aaa_fit(np.exp(Z.points), Z, max_order=order, tol=0.0)
+        b, report = aaa_fit(np.exp(Z), Z, max_order=order, tol=0.0)
         assert report.epsilon <= eps_max
 
     def test_residual_history_decreases(self):
         Z = discretize(Disc(complex(-2.0), 2.0), 600)
-        _, report = aaa_fit(np.exp(Z.points), Z, max_order=10, tol=0.0)
+        _, report = aaa_fit(np.exp(Z), Z, max_order=10, tol=0.0)
         res = report.residuals
         # greedy progress: each step improves, up to a small slack factor
         for a, b_ in zip(res, res[1:]):
@@ -137,7 +146,7 @@ class TestAAAFit:
 
     def test_conjugate_pairs_added_together(self):
         Z = discretize(Disc(complex(-2.0), 2.0), 600)
-        b, report = aaa_fit(np.exp(Z.points), Z, max_order=8, tol=0.0)
+        b, report = aaa_fit(np.exp(Z), Z, max_order=8, tol=0.0)
         sup = [complex(z) for z in report.support_order]
         k = 0
         while k < len(sup):
@@ -149,7 +158,7 @@ class TestAAAFit:
 
     def test_weights_conjugate_symmetric(self):
         Z = discretize(Disc(complex(-2.0), 2.0), 600)
-        b, _ = aaa_fit(np.exp(Z.points), Z, max_order=8, tol=0.0)
+        b, _ = aaa_fit(np.exp(Z), Z, max_order=8, tol=0.0)
         assert b.weights[0].imag == 0.0
         pool = {complex(z): w for z, w in zip(b.support, b.weights[1:])}
         for z, w in pool.items():
@@ -159,8 +168,33 @@ class TestAAAFit:
         # an imaginary segment has a single real point, so budget 3 can
         # strand one slot when the next candidate is non-real
         Z = discretize(ImagSegment(4.0), 601)
-        _, report = aaa_fit(np.exp(Z.points), Z, max_order=3, tol=0.0)
+        _, report = aaa_fit(np.exp(Z), Z, max_order=3, tol=0.0)
         assert report.termination in ("no_room_for_pair", "max_order")
+
+    def test_rejects_budget_below_two(self):
+        Z = discretize(Disc(complex(-1.0), 1.0), 50)
+        with pytest.raises(ValueError, match="max_order must be >= 2"):
+            aaa_fit(np.exp(Z), Z, max_order=1)
+
+    def test_rejects_value_count_mismatch(self):
+        Z = discretize(Disc(complex(-1.0), 1.0), 50)
+        with pytest.raises(ValueError, match="one value per point"):
+            aaa_fit(np.exp(Z[:-1]), Z, max_order=4)
+
+    def test_tolerance_met_before_any_iteration(self):
+        # tol >= max|F|: no support point, so r = 0 and eps = max|F|, and
+        # the approximant has no poles and no residues
+        Z = discretize(Disc(complex(-1.0), 1.0), 50)
+        F = np.exp(Z)
+        fmax = float(np.max(np.abs(F)))
+        b, report = aaa_fit(F, Z, max_order=4, tol=fmax)
+        assert len(b.support) == 0 and b.weights.tolist() == [1.0]
+        assert report.residuals == () and report.termination == "tolerance"
+        assert report.epsilon == fmax
+        assert barycentric_eval(b, 0.5) == 0.0
+        assert not barycentric_eval(b, Z).any()
+        assert extract_poles(b).shape == (0,)
+        assert extract_residues(b, []).shape == (0,)
 
     @pytest.mark.parametrize("dom,count", [
         (Disc(complex(0.0), 1.0), 10),
@@ -171,7 +205,7 @@ class TestAAAFit:
         Z = discretize(dom, count)
         with pytest.raises(ValueError, match=r"need \|Z\| >= 2 \* max_order"
                                              r" \+ 1"):
-            aaa_fit(np.exp(Z.points), Z, max_order=10)
+            aaa_fit(np.exp(Z), Z, max_order=10)
 
     @pytest.mark.parametrize("target,dom", [
         # boundary not closed under conjugation
@@ -182,7 +216,7 @@ class TestAAAFit:
     def test_rejects_asymmetric_input(self, target, dom):
         with pytest.raises(ValueError, match="conjugat"):
             Z = discretize(dom, 200)
-            aaa_fit(target(Z.points), Z, max_order=8)
+            aaa_fit(target(Z), Z, max_order=8)
 
 
 class TestAAAMatchesReference:
@@ -201,7 +235,7 @@ class TestAAAMatchesReference:
     @pytest.mark.parametrize("at_floor", [False, True])
     def test_same_bits(self, dom, nprime, at_floor):
         Z = discretize(dom, 1000)
-        F = np.exp(Z.points)
+        F = np.exp(Z)
         tol = 1e2 * U * float(np.max(np.abs(F))) if at_floor else 0.0
         b, report = aaa_fit(F, Z, max_order=2 * nprime, tol=tol)
         want, ref = build_reference.aaa_fit_reference(F, Z, 2 * nprime, tol)
@@ -244,7 +278,7 @@ class TestConjugatePartnersMatchDict:
         Rectangle(-3.0, 0.0, -0.0, 0.0)], ids=format_domain)
     @pytest.mark.parametrize("count", [3, 1000, 4000])
     def test_boundary_grids(self, d, count):
-        self._check(discretize(d, count).points)
+        self._check(discretize(d, count))
 
 
 class TestExtractPoles:
@@ -285,6 +319,28 @@ class TestExtractPoles:
         with pytest.raises(NumericalError):
             extract_poles(b)
 
+    def test_pole_counted_infinite_by_the_pencil(self):
+        # d(z) = 1e-13 + 1/z has its pole at -1e13, where the pencil's
+        # |beta| < 1e3 u |alpha| counts it as infinite
+        b = BarycentricApproximant(support=np.array([0.0 + 0j]),
+                                   values=np.array([1.0 + 0j]),
+                                   weights=np.array([1e-13 + 0j, 1.0 + 0j]))
+        with pytest.raises(NumericalError,
+                           match="expected 1 finite eigenvalues, got 0"):
+            extract_poles(b)
+
+    def test_merged_poles_rejected(self, monkeypatch):
+        # d(z) = 1 + 1/z + 1/(z - 2) has poles +-sqrt(2); both guesses
+        # polish onto sqrt(2)
+        b = BarycentricApproximant(
+            support=np.array([0.0 + 0j, 2.0 + 0j]),
+            values=np.array([1.0 + 0j, 1.0 + 0j]),
+            weights=np.array([1.0 + 0j, 1.0 + 0j, 1.0 + 0j]))
+        monkeypatch.setattr(tame, "_pencil_eigenvalues",
+                            lambda b: np.array([1.4 + 0j, 1.42 + 0j]))
+        with pytest.raises(NumericalError, match=r"poles merge near \(1\.41"):
+            extract_poles(b)
+
     def test_u0_zero_rejected(self):
         b = BarycentricApproximant(support=np.array([0.0 + 0j]),
                                    values=np.array([1.0 + 0j]),
@@ -301,10 +357,10 @@ class TestExtractResidues:
 
     def test_reconstruction_matches_fit(self):
         Z = discretize(Disc(complex(-1.0), 1.0), 800)
-        b, _ = aaa_fit(np.exp(Z.points), Z, max_order=8, tol=0.0)
+        b, _ = aaa_fit(np.exp(Z), Z, max_order=8, tol=0.0)
         poles = extract_poles(b)
         w = extract_residues(b, poles)
-        probe = discretize(Disc(complex(-1.0), 1.0), 2003).points
+        probe = discretize(Disc(complex(-1.0), 1.0), 2003)
         r_bary = barycentric_eval(b, probe)
         r_pf = (w[None, :] / (poles[None, :] - probe[:, None])).sum(axis=1)
         scale = np.max(np.abs(r_bary))
@@ -395,7 +451,7 @@ class TestPolishMatchesMpmath:
         """The K = 66 fit on rseg:100 and its 65 pencil eigenvalues
         (u0 = 0, so build_tame refits it)."""
         Z = discretize(RealSegment(100.0), 1000)
-        b, _ = aaa_fit(np.exp(Z.points), Z, 66)
+        b, _ = aaa_fit(np.exp(Z), Z, 66)
         assert len(b.support) == 66
         return b, tame._pencil_eigenvalues(b)
 
@@ -525,6 +581,29 @@ class TestBuildTame:
         assert m.n_entries == 1 and meta.epsilon <= 1e-15
         with pytest.raises(NumericalError):
             build_reference.build_tame(Disc(complex(-1e-15), 1e-15), 2)
+
+    def test_failure_at_order_two_is_raised(self, monkeypatch):
+        # every pole solve fails, so the refits go down to budget 2, whose
+        # failure is raised; budgets 4 and 2 stop one short, with no room
+        # for the next conjugate pair
+        supports = []
+
+        def fail(b):
+            supports.append(len(b.support))
+            raise NumericalError("no poles")
+
+        monkeypatch.setattr(tame, "extract_poles", fail)
+        with pytest.raises(NumericalError, match="no poles"):
+            build_tame(Disc(complex(-4.0), 4.0), 3)
+        assert supports == [6, 3, 1]
+
+    def test_overflowing_domain_refused_without_a_warning(self):
+        # e^z overflows on the right of the disc: the build raises before
+        # the conjugate pairing would subtract inf from inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="F is non-finite on Z"):
+                build_tame(Disc(complex(700.0), 20.0), 3)
 
     def test_pole_inside_domain_raises(self):
         with pytest.raises(PoleInsideDomainError, match=r"pole \(-8\.96"):
