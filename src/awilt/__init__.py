@@ -23,9 +23,10 @@ from .invert import (CurvePoint, Transform, invert, invert_curve,
                      pointwise)
 from .diagnostics import (MomentSet, bound_fluid, bound_fluid_cdf, bound_ls,
                           bound_lipschitz, bound_me, bound_phase_type,
-                          bound_se, dirac_eval, dirac_l1_norm,
-                          epsilon_accuracy, eta_proxy, moment_error_estimate,
-                          moments, nu2_tilde, rational_approximant)
+                          bound_se, dirac_eval, dirac_l1_estimate,
+                          dirac_l1_norm, epsilon_accuracy, eta_proxy,
+                          moment_error_estimate, moments, nu2_tilde,
+                          rational_approximant)
 from .queueing import (FluidQueueModel, GeneratorMatrix, PhaseType,
                        fluid_psi_transform, make_experiment_model,
                        phase_type_ground_truth, phase_type_transform,

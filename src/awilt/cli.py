@@ -207,11 +207,13 @@ def _eval_bound(m, spec):
         return {"class": tag, "bound": diagnostics.bound_fluid_cdf(
             kv["eps"], kv["lam"], kv["F_inf"], kv["first_moment"])}
     if tag == "ls":
+        extra = {}
         dirac_l1 = kv.get("dirac_l1")
         if dirac_l1 is None:
-            dirac_l1 = diagnostics.dirac_l1_norm(m)
+            dirac_l1, extra["dirac_l1_abserr"] = (
+                diagnostics.dirac_l1_estimate(m))
         return {"class": tag, "bound": diagnostics.bound_ls(
-            kv["eps"], kv["eta"], kv["mu_total"], dirac_l1)}
+            kv["eps"], kv["eta"], kv["mu_total"], dirac_l1), **extra}
     if tag == "lipschitz":
         return {"class": tag, "bound": diagnostics.bound_lipschitz(
             kv["H"], kv["L"], kv["t"], kv["scv"])}

@@ -253,8 +253,10 @@ def polynomial_roots(coeffs):
     The binary64 roots of `np.roots` are polished by `newton_polish` with
     a double-double Horner scheme on the same binary64 coefficients, so
     each root is the binary64 rounding of an exact root of that
-    polynomial.  Raises NumericalError if a root does not converge within
-    POLISH_STEPS steps or its binary64 residual is too large.
+    polynomial.  Raises NumericalError if the companion matrix of
+    `np.roots` or a root it returns is not finite (numpy warns of
+    nothing), if a root does not converge within POLISH_STEPS steps, or if
+    its binary64 residual is too large.
     """
     c = np.asarray(list(coeffs), dtype=complex)
     if c[-1] == 0:
@@ -267,7 +269,14 @@ def polynomial_roots(coeffs):
             p = p * z + ck
         return p, np.polynomial.polynomial.polyval(z.hi, dc)
 
-    out, status = newton_polish(horner, np.roots(c[::-1]))
+    with np.errstate(all="ignore"):
+        # the first row of np.roots' companion matrix: -c[k] / c[-1]
+        if not np.isfinite(c[:-1] / c[-1]).all():
+            raise NumericalError("companion matrix is not finite")
+        guesses = np.roots(c[::-1])
+    if not np.isfinite(guesses).all():
+        raise NumericalError("np.roots returned a root that is not finite")
+    out, status = newton_polish(horner, guesses)
     if np.any(status):
         raise NumericalError("root polish did not converge")
     maxc = float(np.max(np.abs(c)))

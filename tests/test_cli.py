@@ -114,6 +114,18 @@ class TestGen:
         assert json.loads(stderr) == {"error": "ValueError",
                                       "message": "F is non-finite on Z"}
 
+    @pytest.mark.filterwarnings("error")
+    def test_zakian_overflowing_companion_matrix_prints_one_line(
+            self, tmp_path, capsys):
+        # N' = 135: the Pade denominator's companion matrix overflows
+        code, stdout, stderr = run(capsys, "gen", "--method", "zakian",
+                                   "--nprime", "135", "--out",
+                                   str(tmp_path / "x.json"))
+        assert code == 1 and stdout == "" and stderr.count("\n") == 1
+        assert json.loads(stderr) == {"error": "NumericalError",
+                                      "message": "companion matrix is not "
+                                                 "finite"}
+
     def test_zakian_beyond_its_range_exits_1(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "gen", "--method", "zakian",
                               "--nprime", "27", "--out",
@@ -367,6 +379,21 @@ class TestDiag:
             "message": "e^z - r(z) is not finite at the grid point "
                        "(715+0j)"}
 
+    @pytest.mark.filterwarnings("error")
+    def test_ls_bound_reports_the_quadrature_error(self, capsys):
+        # quad misses its 1e-12 on the r=7 preset: the estimate is in the
+        # report, and nothing is written to stderr
+        path = str(resources.files("awilt") / "presets" / "tame_r7_n6.json")
+        code, stdout, stderr = run(capsys, "diag", "--params", path,
+                                   "--bounds", "ls:eps=0,eta=1,mu_total=1")
+        assert code == 0 and stderr == ""
+        dirac_l1, abserr = diagnostics.dirac_l1_estimate(
+            load_method(path)[0])
+        assert json.loads(stdout)["bounds"] == [
+            {"class": "ls", "bound": 1.0 + dirac_l1,
+             "dirac_l1_abserr": abserr}]
+        assert abserr > 1e-3
+
     def test_node_on_the_grid_exits_2(self, tmp_path, capsys):
         # Zakian-1 has its one node at z = 1, a point of disc:0:1
         params = tmp_path / "z1.json"
@@ -422,11 +449,10 @@ class TestDiag:
         rep = json.loads(stdout)
         assert "bounds" not in rep and "moments" in rep
 
-    @pytest.mark.filterwarnings(
-        "ignore::scipy.integrate.IntegrationWarning")
     def test_each_bound_class_is_its_library_function(self, zakian_params,
                                                       capsys):
         m = load_method(zakian_params)[0]
+        dirac_l1, abserr = diagnostics.dirac_l1_estimate(m)
         specs = {
             "phase_type:eps=1e-12,q_l1=3,d=4,mean=2.5": {
                 "pdf": (b := diagnostics.bound_phase_type(
@@ -443,8 +469,8 @@ class TestDiag:
             "ls:eps=1e-12,eta=2e-12,mu_total=1,dirac_l1=3.5": {
                 "bound": diagnostics.bound_ls(1e-12, 2e-12, 1.0, 3.5)},
             "ls:eps=1e-12,eta=2e-12,mu_total=1": {
-                "bound": diagnostics.bound_ls(1e-12, 2e-12, 1.0,
-                                              diagnostics.dirac_l1_norm(m))},
+                "bound": diagnostics.bound_ls(1e-12, 2e-12, 1.0, dirac_l1),
+                "dirac_l1_abserr": abserr},
             "lipschitz:H=1,L=2,t=3,scv=1e-6": {
                 "bound": diagnostics.bound_lipschitz(1.0, 2.0, 3.0, 1e-6)},
             "moment_estimate:f=0.5,fprime=-0.25,t=2": {

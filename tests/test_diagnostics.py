@@ -8,10 +8,12 @@ import scipy.integrate
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from awilt import diagnostics
 from awilt.diagnostics import (MomentSet, bound_fluid, bound_fluid_cdf,
                                bound_lipschitz, bound_ls, bound_me,
                                bound_phase_type, bound_se, dirac_eval,
-                               dirac_l1_norm, epsilon_accuracy, eta_proxy,
+                               dirac_l1_estimate, dirac_l1_norm,
+                               epsilon_accuracy, eta_proxy,
                                moment_error_bound_second_order,
                                moment_error_estimate, moments, nu2_tilde,
                                rational_approximant)
@@ -297,6 +299,72 @@ class TestDiracQuadBitwise:
     def test_classical_and_preset_methods(self, m):
         assert dirac_l1_norm(m).hex() == _quad_of_dirac_eval(m).hex()
         assert nu2_tilde(m).hex() == _quad_of_dirac_eval(m, True).hex()
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """The row count of each call of the shared Dirac kernel."""
+    rows = []
+    kernel = diagnostics._dirac_sum
+
+    def spy(w, b, ys):
+        rows.append(len(ys))
+        return kernel(w, b, ys)
+
+    monkeypatch.setattr(diagnostics, "_dirac_sum", spy)
+    return rows
+
+
+class TestDiracQuadBatching:
+    """quad's integrand evaluates each interval's 21 points in one kernel
+    call, when quad asks for the interval's centre."""
+
+    @pytest.mark.parametrize("m", [preset_tame(7.0), euler_method(15)],
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("f", [dirac_l1_norm, nu2_tilde])
+    def test_every_point_comes_from_a_batch(self, m, f, kernel_rows,
+                                            monkeypatch):
+        neval = []
+        quad = scipy.integrate.quad
+
+        def counted(*args, **kwargs):
+            out = quad(*args, **kwargs)
+            neval.append(out[2]["neval"])
+            return out
+
+        monkeypatch.setattr(scipy.integrate, "quad", counted)
+        f(m)
+        assert set(kernel_rows) == {21}
+        assert neval == [21 * len(kernel_rows)]
+
+    def test_unpredicted_point_is_evaluated_alone(self, kernel_rows,
+                                                  monkeypatch):
+        # a stand-in for quad: an unknown y, the centre of (0, Y*], one of
+        # its Kronrod points, then the unknown y again
+        m = euler_method(15)
+        seen = {}
+
+        def quad(f, a, b, **kwargs):
+            c, h = 0.5 * (a + b), 0.5 * (b - a)
+            for y in (0.3, c, c + h * 0.995657163025808080735527280689003,
+                      0.3):
+                seen[y] = f(y)
+            return 0.0, 0.0, {}
+
+        monkeypatch.setattr(scipy.integrate, "quad", quad)
+        assert dirac_l1_estimate(m) == (0.0, 0.0)
+        assert kernel_rows == [1, 21, 1]
+        for y, value in seen.items():
+            assert value.hex() == abs(dirac_eval(m, y)).hex()
+
+    @given(st.one_of(right_halfplane_methods(),
+                     st.sampled_from([preset_tame(7.0), euler_method(35)])),
+           st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_do_not_depend_on_each_other(self, m, ys):
+        values = dirac_eval(m, np.array(ys))
+        for y, value in zip(ys, values):
+            assert value.hex() == dirac_eval(m, y).hex()
 
     def test_imaginary_residue_raises(self):
         # a real node with a non-real weight, the one source of an

@@ -154,6 +154,18 @@ class TestPolynomialRoots:
         with pytest.raises(ValueError, match="leading coefficient is zero"):
             polynomial_roots([1.0, 2.0, 0.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_companion_matrix(self):
+        # 1e300 / 1e-10 overflows in the companion matrix's first row
+        with pytest.raises(NumericalError,
+                           match="companion matrix is not finite"):
+            polynomial_roots([1.0, 1e300, 1e-10])
+
+    def test_non_finite_root(self, monkeypatch):
+        monkeypatch.setattr(np, "roots", lambda p: np.array([np.nan]))
+        with pytest.raises(NumericalError, match="root that is not finite"):
+            polynomial_roots([-1.0, 1.0])
+
     def test_residual_check(self, monkeypatch):
         # a polish that reports convergence off the root of z - 1
         monkeypatch.setattr(numerics, "newton_polish", lambda f, guesses: (
