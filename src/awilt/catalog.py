@@ -343,11 +343,19 @@ def entry(name, params=None):
     return _BUILDERS[name](**(params or {}))
 
 
-def _parse_value(text):
-    """Scalar or '|'-separated list; each item real or complex."""
-    items = [complex(p) if ("j" in p or "J" in p) else float(p)
-             for p in text.split("|")]
-    return items[0] if len(items) == 1 else items
+def parse_kv(blob, complex_ok=False):
+    """The CLI's ``k=v,k=a|b,...`` as a dict.  A value is a float, or a
+    list of them when it holds '|'; with complex_ok, an item holding j is
+    complex."""
+    out = {}
+    for kv in blob.split(","):
+        if "=" not in kv:
+            raise ValueError(f"bad key=value pair {kv!r}")
+        k, v = kv.split("=", 1)
+        items = [complex(p) if complex_ok and ("j" in p or "J" in p)
+                 else float(p) for p in v.strip().split("|")]
+        out[k.strip()] = items if len(items) > 1 else items[0]
+    return out
 
 
 def parse_transform(text):
@@ -363,14 +371,8 @@ def parse_transform(text):
         raise ValueError(f"bad transform spec {text!r}: expected "
                          "builtin:name[:k=v,...]")
     name = parts[1]
-    params = {}
-    if len(parts) > 2:
-        blob = ":".join(parts[2:])
-        for kv in blob.split(","):
-            if "=" not in kv:
-                raise ValueError(f"bad transform parameter {kv!r}")
-            k, v = kv.split("=", 1)
-            params[k.strip()] = _parse_value(v.strip())
+    params = (parse_kv(":".join(parts[2:]), complex_ok=True)
+              if len(parts) > 2 else {})
     if name == "matrix_exp":
         raise ValueError("matrix_exp needs array arguments; use the "
                          "library API")

@@ -14,7 +14,9 @@ inverted curves against ground truth (`_curve_csv`).
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
+import inspect
 import json
 import math
 import os
@@ -157,68 +159,64 @@ def cmd_invert(args):
 
 # -- diag --------------------------------------------------------------------
 
-_BOUND_KEYS = {
-    "se": ("eps", "c"),
-    "me": ("eps", "norm_v", "norm_u"),
-    "phase_type": ("eps", "q_l1", "d", "mean"),
-    "fluid": ("eps", "lam", "psi_inf"),
-    "fluid_cdf": ("eps", "lam", "F_inf", "first_moment"),
-    "ls": ("eps", "eta", "mu_total", "dirac_l1"),
-    "lipschitz": ("H", "L", "t", "scv"),
-    "moment_estimate": ("f", "fprime", "t"),
+def _se_bound(m, eps, c: list):
+    return {"bound": diagnostics.bound_se(eps, np.atleast_1d(c))}
+
+
+def _ls_bound(m, eps, eta, mu_total, dirac_l1=None):
+    extra = {}
+    if dirac_l1 is None:
+        dirac_l1, extra["dirac_l1_abserr"] = diagnostics.dirac_l1_estimate(m)
+    return {"bound": diagnostics.bound_ls(eps, eta, mu_total, dirac_l1),
+            **extra}
+
+
+#: `--bounds` class -> the report fields of the method m.  Each entry's
+#: parameters after m are the class's keys; one with a default may be left
+#: out.  A value given with '|' is a list, taken only by a key annotated
+#: `list`.
+_BOUNDS = {
+    "se": _se_bound,
+    "me": lambda m, eps, norm_v, norm_u: {
+        "bound": diagnostics.bound_me(eps, norm_v, norm_u)},
+    "phase_type": lambda m, eps, q_l1, d=None, mean=None: dataclasses.asdict(
+        diagnostics.bound_phase_type(eps, q_l1, d=d, alpha_Qinv_one=mean)),
+    "fluid": lambda m, eps, lam, psi_inf: {
+        "bound": diagnostics.bound_fluid(eps, lam, psi_inf)},
+    "fluid_cdf": lambda m, eps, lam, F_inf, first_moment: {
+        "bound": diagnostics.bound_fluid_cdf(eps, lam, F_inf, first_moment)},
+    "ls": _ls_bound,
+    "lipschitz": lambda m, H, L, t, scv: {
+        "bound": diagnostics.bound_lipschitz(H, L, t, scv)},
+    "moment_estimate": lambda m, f, fprime, t: {
+        "estimate": diagnostics.moment_error_estimate(m, f, fprime, t)},
 }
 
 
-def _parse_kv(blob):
-    out = {}
-    for kv in blob.split(","):
-        if "=" not in kv:
-            raise ValueError(f"bad key=value pair {kv!r}")
-        k, v = kv.split("=", 1)
-        out[k.strip()] = ([float(p) for p in v.split("|")]
-                          if "|" in v else float(v))
-    return out
+def _bound_keys(tag):
+    """The keys of a bound class, those of them it needs, and those that
+    take a '|' list."""
+    params = list(inspect.signature(_BOUNDS[tag]).parameters.values())[1:]
+    return ([p.name for p in params],
+            [p.name for p in params if p.default is p.empty],
+            [p.name for p in params if p.annotation is list])
+
 
 def _eval_bound(m, spec):
     tag, _, blob = spec.partition(":")
-    if tag not in _BOUND_KEYS:
+    if tag not in _BOUNDS:
         raise ValueError(f"unknown bound class {tag!r}; "
-                         f"known: {sorted(_BOUND_KEYS)}")
-    kv = _parse_kv(blob) if blob else {}
-    unknown = set(kv) - set(_BOUND_KEYS[tag])
-    if unknown:
-        raise ValueError(f"unknown {tag} bound arguments {sorted(unknown)}")
-    if tag == "se":
-        c = kv["c"] if isinstance(kv["c"], list) else [kv["c"]]
-        return {"class": tag, "bound": diagnostics.bound_se(kv["eps"], c)}
-    if tag == "me":
-        return {"class": tag, "bound": diagnostics.bound_me(
-            kv["eps"], kv["norm_v"], kv["norm_u"])}
-    if tag == "phase_type":
-        b = diagnostics.bound_phase_type(kv["eps"], kv["q_l1"],
-                                         d=kv.get("d"),
-                                         alpha_Qinv_one=kv.get("mean"))
-        return {"class": tag, "pdf": b.pdf, "cdf_dimension": b.cdf_dimension,
-                "cdf_moment": b.cdf_moment}
-    if tag == "fluid":
-        return {"class": tag, "bound": diagnostics.bound_fluid(
-            kv["eps"], kv["lam"], kv["psi_inf"])}
-    if tag == "fluid_cdf":
-        return {"class": tag, "bound": diagnostics.bound_fluid_cdf(
-            kv["eps"], kv["lam"], kv["F_inf"], kv["first_moment"])}
-    if tag == "ls":
-        extra = {}
-        dirac_l1 = kv.get("dirac_l1")
-        if dirac_l1 is None:
-            dirac_l1, extra["dirac_l1_abserr"] = (
-                diagnostics.dirac_l1_estimate(m))
-        return {"class": tag, "bound": diagnostics.bound_ls(
-            kv["eps"], kv["eta"], kv["mu_total"], dirac_l1), **extra}
-    if tag == "lipschitz":
-        return {"class": tag, "bound": diagnostics.bound_lipschitz(
-            kv["H"], kv["L"], kv["t"], kv["scv"])}
-    return {"class": tag, "estimate": diagnostics.moment_error_estimate(
-        m, kv["f"], kv["fprime"], kv["t"])}
+                         f"known: {sorted(_BOUNDS)}")
+    kv = catalog.parse_kv(blob) if blob else {}
+    keys, needed, lists = _bound_keys(tag)
+    for problem, bad in (
+            ("unknown", sorted(set(kv) - set(keys))),
+            ("missing", [k for k in needed if k not in kv]),
+            ("list-valued", [k for k, v in kv.items()
+                             if isinstance(v, list) and k not in lists])):
+        if bad:
+            raise ValueError(f"{problem} {tag} bound arguments {bad}")
+    return {"class": tag, **_BOUNDS[tag](m, **kv)}
 
 
 def cmd_diag(args):
@@ -531,7 +529,7 @@ def _build_parser():
     d.add_argument("--dirac-grid", help="a:b:n (CSV output)")
     d.add_argument("--bounds", action="append",
                    help="class:k=v,... (repeatable); classes: "
-                   + ",".join(sorted(_BOUND_KEYS)))
+                   + ",".join(sorted(_BOUNDS)))
     d.add_argument("--out")
     d.set_defaults(func=cmd_diag)
 

@@ -325,16 +325,9 @@ def bound_ls(eps, eta, mu_total, dirac_l1):
     return (1.0 + dirac_l1) * eta + mu_total * eps
 
 
-def bound_lipschitz(H, L, t, scv, method_moments=None):
-    """Lipschitz-class bound 3 (2 H L^2 t^2)^(1/3) scv^(1/3).
-
-    Valid for methods normalized to mu0 = mu1 = 1; pass the method's
-    MomentSet to have that hypothesis checked.
-    """
-    if method_moments is not None:
-        if (abs(method_moments.mu0 - 1.0) > 1e-10
-                or abs(method_moments.mu1 - 1.0) > 1e-10):
-            raise ValueError("bound requires mu0 = mu1 = 1 within 1e-10")
+def bound_lipschitz(H, L, t, scv):
+    """Lipschitz-class bound 3 (2 H L^2 t^2)^(1/3) scv^(1/3), valid for
+    methods normalized to mu0 = mu1 = 1."""
     if scv < 0:
         raise ValueError("scv must be nonnegative")
     return 3.0 * (2.0 * H * L * L * t * t) ** (1.0 / 3.0) * scv ** (1.0 / 3.0)

@@ -7,6 +7,7 @@ closed under conjugation *exactly* (points are constructed by mirroring),
 which downstream code relies on when pairing conjugate support points.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -262,66 +263,74 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+# Each shape's JSON kind and CLI spec tag, and its dataclass fields in
+# order as (name, is complex).  The text functions below read and write
+# the fields in that order: a complex field as <name>_re and <name>_im in
+# JSON (_im "0" when missing) and as its real part in a spec.
+_FORMS = tuple((cls, kind, tag, tuple((f.name, f.type is complex)
+                                      for f in dataclasses.fields(cls)))
+               for cls, kind, tag in ((Disc, "disc", "disc"),
+                                      (RealSegment, "real_segment", "rseg"),
+                                      (ImagSegment, "imag_segment", "iseg"),
+                                      (Rectangle, "rectangle", "rect")))
+
+
+def _form(i, key):
+    """The (class, kind, tag, fields) entry of `_FORMS` whose item i
+    equals key, or None."""
+    return next((form for form in _FORMS if form[i] == key), None)
+
+
+def _form_of(d):
+    form = _form(0, type(d))
+    if form is None:
+        raise TypeError(f"not a domain: {d!r}")
+    return form
+
+
 def domain_to_json(d):
     if d is None:
         return None
-    if isinstance(d, Disc):
-        return {"kind": "disc", "center_re": _fmt(d.center.real),
-                "center_im": _fmt(d.center.imag), "radius": _fmt(d.radius)}
-    if isinstance(d, RealSegment):
-        return {"kind": "real_segment", "length": _fmt(d.length)}
-    if isinstance(d, ImagSegment):
-        return {"kind": "imag_segment", "half_width": _fmt(d.half_width)}
-    if isinstance(d, Rectangle):
-        return {"kind": "rectangle", "x_min": _fmt(d.x_min),
-                "x_max": _fmt(d.x_max), "y_min": _fmt(d.y_min),
-                "y_max": _fmt(d.y_max)}
-    raise TypeError(f"not a domain: {d!r}")
+    _, kind, _, fields = _form_of(d)
+    obj = {"kind": kind}
+    for name, is_complex in fields:
+        v = getattr(d, name)
+        if is_complex:
+            obj[name + "_re"], obj[name + "_im"] = _fmt(v.real), _fmt(v.imag)
+        else:
+            obj[name] = _fmt(v)
+    return obj
 
 
 def domain_from_json(obj):
     if obj is None:
         return None
-    kind = obj.get("kind")
-    if kind == "disc":
-        return Disc(complex(float(obj["center_re"]),
-                            float(obj.get("center_im", "0"))),
-                    float(obj["radius"]))
-    if kind == "real_segment":
-        return RealSegment(float(obj["length"]))
-    if kind == "imag_segment":
-        return ImagSegment(float(obj["half_width"]))
-    if kind == "rectangle":
-        return Rectangle(float(obj["x_min"]), float(obj["x_max"]),
-                         float(obj["y_min"]), float(obj["y_max"]))
-    raise ValueError(f"unknown domain kind {kind!r}")
+    form = _form(1, obj.get("kind"))
+    if form is None:
+        raise ValueError(f"unknown domain kind {obj.get('kind')!r}")
+    cls, _, _, fields = form
+    return cls(*(complex(float(obj[name + "_re"]),
+                         float(obj.get(name + "_im", "0")))
+                 if is_complex else float(obj[name])
+                 for name, is_complex in fields))
 
 
 def parse_domain(text):
     """CLI grammar: disc:c_re:R | rseg:L | iseg:r | rect:x0:x1:y0:y1."""
-    parts = text.split(":")
-    kind, args = parts[0], parts[1:]
+    tag, *args = text.split(":")
+    form = _form(2, tag)
+    if form is None or len(args) != len(form[3]):
+        raise ValueError(f"bad domain spec {text!r}")
+    cls, _, _, fields = form
     try:
-        if kind == "disc" and len(args) == 2:
-            return Disc(complex(float(args[0])), float(args[1]))
-        if kind == "rseg" and len(args) == 1:
-            return RealSegment(float(args[0]))
-        if kind == "iseg" and len(args) == 1:
-            return ImagSegment(float(args[0]))
-        if kind == "rect" and len(args) == 4:
-            return Rectangle(*map(float, args))
+        return cls(*(complex(float(a)) if is_complex else float(a)
+                     for a, (_, is_complex) in zip(args, fields)))
     except ValueError as exc:
         raise ValueError(f"bad domain spec {text!r}: {exc}") from None
-    raise ValueError(f"bad domain spec {text!r}")
 
 
 def format_domain(d):
-    if isinstance(d, Disc):
-        return f"disc:{d.center.real:g}:{d.radius:g}"
-    if isinstance(d, RealSegment):
-        return f"rseg:{d.length:g}"
-    if isinstance(d, ImagSegment):
-        return f"iseg:{d.half_width:g}"
-    if isinstance(d, Rectangle):
-        return f"rect:{d.x_min:g}:{d.x_max:g}:{d.y_min:g}:{d.y_max:g}"
-    raise TypeError(f"not a domain: {d!r}")
+    _, _, tag, fields = _form_of(d)
+    return tag + "".join(
+        f":{getattr(d, name).real if is_complex else getattr(d, name):g}"
+        for name, is_complex in fields)

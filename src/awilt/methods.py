@@ -49,19 +49,15 @@ class AWMethod:
                 raise ValueError(f"real node {bi.real!r} has a non-real "
                                  f"weight {wi!r}")
         if not self.reduced:
-            conj_pool = {}
-            for wi, bi in zip(w, b):
-                if bi.imag != 0.0:
-                    conj_pool[bi] = wi
+            conj_pool = {bi: wi for wi, bi in zip(w, b) if bi.imag != 0.0}
             for bi, wi in conj_pool.items():
                 partner = conj_pool.get(bi.conjugate())
                 if partner is None or partner != wi.conjugate():
                     raise ValueError("non-real node without an exact "
                                      "conjugate partner")
-        for i, bi in enumerate(b):
-            for bj in b[i + 1:]:
-                if bi == bj:
-                    raise ValueError("nodes must be pairwise distinct")
+        # complex equality and hashing treat -0.0 and 0.0 alike
+        if len(set(b)) != len(b):
+            raise ValueError("nodes must be pairwise distinct")
 
     @property
     def paired(self):

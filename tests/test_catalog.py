@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cmath_reference as ref
 from awilt.catalog import (bs_call, completely_monotone_demo, entry, exp_sum,
-                           matrix_exp, monomial_exp, parse_transform,
+                           matrix_exp, monomial_exp, parse_kv, parse_transform,
                            square_wave, triangular_wave)
 from awilt.domains import ImagSegment, RealSegment, Rectangle, contains
 from awilt.invert import invert_curve
@@ -278,6 +278,15 @@ class TestRegistry:
     def test_parse_no_params(self):
         e = parse_transform("builtin:square_wave")
         assert e.class_tag == "wave"
+
+    def test_parse_kv(self):
+        assert parse_kv(" c = 1|2 ,a=-1") == {"c": [1.0, 2.0], "a": -1.0}
+        got = parse_kv("a=-1+2j|3", complex_ok=True)["a"]
+        assert got == [-1 + 2j, 3.0] and type(got[1]) is float
+        with pytest.raises(ValueError, match="could not convert"):
+            parse_kv("a=-1+2j")
+        with pytest.raises(ValueError, match=r"^bad key=value pair 'c'$"):
+            parse_transform("builtin:exp_sum:c")
 
     @pytest.mark.parametrize("text", [
         "exp_sum:c=1,a=-1",            # missing builtin: prefix

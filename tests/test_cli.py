@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -486,6 +487,17 @@ class TestDiag:
         assert got == [{"class": spec.partition(":")[0], **want}
                        for spec, want in specs.items()]
 
+    def test_readme_lists_the_bound_table(self):
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")) as fh:
+            table = fh.read().split("| class | keys |")[1].split("\n\n")[0]
+        got = {}
+        for tag, cell in re.findall(r"^\| `(\w+)` \| ([^|]*) \|", table,
+                                    re.M):
+            keys = re.findall(r"`(\w+)`", cell)
+            got[tag] = (keys, [k for k in keys if f"[`{k}`]" not in cell])
+        assert got == {tag: cli._bound_keys(tag)[:2] for tag in cli._BOUNDS}
+
     def test_unknown_bound_class(self, zakian_params, capsys):
         code, _, _ = run(capsys, "diag", "--params", zakian_params,
                          "--bounds", "zz:eps=1")
@@ -494,6 +506,13 @@ class TestDiag:
     @pytest.mark.parametrize("spec,message", [
         ("se:eps", "bad key=value pair 'eps'"),
         ("se:eps=1,zz=2", "unknown se bound arguments ['zz']"),
+        ("se:eps=1", "missing se bound arguments ['c']"),
+        ("phase_type:eps=1", "missing phase_type bound arguments ['q_l1']"),
+        ("me", "missing me bound arguments ['eps', 'norm_v', 'norm_u']"),
+        ("ls:eps=1,mu_total=1", "missing ls bound arguments ['eta']"),
+        ("me:eps=1|2,norm_v=1,norm_u=1",
+         "list-valued me bound arguments ['eps']"),
+        ("se:eps=1|2,c=2", "list-valued se bound arguments ['eps']"),
     ])
     def test_bad_bound_arguments(self, zakian_params, capsys, spec, message):
         code, stdout, stderr = run(capsys, "diag", "--params", zakian_params,

@@ -359,3 +359,81 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             domain_from_json({"kind": "blob"})
+
+
+# -- the text rules against the hand-written forms of each shape ----------
+
+def _outcome(call, *args):
+    """repr of the result, which tells signed zeros apart, or the error."""
+    try:
+        return repr(call(*args))
+    except (TypeError, ValueError, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(-1e3, 1e3))
+_lengths = st.one_of(st.sampled_from([1.0, 5e-324]),
+                     st.floats(0.0, exclude_min=True, allow_infinity=False))
+
+
+@st.composite
+def _domains(draw):
+    shape = draw(st.sampled_from(["disc", "rseg", "iseg", "rect"]))
+    if shape == "disc":
+        return Disc(complex(draw(_coords), draw(_coords)), draw(_lengths))
+    if shape == "rseg":
+        return RealSegment(draw(_lengths))
+    if shape == "iseg":
+        return ImagSegment(draw(_lengths))
+    x0, x1 = sorted([draw(_coords), draw(_coords)])
+    y0, y1 = sorted([draw(_coords), draw(_coords)])
+    assume(x0 != x1 or y0 != y1)
+    return Rectangle(x0, x1, y0, y1)
+
+
+class TestTextRulesMatchReference:
+    @given(_domains())
+    @settings(max_examples=400, deadline=None)
+    def test_json_and_format(self, dom):
+        obj = domain_to_json(dom)
+        assert obj == domain_reference.domain_to_json(dom)
+        assert format_domain(dom) == domain_reference.format_domain(dom)
+        records = [obj, {k: v for k, v in obj.items() if k != "center_im"}]
+        for rec in records:
+            assert (_outcome(domain_from_json, rec)
+                    == _outcome(domain_reference.domain_from_json, rec))
+        assert repr(domain_from_json(obj)) == repr(dom)
+
+    @given(_domains())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_the_formatted_spec(self, dom):
+        text = format_domain(dom)
+        assert (_outcome(parse_domain, text)
+                == _outcome(domain_reference.parse_domain, text))
+
+    @given(st.sampled_from(["disc", "rseg", "iseg", "rect", "blob", ""]),
+           st.lists(st.one_of(_coords.map(repr),
+                              st.sampled_from(["-0", "0", "nan", "inf", "a",
+                                               "", " 2 ", "1e400"])),
+                    max_size=5))
+    @settings(max_examples=400, deadline=None)
+    def test_parse_any_spec(self, tag, args):
+        text = ":".join([tag, *args])
+        assert (_outcome(parse_domain, text)
+                == _outcome(domain_reference.parse_domain, text))
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "disc", "center_re": "-0", "radius": "2"},
+        {"kind": "disc", "center_re": "1", "center_im": "-0", "radius": "1"},
+        {"kind": "rectangle", "x_min": "-0", "x_max": "0", "y_min": "-1",
+         "y_max": "1"},
+        {"kind": "disc", "radius": "1"},
+        {"kind": "real_segment", "length": "-1"},
+        {"kind": ["disc"]},
+        {},
+    ])
+    def test_records(self, obj):
+        assert (_outcome(domain_from_json, obj)
+                == _outcome(domain_reference.domain_from_json, obj))

@@ -191,9 +191,12 @@ class TestForms:
 
 
 class TestValidation:
-    def test_duplicate_nodes(self):
-        with pytest.raises(ValueError):
-            AWMethod("x", (1.0, 1.0), (2.0, 2.0), reduced=False)
+    @pytest.mark.parametrize("nodes,reduced", [
+        ((2.0, 2.0), False), ((0.0, -0.0), False), ((-0.0j, 0.0), True),
+        ((1j, 2.0, 1j), True)])
+    def test_duplicate_nodes(self, nodes, reduced):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            AWMethod("x", (1.0,) * len(nodes), nodes, reduced=reduced)
 
     @pytest.mark.parametrize("weights,nodes", [((), ()),
                                                ((1.0,), (1.0, 2.0))])
