@@ -129,14 +129,59 @@ def dirac_eval(m, y):
 
 
 #: QUADPACK dqk21's abscissae on [-1, 1] (Piessens et al., QUADPACK,
-#: Springer 1983), in the order dqk21 takes them: the 10-point Gauss ones
-#: (its xgk(2), xgk(4), ...), then the Kronrod ones (xgk(1), xgk(3), ...).
+#: Springer 1983): the 10-point Gauss ones, then the Kronrod ones.
 _DQK21_X = np.array([
     0.973906528517171720077964012084452, 0.865063366688984510732096688423493,
     0.679409568299024406234327365114874, 0.433395394129247190799265943165784,
     0.148874338981631210884826001129720, 0.995657163025808080735527280689003,
     0.930157491355708226001207180059508, 0.780817726586416897063717578345042,
     0.562757134668604683339000099272694, 0.294392862701460198131126603103866])
+#: c + h * _DQK21_OFFSETS are the 21 points dqk21 takes on the interval of
+#: centre c and half-length h, bit for bit: h (-x) is -(h x), so c + h (-x)
+#: is dqk21's c - h x
+_DQK21_OFFSETS = np.concatenate(([0.0], -_DQK21_X, _DQK21_X))
+
+
+class _QuadTable(dict):
+    """quad's integrand as a lookup: y -> |delta_hat(y)|, times (y - 1)^2
+    if ``shifted``, at the points of the intervals evaluated last.
+
+    ``pending`` maps the first point quad asks for in each evaluation it
+    has yet to make, an interval's centre c = 0.5 (lo + hi), to the
+    intervals that evaluation covers: (0, Y*) alone, then the two halves
+    of an evaluated interval.  A y missing from the table is such a
+    centre, whose intervals' 21 points each go through one `_dirac_sum`
+    call and replace the table, or a y no interval predicts, which is
+    evaluated on its own.
+    """
+
+    def __init__(self, w, b, ystar, shifted):
+        super().__init__()
+        self.w, self.b, self.shifted = w, b, shifted
+        self.pending = {0.5 * (0.0 + ystar): ((0.0, ystar),)}
+
+    def _values(self, ys):
+        values = np.abs(_dirac_sum(self.w, self.b, ys)).tolist()
+        if not self.shifted:
+            return values
+        return [(y - 1.0) ** 2 * v for y, v in zip(ys.tolist(), values)]
+
+    def __missing__(self, y):
+        spans = self.pending.pop(y, None)
+        if spans is None:
+            return self._values(np.array([y]))[0]
+        centres, halves = [], []
+        for lo, hi in spans:
+            c = 0.5 * (lo + hi)
+            centres.append(c)
+            halves.append(0.5 * (hi - lo))
+            # QAGS bisects at c and evaluates both halves, left first
+            self.pending[0.5 * (lo + c)] = ((lo, c), (c, hi))
+        ys = (np.array(centres)[:, None]
+              + np.array(halves)[:, None] * _DQK21_OFFSETS).ravel()
+        self.clear()
+        self.update(zip(ys.tolist(), self._values(ys)))
+        return self[y]
 
 
 def _dirac_quad(m, shifted=False):
@@ -144,46 +189,25 @@ def _dirac_quad(m, shifted=False):
     the value and quad's estimate of its absolute error.
 
     Y* puts the envelope sum |w| exp(-Re(beta) Y*) below 1e-14.  quad
-    (QUADPACK QAGS) applies the 21-point rule dqk21 to (0, Y*], then to
-    the halves of intervals it has evaluated, each split at its centre
-    c = 0.5 (lo + hi), and asks for an interval's centre before its other
-    points.  So the integrand keeps the intervals not yet evaluated, by
-    centre.  When quad asks for one of those centres, it evaluates all 21
-    points c and c -+ 0.5 (hi - lo) x, x in `_DQK21_X`, in one
-    `_dirac_sum` call, and answers the next calls from that call, looked
-    up by the exact float y.  A y it did not predict is evaluated on its
-    own.  No other check is needed: a row of the kernel does not depend on
-    the other rows, so every value quad sees is |dirac_eval(m, y)| bit for
-    bit, and a change in quad's point order costs speed only.  The closed
-    form between sign changes planned in ROADMAP.md deletes this together
-    with quad.
+    (QUADPACK QAGS) applies the 21-point rule dqk21 to (0, Y*], then
+    bisects an evaluated interval at its centre c = 0.5 (lo + hi) and
+    applies dqk21 to both halves, one after the other; dqk21 asks for an
+    interval's centre before its other points.  So quad is handed the
+    C-level lookup of a `_QuadTable`, which evaluates (0, Y*] when asked
+    for its centre, and both halves of a bisection, 42 points in one
+    kernel call, when asked for the left half's centre; every later point
+    is a dict hit on the exact float y, with no Python call.  A row of the
+    kernel does not depend on the other rows, so every value quad sees is
+    |dirac_eval(m, y)| (times (y - 1)^2) bit for bit, and a change in
+    quad's point order costs speed only.  The closed form between sign
+    changes planned in ROADMAP.md deletes this together with quad.
     """
     w, b = _full_right_halfplane(m)
     total = float(np.abs(w).sum())
     ystar = math.log(max(total, 1.0) / 1e-14) / float(b.real.min())
-    # centre -> (lo, hi) of each interval not yet evaluated
-    pending = {0.5 * (0.0 + ystar): (0.0, ystar)}
-    known = {}  # y -> |delta_hat(y)| at the points of the last interval
-
-    def abs_dirac(y):
-        value = known.get(y)
-        if value is not None:
-            return value
-        if y not in pending:
-            return abs(float(_dirac_sum(w, b, np.array([y]))[0]))
-        lo, hi = pending.pop(y)
-        hx = 0.5 * (hi - lo) * _DQK21_X
-        ys = np.concatenate(([y], np.column_stack((y - hx, y + hx)).ravel()))
-        known.clear()
-        known.update(zip(ys.tolist(), np.abs(_dirac_sum(w, b, ys)).tolist()))
-        pending[0.5 * (lo + y)] = (lo, y)
-        pending[0.5 * (y + hi)] = (y, hi)
-        return known[y]
-
-    integrand = ((lambda y: (y - 1.0) ** 2 * abs_dirac(y)) if shifted
-                 else abs_dirac)
+    table = _QuadTable(w, b, ystar, shifted)
     import scipy.integrate
-    return scipy.integrate.quad(integrand, 0.0, ystar, limit=2000,
+    return scipy.integrate.quad(table.__getitem__, 0.0, ystar, limit=2000,
                                 epsabs=1e-12, full_output=1)[:2]
 
 
@@ -192,20 +216,21 @@ def dirac_l1_estimate(m):
     (0, infinity), and quad's estimate of its absolute error.
 
     scipy's quad (QUADPACK QAGS) of |dirac_eval(m, y)| on (0, Y*]; the
-    tail beyond Y* is below 1e-14 / min Re(beta).  Each interval quad
-    takes is evaluated at its 21 points in one pass (`_dirac_quad`), with
-    the bits of one dirac_eval call per point.  quad is asked for an
-    absolute error of 1e-12 but does not always meet it, and then says so
-    in abserr alone, without a warning: on the r=7 preset abserr is
-    3.9e-2, and the norm is 9.4e-5 relative off the integral.
+    tail beyond Y* is below 1e-14 / min Re(beta).  quad reads the
+    integrand from a table (`_dirac_quad`) that evaluates both halves of
+    each bisection in one kernel call, with the bits of one dirac_eval
+    call per point.  quad is asked for an absolute error of 1e-12 but
+    does not always meet it, and then says so in abserr alone, without a
+    warning: on the r=7 preset abserr is 3.9e-2, and the norm is 9.4e-5
+    relative off the integral.
     """
     return _dirac_quad(m)
 
 
 def dirac_l1_norm(m):
     """L1 norm of the Dirac approximant on (0, infinity): the norm of
-    :func:`dirac_l1_estimate` (21 points of each quad interval in one
-    pass, no warning), without its error estimate."""
+    :func:`dirac_l1_estimate` (no warning), without its error
+    estimate."""
     return _dirac_quad(m)[0]
 
 

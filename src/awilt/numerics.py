@@ -207,7 +207,8 @@ def newton_polish(f, guesses):
 def smallest_singular_vector(A):
     """Unit-norm vector u minimizing ||A u||_2.
 
-    A must have at least as many rows as columns and finite entries.
+    A must have at least as many rows as columns and finite entries
+    (not checked here: `tame.aaa_fit` checks each column it adds).
 
     u is the last right singular vector of the R factor of A = QR (Chan's
     R-SVD), so Q and the left singular vectors are never formed.  LAPACK's
@@ -219,8 +220,6 @@ def smallest_singular_vector(A):
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
         raise ValueError("need a matrix with rows >= cols")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("non-finite entries")
     _, _, Vh = np.linalg.svd(np.linalg.qr(A, mode="r"), full_matrices=False)
     return Vh[-1].conj()
 

@@ -19,7 +19,7 @@ once, both in the double-double arithmetic of `numerics.DoubleDouble`
 """
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -49,6 +49,8 @@ class AAAReport:
     termination: str          # tolerance | max_order | no_room_for_pair
     refits: tuple = ()        # orders of the fits build_tame abandoned
     pruned: int = 0           # poles build_tame's prune dropped
+    # the weights u after each iteration; build_tame reads its refits off
+    iterates: tuple = field(default=(), repr=False, compare=False)
 
 
 def barycentric_eval(b, z):
@@ -112,12 +114,16 @@ def aaa_fit(F, Z, max_order, tol=0.0):
     under conjugation and F(conj z) = conj F(z) on Z.  Support points are
     added at the residual argmax (lowest index on ties); a non-real point
     is added together with its conjugate, and the weights are
-    symmetrised, so the fit is conjugate-symmetric.  The loop stops with termination reason
-    ``no_room_for_pair`` if a pair is next and only one slot is left.
-    The Cauchy and Loewner matrices are kept over all of Z for the whole
-    fit: a support point's columns are computed once, when it is added,
-    and each iteration takes the rows of the points not yet in support.
-    Returns ``(BarycentricApproximant, AAAReport)``.
+    symmetrised, so the fit is conjugate-symmetric.  The loop stops with
+    termination reason ``no_room_for_pair`` if a pair is next and only
+    one slot is left.  The Cauchy and Loewner matrices are kept over all
+    of Z for the whole fit: a support point's columns are computed once,
+    when it is added, and each iteration takes the rows of the points not
+    yet in support.  A new column that is not finite on those rows (Z
+    holds a support point twice, say) raises ValueError in the iteration
+    that adds it.  Returns ``(BarycentricApproximant, AAAReport)``; the
+    report keeps the weights of every iteration (``iterates``), so a fit
+    at a smaller budget or a larger tolerance can be read off it.
     """
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
@@ -142,30 +148,17 @@ def aaa_fit(F, Z, max_order, tol=0.0):
     loewner[:, 0] = F * cauchy[:, 0] - cauchy[:, 0] * 0j
     support = []          # indices into pts
     pairs = []            # positions in u of a conjugate pair's first point
-    u = None
     active = np.ones(len(pts), dtype=bool)
     residual = np.abs(F).astype(float)
     history = []
-    termination = None
+    iterates = []         # u after each iteration
 
     while True:
         resmax = float(residual[active].max())
-        if resmax <= tol:
-            termination = "tolerance"
+        j = int(np.argmax(np.where(active, residual, -np.inf)))
+        new = [j] if _is_real(complex(pts[j])) else [j, int(partner[j])]
+        if _termination(resmax, len(support), len(new), max_order, tol):
             break
-        if len(support) >= max_order:
-            termination = "max_order"
-            break
-        masked = np.where(active, residual, -np.inf)
-        j = int(np.argmax(masked))
-        z_new = complex(pts[j])
-        if _is_real(z_new):
-            new = [j]
-        else:
-            if len(support) + 2 > max_order:
-                termination = "no_room_for_pair"
-                break
-            new = [j, int(partner[j])]
         if len(new) == 2:
             pairs.append(1 + len(support))
         for k in new:
@@ -180,6 +173,9 @@ def aaa_fit(F, Z, max_order, tol=0.0):
         K = len(support)
         fs = F[support]
         rows = np.flatnonzero(active)
+        # the earlier columns were finite on a superset of these rows
+        if not np.all(np.isfinite(loewner[rows, K + 1 - len(new):K + 1])):
+            raise ValueError("non-finite entries")
         u = smallest_singular_vector(loewner[rows, :K + 1])
         first = np.array(pairs, dtype=int)
         mean = 0.5 * (u[first] + u[first + 1].conjugate())
@@ -199,16 +195,56 @@ def aaa_fit(F, Z, max_order, tol=0.0):
         err[~np.isfinite(err)] = np.inf
         residual[rows] = err
         history.append(float(residual[rows].max()))
+        iterates.append(u)
 
-    if u is None:
-        u = np.array([1.0 + 0j])
-    eps = history[-1] if history else float(np.max(np.abs(F)))
-    b = BarycentricApproximant(support=pts[support].copy(),
-                               values=F[support].copy(),
-                               weights=np.asarray(u, dtype=complex))
-    report = AAAReport(residuals=tuple(history), epsilon=eps,
-                       support_order=tuple(complex(z) for z in pts[support]),
-                       termination=termination)
+    return _read_fit(pts[support], F[support], iterates, history,
+                     float(np.max(np.abs(F))), max_order, tol)
+
+
+def _termination(resmax, order, width, max_order, tol):
+    """Why the AAA loop stops at ``order`` support points, with residual
+    max ``resmax`` and ``width`` points (1, or 2 for a conjugate pair) to
+    add next; None if it goes on."""
+    if resmax <= tol:
+        return "tolerance"
+    if order >= max_order:
+        return "max_order"
+    if order + width > max_order:
+        return "no_room_for_pair"
+    return None
+
+
+def _read_fit(support, values, iterates, residuals, fmax, max_order, tol):
+    """``aaa_fit(F, Z, max_order, tol)``, read off a run of its loop on the
+    same F and Z at a budget of at least ``max_order`` and a tolerance of
+    at most ``tol``: the support points and their values in the order
+    added, u and the residual max after each iteration, and fmax = max |F|,
+    the residual max before the first.
+
+    AAA is greedy, so the two loops take the same steps, bit for bit,
+    until the one with the smaller budget or the larger tolerance stops:
+    its fit is the run cut after the first iteration at which
+    `_termination` stops.  The run stopped there or later.  At its last
+    iteration the next addition is not recorded, and a pair is taken to
+    be next: at the run's budget that stops the read as the run stopped,
+    and a smaller budget stops it by ``max_order`` first.
+    """
+    orders = [0] + [len(u) - 1 for u in iterates]
+    for i, order in enumerate(orders):
+        resmax = residuals[i - 1] if i else fmax
+        width = orders[i + 1] - order if i < len(iterates) else 2
+        termination = _termination(resmax, order, width, max_order, tol)
+        if termination:
+            break
+    b = BarycentricApproximant(
+        support=support[:order], values=values[:order],
+        weights=iterates[i - 1] if i else np.array([1.0 + 0j]))
+    report = AAAReport(residuals=tuple(residuals[:i]),
+                       epsilon=residuals[i - 1] if i else fmax,
+                       support_order=tuple(complex(z)
+                                           for z in support[:order]),
+                       termination=termination,
+                       iterates=tuple(iterates[:i]))
     return b, report
 
 
@@ -325,47 +361,48 @@ def build_tame(domain, n_reduced_target, count=1000):
     ``(method, metadata, report)`` with the method in reduced form and
     the metadata's epsilon re-measured on a 4x finer boundary grid.
 
-    The first fit runs to its full budget.  When a pole solve fails, the
-    fit is redone with AAA's tolerance at the roundoff floor
+    The AAA loop runs once, to the full budget.  When a pole solve fails,
+    the build refits with AAA's tolerance at the roundoff floor
     1e2 u max|e^z| on the grid and a budget 2 below the failed fit's
     order: its support count if it stopped at the floor, else its budget.
-    The failure is re-raised once that order is at most 2.  The report is
-    that of the final fit: ``termination`` is ``tolerance`` when it
-    stopped at the floor, ``refits`` lists the orders of the failed fits
-    (whose reports are not kept), and ``pruned`` counts the poles dropped
-    for tiny weights.
+    AAA is greedy, so each refit is a prefix of the first fit, and it is
+    read off that fit's iterations (`_read_fit`) with no least-squares step
+    of its own.  The failure is re-raised once that order is at most 2.
+    The report is that of the final fit: ``termination`` is ``tolerance``
+    when it stopped at the floor, ``refits`` lists the orders of the
+    failed fits (whose reports are not kept), and ``pruned`` counts the
+    poles dropped for tiny weights.
     """
     if n_reduced_target < 1:
         raise ValueError("n_reduced_target must be >= 1")
     Z = discretize(domain, count)
     with np.errstate(over="ignore"):
         F = np.exp(Z)
-    floor = 1e2 * U * float(np.max(np.abs(F)))
+    fmax = float(np.max(np.abs(F)))
     max_order = 2 * n_reduced_target
+    try:
+        b, report = aaa_fit(F, Z, max_order=max_order)
+    except _NotConjugateSymmetric:
+        raise ValueError(f"{domain} is not symmetric about the real axis "
+                         "(a rect domain needs y0 = -y1)") from None
+    run = (b.support, b.values, report.iterates, report.residuals, fmax)
     refits = []
     while True:
         try:
-            b, report = aaa_fit(F, Z, max_order=max_order,
-                                tol=floor if refits else 0.0)
-        except _NotConjugateSymmetric:
-            raise ValueError(f"{domain} is not symmetric about the real axis "
-                             "(a rect domain needs y0 = -y1)") from None
-        try:
             poles = extract_poles(b)
+            break
         except (ValueError, NumericalError):
             # Support points past the roundoff floor are spurious and can
             # degenerate the denominator (u0 -> 0) or the pole pencil.
-            # AAA is greedy, so each refit repeats the failed fit's first
-            # iterations and stops at the floor or 2 points before the
-            # failed fit's end.
+            # Each refit stops at the floor or 2 points before the failed
+            # fit's end, so it is the first fit's first iterations.
             if report.termination == "tolerance":
                 max_order = len(b.support)
             if max_order <= 2:
                 raise
             refits.append(max_order)
             max_order -= 2
-            continue
-        break
+            b, report = _read_fit(*run, max_order, 1e2 * U * fmax)
     nodes, ws = map(np.array,
                     pair_conjugates(poles, extract_residues(b, poles)))
     # |w| is equal on a conjugate pair, so a pair is kept or dropped whole

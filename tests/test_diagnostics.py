@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import mpmath
@@ -316,45 +317,89 @@ def kernel_rows(monkeypatch):
 
 
 class TestDiracQuadBatching:
-    """quad's integrand evaluates each interval's 21 points in one kernel
-    call, when quad asks for the interval's centre."""
+    """quad's integrand is the C-level lookup of a table that evaluates
+    (0, Y*) in one kernel call, and both halves of each later bisection,
+    42 points, in one kernel call, when quad asks for the left half's
+    centre."""
 
     @pytest.mark.parametrize("m", [preset_tame(7.0), euler_method(15)],
                              ids=lambda m: m.name)
     @pytest.mark.parametrize("f", [dirac_l1_norm, nu2_tilde])
     def test_every_point_comes_from_a_batch(self, m, f, kernel_rows,
                                             monkeypatch):
-        neval = []
+        runs = []
         quad = scipy.integrate.quad
 
-        def counted(*args, **kwargs):
-            out = quad(*args, **kwargs)
-            neval.append(out[2]["neval"])
+        def counted(func, *args, **kwargs):
+            out = quad(func, *args, **kwargs)
+            runs.append((func, out[2]["neval"], out[2]["last"]))
             return out
 
         monkeypatch.setattr(scipy.integrate, "quad", counted)
         f(m)
-        assert set(kernel_rows) == {21}
-        assert neval == [21 * len(kernel_rows)]
+        [(func, neval, last)] = runs
+        assert isinstance(func, types.BuiltinMethodType)
+        assert kernel_rows[0] == 21 and set(kernel_rows[1:]) == {42}
+        # each of the last - 1 bisections evaluates two intervals
+        intervals = 2 * last - 1
+        assert neval == 21 * intervals
+        assert len(kernel_rows) == last
 
-    def test_unpredicted_point_is_evaluated_alone(self, kernel_rows,
-                                                  monkeypatch):
-        # a stand-in for quad: an unknown y, the centre of (0, Y*], one of
-        # its Kronrod points, then the unknown y again
-        m = euler_method(15)
-        seen = {}
-
+    @staticmethod
+    def _stand_in(points, seen, integrands):
+        """A stand-in for quad that asks for points(a, b), in order."""
         def quad(f, a, b, **kwargs):
-            c, h = 0.5 * (a + b), 0.5 * (b - a)
-            for y in (0.3, c, c + h * 0.995657163025808080735527280689003,
-                      0.3):
-                seen[y] = f(y)
+            integrands.append(f)
+            for y in points(a, b):
+                seen.append((y, f(y)))
             return 0.0, 0.0, {}
+        return quad
 
-        monkeypatch.setattr(scipy.integrate, "quad", quad)
-        assert dirac_l1_estimate(m) == (0.0, 0.0)
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_unpredicted_point_is_evaluated_alone(self, shifted, kernel_rows,
+                                                  monkeypatch):
+        # an unknown y, the centre of (0, Y*), one of its Kronrod points,
+        # then the unknown y again
+        m = euler_method(15)
+        seen, integrands = [], []
+
+        def points(a, b):
+            c, h = 0.5 * (a + b), 0.5 * (b - a)
+            return 0.3, c, c + h * 0.995657163025808080735527280689003, 0.3
+
+        monkeypatch.setattr(scipy.integrate, "quad",
+                            self._stand_in(points, seen, integrands))
+        f = nu2_tilde if shifted else dirac_l1_estimate
+        assert f(m) in (0.0, (0.0, 0.0))
         assert kernel_rows == [1, 21, 1]
-        for y, value in seen.items():
+        assert isinstance(integrands[0], types.BuiltinMethodType)
+        for y, value in seen:
+            want = abs(dirac_eval(m, y))
+            if shifted:
+                want = (y - 1.0) ** 2 * want
+            assert value.hex() == want.hex()
+
+    def test_half_whose_sibling_is_never_asked(self, kernel_rows,
+                                               monkeypatch):
+        # quad bisects (0, Y*) and then the left half, without asking for
+        # the right half's points; when it later asks for the right
+        # half's centre, the next table has replaced it (one row), and
+        # that half's own bisection is still predicted (42 rows, then a
+        # dict hit)
+        m = preset_tame(7.0)
+        seen, integrands = [], []
+
+        def points(a, b):
+            c = 0.5 * (a + b)
+            left, right = 0.5 * (a + c), 0.5 * (c + b)
+            return (c, left, 0.5 * (a + left), right, 0.5 * (c + right),
+                    0.5 * (c + right))
+
+        monkeypatch.setattr(scipy.integrate, "quad",
+                            self._stand_in(points, seen, integrands))
+        dirac_l1_estimate(m)
+        assert kernel_rows == [21, 42, 42, 1, 42]
+        for y, value in seen:
             assert value.hex() == abs(dirac_eval(m, y)).hex()
 
     @given(st.one_of(right_halfplane_methods(),

@@ -196,6 +196,32 @@ class TestAAAFit:
         assert extract_poles(b).shape == (0,)
         assert extract_residues(b, []).shape == (0,)
 
+    @pytest.mark.parametrize("dom, k, iteration", [
+        (RealSegment(4.0), 0, 1), (RealSegment(4.0), 2, 3),
+        (Disc(complex(-2.0), 2.0), 1, 2),  # a conjugate pair
+    ])
+    def test_non_finite_column_raises_in_its_iteration(self, dom, k,
+                                                       iteration,
+                                                       monkeypatch):
+        # Z holds the k-th support point of the plain fit (and its
+        # conjugate) twice, so the column it gets is 1/0 on its twin's
+        # row: the fit raises in the iteration that adds the point, after
+        # the least-squares steps of the ones before, on finite matrices
+        Z = discretize(dom, 200)
+        z = complex(aaa_fit(np.exp(Z), Z, 8)[1].support_order[k])
+        Z = np.concatenate([Z, [z, z.conjugate()] if z.imag else [z]])
+        steps = []
+        svd = tame.smallest_singular_vector
+
+        def spy(A):
+            steps.append(bool(np.all(np.isfinite(A))))
+            return svd(A)
+
+        monkeypatch.setattr(tame, "smallest_singular_vector", spy)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            aaa_fit(np.exp(Z), Z, 8)
+        assert steps == [True] * (iteration - 1)
+
     @pytest.mark.parametrize("dom,count", [
         (Disc(complex(0.0), 1.0), 10),
         # 2 * max_order points leave 10 rows for 11 unknowns at the end
@@ -637,6 +663,57 @@ class TestBuildMatchesReference:
         # only the reason the final fit stopped may differ
         if report.termination != ref.termination:
             assert report.refits and report.termination == "tolerance"
+
+
+class TestRefitsReadOffTheFirstFit:
+    """`build_tame` runs the AAA loop once, to the full budget, and reads
+    each refit off it (`tame._read_fit`)."""
+
+    @pytest.mark.parametrize("dom, nprime, steps", [
+        # 27 and 80 steps when each refit ran its own loop
+        (Disc(complex(-31.6), 31.6), 13, 14),
+        (RealSegment(100.0), 33, 66),
+    ])
+    def test_only_the_first_fit_takes_least_squares_steps(self, dom, nprime,
+                                                          steps, monkeypatch):
+        Z = discretize(dom, 1000)
+        _, first = aaa_fit(np.exp(Z), Z, 2 * nprime)
+        assert len(first.residuals) == steps
+        shapes = []
+        svd = tame.smallest_singular_vector
+
+        def spy(A):
+            shapes.append(A.shape)
+            return svd(A)
+
+        monkeypatch.setattr(tame, "smallest_singular_vector", spy)
+        _, _, report = build_tame(dom, nprime)
+        assert report.refits == (2 * nprime,)
+        assert len(shapes) == steps
+
+    @given(dom=st.one_of(
+        st.builds(lambda c, r: Disc(complex(c * r), r),
+                  st.floats(-2.0, 0.2), st.floats(0.05, 40.0)),
+        st.builds(RealSegment, st.floats(0.05, 120.0)),
+        st.builds(ImagSegment, st.floats(0.05, 60.0))),
+        nprime=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_every_refit_budget_matches_its_own_fit(self, dom, nprime):
+        Z = discretize(dom, 300)
+        F = np.exp(Z)
+        fmax = float(np.max(np.abs(F)))
+        floor = 1e2 * U * fmax
+        b0, first = aaa_fit(F, Z, 2 * nprime)
+        run = (b0.support, b0.values, first.iterates, first.residuals, fmax)
+        for budget in range(2, 2 * nprime + 1):
+            b, report = tame._read_fit(*run, budget, floor)
+            want_b, want = aaa_fit(F, Z, budget, tol=floor)
+            assert b.support.tobytes() == want_b.support.tobytes()
+            assert b.values.tobytes() == want_b.values.tobytes()
+            assert b.weights.tobytes() == want_b.weights.tobytes()
+            assert report == want
+            assert [u.tobytes() for u in report.iterates] == [
+                u.tobytes() for u in want.iterates]
 
 
 class TestPresets:
