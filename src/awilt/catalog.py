@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Disc, ImagSegment, RealSegment, Rectangle, \
-    fov_hermitian_bound
+from .domains import ImagSegment, RealSegment, Rectangle, select_domain
 from .invert import Transform
 from .numerics import matrix_exponential
 
@@ -158,12 +157,28 @@ def matrix_exp(v, Q, u):
                             conjugate_symmetric=True, singularities=eigs,
                             name="matrix_exp"),
         f=f, f_prime=f_prime,
-        domain_recipe=lambda t: fov_hermitian_bound(t * Q))
+        domain_recipe=lambda t: select_domain("matrix_exponential", Q=Q,
+                                              t=t))
 
 
-def _odd_multiples_of_i_pi(k_max=40):
-    return tuple(1j * math.pi * (2 * k + 1) * sgn
-                 for k in range(k_max) for sgn in (1, -1))
+def _wave(name, F, f, slope, corner):
+    """A wave entry: its transform F has poles at 0 and i pi (2k + 1), of
+    which those with |k| < 40 are declared, and its Omega is i[-80, 80]
+    for every t.  f' is slope(t) away from the integers; at an integer f
+    has a ``corner`` (a kink or a jump), and f' raises ValueError."""
+    poles = (0.0,) + tuple(1j * math.pi * (2 * k + 1) * sgn
+                           for k in range(40) for sgn in (1, -1))
+
+    def f_prime(t):
+        if abs(t - round(t)) < _JUMP_TOL:
+            raise ValueError(f"derivative undefined at {corner} t={t}")
+        return slope(t)
+
+    return CatalogEntry(
+        name=name, class_tag="wave",
+        transform=Transform(evaluator=F, conjugate_symmetric=True,
+                            singularities=poles, name=name),
+        f=f, f_prime=f_prime, domain_recipe=lambda t: ImagSegment(80.0))
 
 
 def triangular_wave():
@@ -177,18 +192,8 @@ def triangular_wave():
         frac = t - math.floor(t)
         return frac if math.floor(t) % 2 == 0 else 1.0 - frac
 
-    def f_prime(t):
-        if abs(t - round(t)) < _JUMP_TOL:
-            raise ValueError(f"derivative undefined at kink t={t}")
-        return 1.0 if math.floor(t) % 2 == 0 else -1.0
-
-    return CatalogEntry(
-        name="triangular_wave", class_tag="wave",
-        transform=Transform(evaluator=F, conjugate_symmetric=True,
-                            singularities=(0.0,) + _odd_multiples_of_i_pi(),
-                            name="triangular_wave"),
-        f=f, f_prime=f_prime,
-        domain_recipe=lambda t: ImagSegment(80.0))
+    return _wave("triangular_wave", F, f,
+                 lambda t: 1.0 if math.floor(t) % 2 == 0 else -1.0, "kink")
 
 
 def square_wave():
@@ -203,18 +208,7 @@ def square_wave():
             raise ValueError(f"value undefined this close to the jump t={t}")
         return float(math.floor(t) % 2)
 
-    def f_prime(t):
-        if abs(t - round(t)) < _JUMP_TOL:
-            raise ValueError(f"derivative undefined at jump t={t}")
-        return 0.0
-
-    return CatalogEntry(
-        name="square_wave", class_tag="wave",
-        transform=Transform(evaluator=F, conjugate_symmetric=True,
-                            singularities=(0.0,) + _odd_multiples_of_i_pi(),
-                            name="square_wave"),
-        f=f, f_prime=f_prime,
-        domain_recipe=lambda t: ImagSegment(80.0))
+    return _wave("square_wave", F, f, lambda t: 0.0, "jump")
 
 
 def _norm_cdf(x):

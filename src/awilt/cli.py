@@ -25,12 +25,12 @@ import sys
 import numpy as np
 
 from . import catalog, diagnostics
-from .domains import (Disc, _fmt, discretize, fov_circle_bound,
-                      fov_hermitian_bound, fov_rectangle_bound, parse_domain)
+from .domains import (Disc, _fmt, fov_circle_bound, parse_domain,
+                      select_domain)
 from .errors import NumericalError
 from .invert import Transform, invert, invert_curve
-from .methods import (euler_method, gaver_method, load_method, save_method,
-                      talbot_method, to_full, zakian_method)
+from .methods import (FIGURES, euler_method, gaver_method, load_method,
+                      save_method, talbot_method, to_full, zakian_method)
 from .numerics import matrix_exponential
 from .queueing import (FluidQueueModel, GeneratorMatrix, fluid_psi_transform,
                        make_experiment_model, psi_infinity)
@@ -118,12 +118,14 @@ def cmd_gen(args):
         if args.domain is None:
             raise ValueError("gen --method tame needs --domain")
         domain = parse_domain(args.domain)
-        m, meta, report = build_tame(domain, args.nprime, count=args.count)
-        build = {"epsilon": meta.epsilon,
-                 "max_abs_weight": meta.max_abs_weight, "eta": meta.eta,
+        count = 1000 if args.count is None else args.count
+        m, meta, report = build_tame(domain, args.nprime, count=count)
+        build = {**{k: getattr(meta, k) for k in FIGURES},
                  "termination": report.termination,
                  "refits": list(report.refits), "pruned": report.pruned}
     elif args.method in _GENERATORS:
+        if args.domain is not None or args.count is not None:
+            raise ValueError("--domain and --count need --method tame")
         m = _GENERATORS[args.method](args.nprime)
     else:
         raise ValueError(f"unknown method {args.method!r}")
@@ -230,12 +232,9 @@ def cmd_diag(args):
     report = {"name": m.name, "entries": m.n_entries, "n": m.n_full}
     full = to_full(m)
     if args.domain:
-        Z = discretize(parse_domain(args.domain), args.count)
-        eps = diagnostics.epsilon_accuracy(full, Z)
-        maxw = max(abs(w) for w in full.weights)
-        report["epsilon"] = eps
-        report["max_abs_weight"] = maxw
-        report["eta"] = diagnostics.eta_proxy(eps, maxw)
+        meta = diagnostics.method_metadata(full, parse_domain(args.domain),
+                                           args.count)
+        report.update((k, getattr(meta, k)) for k in FIGURES)
     if args.moments:
         mom = diagnostics.moments(full)
         report["moments"] = {"mu0": mom.mu0, "mu1": mom.mu1, "mu2": mom.mu2,
@@ -350,9 +349,10 @@ def _bench_a(args, out_dir):
     ref_m = talbot_method(24)
     psi_inf_norm = float(np.linalg.norm(psi_infinity(model), np.inf))
     fixed = _fixed_methods(args)
+    disc = select_domain("fluid_queue", lam=lam, t=t)
     tame = []
     for np_ in range(1, (4 if args.quick else args.tame_nprime_max) + 1):
-        m, meta, _ = build_tame(Disc(complex(-lam * t), lam * t), np_)
+        m, meta, _ = build_tame(disc, np_)
         tame.append((m, diagnostics.bound_fluid(meta.eta, lam, psi_inf_norm)))
     paths = []
     for key, transform in zip(("pdf", "cdf"), fluid_psi_transform(model)):
@@ -418,8 +418,10 @@ def _bench_c(args, out_dir):
     methods += [("tame_preset", preset_entry(r_max)[0], None)
                 for r_max, _ in presets]
     variants = (("tame_circle", fov_circle_bound(d, lam)),
-                ("tame_rect", fov_rectangle_bound(d, lam)),
-                ("tame_fov", fov_hermitian_bound(t * Q, generator=True)))
+                ("tame_rect", select_domain("matrix_exponential", d=d,
+                                            lam=lam, t=t)),
+                ("tame_fov", select_domain("matrix_exponential", Q=Q, t=t,
+                                           generator=True)))
     for label, domain in variants:
         for np_ in (2, 4) if args.quick else (2, 4, 6, 8, 10, 12):
             m, meta, _ = build_tame(domain, np_)
@@ -508,7 +510,7 @@ def _build_parser():
                    help="reduced node count (full count for zakian)")
     g.add_argument("--domain", help="tame only: disc:c:R | rseg:L | iseg:r "
                    "| rect:x0:x1:y0:y1")
-    g.add_argument("--count", type=int, default=1000)
+    g.add_argument("--count", type=int, help="tame only (default 1000)")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 

@@ -9,12 +9,14 @@ phase-type, fluid queues, Laplace-Stieltjes, Lipschitz).
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from .domains import discretize
 from .errors import NumericalError
 from .invert import Transform, invert, pointwise
-from .methods import to_full
+from .methods import MethodMetadata, to_full
 from .numerics import DoubleDouble, U
 
 _SQRT2P1 = 1.0 + math.sqrt(2.0)
@@ -96,6 +98,17 @@ def epsilon_accuracy(m, Z):
     return eps
 
 
+def method_metadata(m, domain, count):
+    """The accuracy figures of m on ``count`` points of the domain's
+    boundary (`domains.discretize`), as a `MethodMetadata`: epsilon
+    (`epsilon_accuracy`), the largest |w| of the full form, and eta
+    (`eta_proxy`)."""
+    full = to_full(m)
+    eps = epsilon_accuracy(full, discretize(domain, count))
+    maxw = max(abs(w) for w in full.weights)
+    return MethodMetadata(eps, maxw, eta_proxy(eps, maxw), domain)
+
+
 # -- Dirac approximant -------------------------------------------------------
 
 def _full_right_halfplane(m):
@@ -121,10 +134,17 @@ def dirac_eval(m, y):
     so the sum is real up to rounding and its real part is returned.
     Each row of the kernel `_dirac_sum` is summed on its own, so a y gets
     the same bits in an array of any length; `_dirac_quad` relies on it.
+    A y where delta_hat is not finite (e^(-beta y) overflows at a negative
+    y, say) raises NumericalError naming the first such y; numpy warns of
+    nothing.
     """
     w, b = _full_right_halfplane(m)
     ys = np.asarray(y, dtype=float)
-    out = _dirac_sum(w, b, np.atleast_1d(ys))
+    with np.errstate(all="ignore"):
+        out = _dirac_sum(w, b, np.atleast_1d(ys))
+    if not np.isfinite(out).all():
+        bad = float(np.atleast_1d(ys)[np.argmin(np.isfinite(out))])
+        raise NumericalError(f"delta_hat is not finite at y={bad!r}")
     return float(out[0]) if ys.ndim == 0 else out
 
 
@@ -252,7 +272,10 @@ def moments(m):
     The sums of w/beta^k (k = 1, 2, 3) over all nodes are evaluated in
     double-double (`numerics.DoubleDouble`) and rounded to binary64: the
     terms are large and of mixed sign, and the acceptance tolerances sit
-    below the binary64 cancellation noise.  The full form is
+    below the binary64 cancellation noise.  The weights are scaled by the
+    power of two that brings the largest |w| into [1/2, 1), so that the
+    sums keep their low parts, as they do for weights in the normal
+    range, and each mu is scaled back and rounded once.  The full form is
     conjugate-symmetric with real weights on real nodes, so the sums are
     real up to rounding.
 
@@ -266,17 +289,19 @@ def moments(m):
     full = to_full(m)
     if any(b == 0 for b in full.nodes):
         raise ValueError("zero node")
+    w = np.array(full.weights, dtype=complex)
+    e = math.frexp(float(np.abs(w).max()))[1]
+    w.real, w.imag = np.ldexp(w.real, -e), np.ldexp(w.imag, -e)
     inv = 1.0 / DoubleDouble(np.array(full.nodes, dtype=complex))
-    term = DoubleDouble(np.array(full.weights, dtype=complex))
-    terms = []
-    for _ in range(3):
-        term = term * inv
-        terms.append(term)
-    mu0, mu1, mu2 = (float(t.sum().to_complex().real) for t in terms)
-    mu2 *= 2.0
+    terms = [DoubleDouble(w) * inv]
+    for _ in range(2):
+        terms.append(terms[-1] * inv)
+    # mu2 is twice the third sum: its scale 2^(e + 1), in one rounding
+    mu0, mu1, mu2 = (_unscaled(t.sum(), e + k)
+                     for t, k in zip(terms, (0, 0, 1)))
     nu2 = mu2 - 2.0 * mu1 + mu0
-    depth = (len(full.nodes) - 1).bit_length()  # ceil(log2 n)
-    mu1_error = 2.0 ** -104 * (4 + depth) * float(np.abs(terms[1].hi).sum())
+    units = 4 + (len(full.nodes) - 1).bit_length()  # 4 + ceil(log2 n)
+    mu1_error = math.ldexp(units * float(np.abs(terms[1].hi).sum()), e - 104)
     scv = None
     if abs(mu1) > mu1_error:
         if 2.0 ** -511 <= abs(mu1) <= 2.0 ** 511:
@@ -285,6 +310,13 @@ def moments(m):
             scv = (mu0 / mu1) * (mu2 / mu1) - 1.0
     return MomentSet(mu0=mu0, mu1=mu1, mu2=mu2, nu2=nu2, scv=scv,
                      mu1_error=mu1_error)
+
+
+def _unscaled(x, e):
+    """The real part of the double-double scalar x, times 2^e, rounded
+    once to binary64 (a subnormal result too; an exact 0 is +0)."""
+    parts = (Fraction(float(x.hi.real)), Fraction(float(x.lo.real)))
+    return float(sum(parts) * Fraction(2) ** e)
 
 
 def moment_error_estimate(m, f_value, f_derivative, t):
@@ -297,14 +329,13 @@ def moment_error_estimate(m, f_value, f_derivative, t):
 
 
 def moment_error_bound_second_order(m, f_value, f_derivative, f_second_sup, t):
-    """Second-order bound; computed for completeness.
+    """Second-order bound: the first-order `moment_error_estimate` (which
+    needs t > 0) plus half t^2 ||f''|| nu2~; computed for completeness.
 
     The half t^2 ||f''|| nu2~ term usually dominates by orders of
     magnitude, making this a very pessimistic bound in practice.
     """
-    mom = moments(m)
-    return (abs(mom.mu0 - 1.0) * abs(f_value)
-            + t * abs(f_derivative) * abs(mom.mu1 - mom.mu0)
+    return (moment_error_estimate(m, f_value, f_derivative, t)
             + 0.5 * t * t * abs(f_second_sup) * nu2_tilde(m))
 
 

@@ -1,12 +1,14 @@
 """Complex regions Omega, boundary discretizations, and field-of-values bounds.
 
 Four region shapes are supported: a disc B(c, R), a real segment [-L, 0],
-an imaginary segment i[-r, r], and an axis-aligned rectangle.  Boundary
-discretizations of regions that are symmetric about the real axis are
-closed under conjugation *exactly* (points are constructed by mirroring),
-which downstream code relies on when pairing conjugate support points.
+an imaginary segment i[-r, r], and an axis-aligned rectangle.  Every
+field of a shape must be finite.  Boundary discretizations of regions
+that are symmetric about the real axis are closed under conjugation
+*exactly* (points are constructed by mirroring), which downstream code
+relies on when pairing conjugate support points.
 """
 
+import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -14,51 +16,54 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class _Shape:
+    """The rule of every domain shape: each field must be finite, and the
+    field named ``_positive`` (if any) positive.  A ValueError names the
+    first field that is not."""
+    _positive = None
+
+    def __post_init__(self):
+        for name, v in vars(self).items():
+            if not cmath.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+        if self._positive and not getattr(self, self._positive) > 0:
+            raise ValueError(f"{self._positive} must be positive")
+
+
 @dataclass(frozen=True)
-class Disc:
+class Disc(_Shape):
     center: complex
     radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+    _positive = "radius"
 
 
 @dataclass(frozen=True)
-class RealSegment:
+class RealSegment(_Shape):
     """The segment [-length, 0] on the real axis."""
     length: float
-
-    def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError("length must be positive")
+    _positive = "length"
 
 
 @dataclass(frozen=True)
-class ImagSegment:
+class ImagSegment(_Shape):
     """The segment i[-half_width, half_width] on the imaginary axis."""
     half_width: float
-
-    def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+    _positive = "half_width"
 
 
 @dataclass(frozen=True)
-class Rectangle:
+class Rectangle(_Shape):
     x_min: float
     x_max: float
     y_min: float
     y_max: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.x_min > self.x_max or self.y_min > self.y_max:
             raise ValueError("empty rectangle")
         if self.x_min == self.x_max and self.y_min == self.y_max:
             raise ValueError("rectangle degenerate in both axes")
-
-
-Domain = Disc | RealSegment | ImagSegment | Rectangle
 
 
 def domain_scale(d):
@@ -233,19 +238,26 @@ def fov_hermitian_bound(A, generator=False):
 
 def select_domain(problem_class, *, lam=None, t=None, Q=None, d=None,
                   L=None, r=None, generator=False):
-    """Per-class Omega selection policy."""
+    """Omega per problem class.
+
+    fluid_queue: the disc B(-lam t, lam t).  matrix_exponential: the
+    Hermitian box of t Q (`fov_hermitian_bound`), or from the dimension d
+    and the uniformization rate lam alone `fov_rectangle_bound(d, lam t)`;
+    t defaults to 1.  laplace_stieltjes: [-L, 0].  generic: the disc, the
+    real and the imaginary segment of radius r.
+    """
     if problem_class == "fluid_queue":
         if lam is None or t is None or lam <= 0 or t <= 0:
             raise ValueError("fluid_queue needs lam > 0 and t > 0")
         rr = lam * t
         return Disc(complex(-rr), rr)
     if problem_class == "matrix_exponential":
+        tt = 1.0 if t is None else t
         if Q is not None:
-            tt = 1.0 if t is None else t
             return fov_hermitian_bound(tt * np.asarray(Q), generator=generator)
         if d is None or lam is None:
             raise ValueError("matrix_exponential needs Q or (d, lam)")
-        return fov_rectangle_bound(d, lam)
+        return fov_rectangle_bound(d, lam * tt)
     if problem_class == "laplace_stieltjes":
         if L is None or L <= 0:
             raise ValueError("laplace_stieltjes needs L > 0")

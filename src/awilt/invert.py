@@ -171,9 +171,13 @@ def _grid(m, transform, ts):
         raise ValueError("reduced-form inversion needs a conjugate-symmetric "
                          "transform")
     tv = np.asarray(ts, dtype=float)
-    S = _scaled_nodes(m, tv)
     errors = [None] * len(tv)
-    _collisions(m, transform, S, ts, errors)
+    # a t so small that beta/t overflows is flagged by the transform's
+    # value there; its collision windows are NaN (inf - inf), and no
+    # singularity is near its s
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _scaled_nodes(m, tv)
+        _collisions(m, transform, S, ts, errors)
     rows = [r for r, e in enumerate(errors) if e is None]
     F = _values(transform, S, rows, errors)
     shape = F.shape[2:]

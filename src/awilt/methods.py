@@ -12,14 +12,12 @@ is not real.
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-
-import numpy as np
 
 from . import domains
 from .domains import _fmt
-from .numerics import DoubleDouble, polynomial_roots
+from .numerics import DoubleDouble, horner, polynomial_roots
 
 
 def _is_real(z):
@@ -81,10 +79,17 @@ class AWMethod:
 
 @dataclass(frozen=True)
 class MethodMetadata:
+    """A method's accuracy figures on the boundary of its domain, as
+    `diagnostics.method_metadata` measures them, and that domain."""
     epsilon: float = None
     max_abs_weight: float = None
     eta: float = None
     domain: object = None
+
+
+#: the names of the accuracy figures (every field but the domain), in the
+#: order they are written
+FIGURES = tuple(f.name for f in fields(MethodMetadata))[:-1]
 
 
 # -- classical generators ----------------------------------------------------
@@ -170,8 +175,8 @@ def zakian_method(n):
 
     The poles are the roots of the binary64-rounded Pade denominator
     (`polynomial_roots`).  The residues -p(r)/q'(r) are evaluated at all
-    roots at once by double-double Horner schemes on double-double values
-    of the exact rational coefficients, and rounded to binary64.  It works
+    roots at once by `numerics.horner` on double-double values of the
+    exact rational coefficients, and rounded to binary64.  It works
     for n <= 26 in binary64: from n = 27 on the root polish does not
     converge (NumericalError), and from n = 135 on the rounded
     coefficients break `np.roots` or the leading one underflows to 0
@@ -181,19 +186,17 @@ def zakian_method(n):
     num, den = _pade_exp_coeffs(n)
     roots = polynomial_roots([float(c) for c in den])
     dden = [j * c for j, c in enumerate(den)][1:]
-    p, dq = (_horner_dd(cs, roots) for cs in (num, dden))
+    p, dq = (horner([_dd(c) for c in cs], roots) for cs in (num, dden))
     nodes, weights = pair_conjugates(roots, (-(p / dq)).to_complex())
     return AWMethod(name=f"zakian{n}", weights=tuple(weights),
                     nodes=tuple(nodes), reduced=False)
 
 
-def _horner_dd(coeffs, z):
-    """sum_k coeffs[k] z^k in double-double for Fraction coefficients."""
-    acc = DoubleDouble(np.zeros(len(z), dtype=complex))
-    for c in reversed(coeffs):
-        hi = float(c)
-        acc = acc * z + DoubleDouble(hi, float(c - Fraction(hi)))
-    return acc
+def _dd(q):
+    """The Fraction q as a double-double: its binary64 rounding, and the
+    remainder rounded to binary64."""
+    hi = float(q)
+    return DoubleDouble(hi, float(q - Fraction(hi)))
 
 
 def pair_conjugates(nodes, weights):
@@ -290,10 +293,8 @@ def method_to_json(m, metadata=None):
         "weights": [_scalar_json(w) for w in m.weights],
         "paired": list(m.paired) if m.reduced else [],
         "metadata": {
-            "epsilon": None if meta.epsilon is None else _fmt(meta.epsilon),
-            "max_abs_weight": (None if meta.max_abs_weight is None
-                               else _fmt(meta.max_abs_weight)),
-            "eta": None if meta.eta is None else _fmt(meta.eta),
+            **{k: None if getattr(meta, k) is None else _fmt(getattr(meta, k))
+               for k in FIGURES},
             "domain": domains.domain_to_json(meta.domain),
         },
     }
@@ -311,12 +312,8 @@ def method_from_json(obj):
                          "the nodes")
     md = obj.get("metadata") or {}
     meta = MethodMetadata(
-        epsilon=None if md.get("epsilon") is None else float(md["epsilon"]),
-        max_abs_weight=(None if md.get("max_abs_weight") is None
-                        else float(md["max_abs_weight"])),
-        eta=None if md.get("eta") is None else float(md["eta"]),
-        domain=domains.domain_from_json(md.get("domain")),
-    )
+        *(None if md.get(k) is None else float(md[k]) for k in FIGURES),
+        domain=domains.domain_from_json(md.get("domain")))
     return m, meta
 
 

@@ -204,6 +204,17 @@ def newton_polish(f, guesses):
     return z.to_complex(), status
 
 
+def horner(coeffs, z):
+    """sum_k coeffs[k] z^k in double-double at each point of the 1-d
+    array z (binary64 or `DoubleDouble`), by Horner's scheme; the
+    coefficients, in ascending order, are binary64 numbers or
+    `DoubleDouble` scalars."""
+    acc = DoubleDouble(np.zeros(len(z), dtype=complex))
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 def smallest_singular_vector(A):
     """Unit-norm vector u minimizing ||A u||_2.
 
@@ -250,23 +261,20 @@ def polynomial_roots(coeffs):
     ascending order; a zero leading coefficient raises ValueError.
 
     The binary64 roots of `np.roots` are polished by `newton_polish` with
-    a double-double Horner scheme on the same binary64 coefficients, so
-    each root is the binary64 rounding of an exact root of that
-    polynomial.  Raises NumericalError if the companion matrix of
-    `np.roots` or a root it returns is not finite (numpy warns of
-    nothing), if a root does not converge within POLISH_STEPS steps, or if
-    its binary64 residual is too large.
+    `horner` on the same binary64 coefficients, so each root is the
+    binary64 rounding of an exact root of that polynomial.  Raises
+    NumericalError if the companion matrix of `np.roots` or a root it
+    returns is not finite (numpy warns of nothing), if a root does not
+    converge within POLISH_STEPS steps, or if its binary64 residual is
+    too large.
     """
     c = np.asarray(list(coeffs), dtype=complex)
     if c[-1] == 0:
         raise ValueError("leading coefficient is zero")
     dc = c[1:] * np.arange(1, len(c))
 
-    def horner(z):
-        p = DoubleDouble(np.full(len(z), c[-1]))
-        for ck in c[-2::-1]:
-            p = p * z + ck
-        return p, np.polynomial.polynomial.polyval(z.hi, dc)
+    def value_and_slope(z):
+        return horner(c, z), np.polynomial.polynomial.polyval(z.hi, dc)
 
     with np.errstate(all="ignore"):
         # the first row of np.roots' companion matrix: -c[k] / c[-1]
@@ -275,7 +283,7 @@ def polynomial_roots(coeffs):
         guesses = np.roots(c[::-1])
     if not np.isfinite(guesses).all():
         raise NumericalError("np.roots returned a root that is not finite")
-    out, status = newton_polish(horner, guesses)
+    out, status = newton_polish(value_and_slope, guesses)
     if np.any(status):
         raise NumericalError("root polish did not converge")
     maxc = float(np.max(np.abs(c)))

@@ -24,12 +24,12 @@ from importlib import resources
 
 import numpy as np
 
-from .diagnostics import epsilon_accuracy, eta_proxy
+from .diagnostics import method_metadata
 from .domains import (Disc, discretize, distance_to, domain_scale,
                       format_domain)
 from .errors import NumericalError, PoleInsideDomainError
-from .methods import (AWMethod, MethodMetadata, _is_real, load_method,
-                      pair_conjugates, save_method, to_reduced)
+from .methods import (AWMethod, _is_real, load_method, pair_conjugates,
+                      save_method, to_reduced)
 from .numerics import (DoubleDouble, U, dense_eigenvalues, newton_polish,
                        smallest_singular_vector)
 
@@ -417,13 +417,8 @@ def build_tame(domain, n_reduced_target, count=1000):
     name = f"tame{n_reduced_target}@{format_domain(domain)}"
     full = AWMethod(name=name, weights=tuple(ws), nodes=tuple(nodes),
                     reduced=False)
-    fine = discretize(domain, 4 * count)
-    eps = epsilon_accuracy(full, fine)
-    maxw = max(abs(w) for w in full.weights)
-    meta = MethodMetadata(epsilon=eps, max_abs_weight=maxw,
-                          eta=eta_proxy(eps, maxw), domain=domain)
     report = replace(report, refits=tuple(refits), pruned=pruned)
-    return to_reduced(full), meta, report
+    return to_reduced(full), method_metadata(full, domain, 4 * count), report
 
 
 # -- Table of precomputed quasi-optimal methods ------------------------------

@@ -12,7 +12,8 @@ import cmath_reference as ref
 from awilt.catalog import (bs_call, completely_monotone_demo, entry, exp_sum,
                            matrix_exp, monomial_exp, parse_kv, parse_transform,
                            square_wave, triangular_wave)
-from awilt.domains import ImagSegment, RealSegment, Rectangle, contains
+from awilt.domains import (ImagSegment, RealSegment, Rectangle, contains,
+                           fov_hermitian_bound)
 from awilt.invert import invert_curve
 from awilt.methods import talbot_method
 from awilt.numerics import U
@@ -129,6 +130,11 @@ class TestMatrixExp:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             matrix_exp(np.ones(2), -np.eye(3), np.ones(3))
+
+    def test_domain_recipe_is_the_hermitian_box_of_tq(self):
+        Q = np.array([[-2.0, 2.0], [0.5, -0.5]])
+        e = matrix_exp(np.ones(2), Q, np.ones(2))
+        assert e.domain_recipe(1.5) == fov_hermitian_bound(1.5 * Q)
 
 
 class TestWaves:

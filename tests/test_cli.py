@@ -148,6 +148,35 @@ class TestGen:
                          "--out", str(tmp_path / "x.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--domain", "disc:-1:1"], ["--count", "5"],
+        ["--domain", "disc:-1:1", "--count", "5"]])
+    def test_classical_method_refuses_tame_options(self, tmp_path, capsys,
+                                                   extra):
+        out = tmp_path / "x.json"
+        code, stdout, stderr = run(capsys, "gen", "--method", "euler",
+                                   "--nprime", "15", *extra, "--out",
+                                   str(out))
+        assert code == 2 and stdout == ""
+        assert json.loads(stderr) == {
+            "error": "ValueError",
+            "message": "--domain and --count need --method tame"}
+        assert not out.exists()
+
+    def test_figures_in_the_order_of_the_method_file(self, tmp_path, capsys):
+        out = tmp_path / "t3.json"
+        code, stdout, _ = run(capsys, "gen", "--method", "tame", "--nprime",
+                              "3", "--domain", "disc:-1:1", "--out",
+                              str(out))
+        assert code == 0
+        info = json.loads(stdout)
+        figures = ["epsilon", "max_abs_weight", "eta"]
+        assert list(info)[3:6] == figures
+        stored = json.loads(out.read_text())["metadata"]
+        assert list(stored) == figures + ["domain"]
+        assert [float(stored[k]) for k in figures] == [info[k]
+                                                       for k in figures]
+
     def test_malformed_flags_exit_2(self, capsys):
         code, _, _ = run(capsys, "gen", "--method", "euler")
         assert code == 2
@@ -237,6 +266,30 @@ class TestInvert:
             assert float(r["value"]) == pytest.approx(
                 math.exp(-float(r["t"])), abs=1e-5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_t_exits_1_without_warnings(self, euler_params, capsys):
+        # beta/t overflows: the transform value flags the t
+        code, stdout, stderr = run(capsys, "invert", "--params", euler_params,
+                                   "--transform", "builtin:exp_sum:c=1,a=-1",
+                                   "--t", "1e-320")
+        assert code == 1 and stdout == ""
+        assert json.loads(stderr) == {
+            "error": "NumericalError",
+            "message": "transform value at s=(inf+infj) is not finite "
+                       "(t=1e-320)"}
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_t_on_a_grid_is_flagged(self, euler_params, capsys):
+        code, stdout, stderr = run(capsys, "invert", "--params", euler_params,
+                                   "--transform", "builtin:exp_sum:c=1,a=-1",
+                                   "--t-grid", "1e-320:1:3")
+        assert code == 0
+        assert json.loads(stderr) == {
+            "notice": "t=1e-320: transform value at s=(inf+infj) is not "
+                      "finite (t=1e-320)"}
+        rows = list(csv.DictReader(stdout.splitlines()))
+        assert [r["value"] == "" for r in rows] == [True, False, False]
+
     def test_grid_full_form_to_stdout(self, tmp_path, capsys):
         # zakian:1 is a full-form method: its values are complex and are
         # written as repr; its node collides with the pole at t = 1
@@ -311,6 +364,39 @@ class TestInvert:
                               "--t", "1.0")
         assert code == 1
         assert "error" in json.loads(stderr.splitlines()[0])
+
+
+class TestNonFiniteDomain:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec,field", [
+        ("disc:nan:1", "center"), ("disc:inf:1", "center"),
+        ("rseg:inf", "length"), ("iseg:nan", "half_width"),
+        ("rect:nan:0:-1:1", "x_min"), ("rect:-1:inf:-1:1", "x_max")])
+    @pytest.mark.parametrize("command", ["diag", "gen"])
+    def test_refused(self, tmp_path, capsys, spec, field, command):
+        if command == "diag":
+            argv = ["diag", "--params", str(resources.files("awilt")
+                                            / "presets" / "tame_r7_n6.json")]
+        else:
+            argv = ["gen", "--method", "tame", "--nprime", "3", "--out",
+                    str(tmp_path / "x.json")]
+        code, stdout, stderr = run(capsys, *argv, "--domain", spec)
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1
+        err = json.loads(stderr)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"bad domain spec {spec!r}: "
+                                         f"{field} must be finite, got ")
+
+    def test_method_file_refused(self, tmp_path, capsys):
+        obj = method_to_json(euler_method(5))
+        obj["metadata"]["domain"] = {"kind": "real_segment", "length": "inf"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, stdout, stderr = run(capsys, "diag", "--params", str(path),
+                                   "--moments")
+        assert code == 2 and stdout == ""
+        assert json.loads(stderr) == {
+            "error": "ValueError", "message": "length must be finite, got inf"}
 
 
 class TestNonFiniteMethod:
@@ -435,6 +521,21 @@ class TestDiag:
                               "--dirac-grid", "0.1:1:5", "--out", str(out))
         assert code == 2
         assert json.loads(stderr.splitlines()[0])["error"] == "ValueError"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_dirac_grid_overflow_exits_1(self, tmp_path, capsys):
+        # e^(-beta y) overflows at y = -1000: no warning and no NaN rows
+        params, out = tmp_path / "e15.json", tmp_path / "d.csv"
+        run(capsys, "gen", "--method", "euler", "--nprime", "15",
+            "--out", str(params))
+        code, stdout, stderr = run(capsys, "diag", "--params", str(params),
+                                   "--dirac-grid=-1000:0:3", "--out",
+                                   str(out))
+        assert code == 1 and stdout == ""
+        assert json.loads(stderr) == {
+            "error": "NumericalError",
+            "message": "delta_hat is not finite at y=-1000.0"}
         assert not out.exists()
 
     def test_repeated_calls_do_not_share_arguments(self, zakian_params,

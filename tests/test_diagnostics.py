@@ -14,17 +14,18 @@ from awilt.diagnostics import (bound_fluid, bound_fluid_cdf,
                                bound_lipschitz, bound_ls, bound_me,
                                bound_phase_type, bound_se, dirac_eval,
                                dirac_l1_estimate, dirac_l1_norm,
-                               epsilon_accuracy, eta_proxy,
+                               epsilon_accuracy, eta_proxy, method_metadata,
                                moment_error_bound_second_order,
                                moment_error_estimate, moments, nu2_tilde,
                                rational_approximant)
 from awilt.domains import Disc, discretize
 from awilt.errors import NumericalError
 from awilt.invert import Transform, invert, pointwise
-from awilt.methods import (AWMethod, euler_method, gaver_method, talbot_method,
-                           to_full, zakian_method)
+from awilt.methods import (AWMethod, MethodMetadata, euler_method,
+                           gaver_method, talbot_method, to_full,
+                           zakian_method)
 from awilt.numerics import U
-from awilt.tame import preset_tame
+from awilt.tame import preset_entry, preset_tame
 from epsilon_reference import (epsilon_accuracy_reference,
                                rational_approximant_reference)
 from mp_reference import DPS, moment_sums, near_midpoint
@@ -177,6 +178,22 @@ def epsilon_cases(draw):
     return m, pts
 
 
+class TestMethodMetadata:
+    def test_figures_of_the_full_form(self):
+        m = euler_method(9)
+        dom = Disc(complex(-1.0), 1.0)
+        meta = method_metadata(m, dom, 300)
+        eps = epsilon_accuracy(m, discretize(dom, 300))
+        maxw = max(abs(w) for w in to_full(m).weights)
+        assert meta == MethodMetadata(eps, maxw, eta_proxy(eps, maxw), dom)
+        assert maxw < max(abs(w) for w in m.weights)  # halved pairs
+
+    @pytest.mark.parametrize("r", [0.6, 7.0, 31.6])
+    def test_reproduces_the_stored_preset_figures(self, r):
+        m, meta, _ = preset_entry(r)
+        assert method_metadata(m, meta.domain, 4000) == meta
+
+
 class TestEpsilonMatchesReference:
     """epsilon_accuracy returns the reference's float bit for bit, or
     raises its ValueError with the same message; where the reference's
@@ -229,6 +246,16 @@ class TestDirac:
         changes = np.count_nonzero(signs[:-1] * signs[1:] < 0)
         assert changes >= 2
         assert dirac_l1_norm(m) > 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_value_raises(self):
+        # e^(-beta y) overflows at a negative y; numpy warns of nothing
+        m = euler_method(15)
+        with pytest.raises(NumericalError,
+                           match=r"^delta_hat is not finite at y=-1000\.0$"):
+            dirac_eval(m, np.array([0.5, -1000.0, -2000.0]))
+        with pytest.raises(NumericalError, match="at y=-800.0"):
+            dirac_eval(m, -800.0)
 
     def test_left_halfplane_nodes_rejected(self):
         # the Talbot contour crosses into Re < 0 for larger sizes
@@ -458,6 +485,14 @@ class TestMoments:
         want = moments(method(1.0)).scv
         assert moments(method(scale)).scv == pytest.approx(want, rel=1e-14)
 
+    def test_subnormal_weights_round_once(self):
+        # the exact mu0 is 8.90029543402881344e-310; without the scaling
+        # the double-double parts lose their bits below 2^-1022, and the
+        # sum rounds to ...287e-310
+        m = AWMethod("x", (SUBNORMAL_W, -SUBNORMAL_W), (2 + 1j, 2 - 1j),
+                     reduced=False)
+        assert moments(m).mu0 == 8.9002954340288e-310
+
     def test_conjugate_pair_sum_cancels(self):
         # Re((1/(3+3i))^2) = 0: the real products of a double-double
         # product are rounded one by one, so the two squares cancel
@@ -475,6 +510,10 @@ class TestMoments:
         assert mom.scv is None
 
 
+#: a subnormal weight part: 2^-1022 less one unit in the last place
+SUBNORMAL_W = 2.225073858507203e-309j
+
+
 class TestMomentsMatchMpmath:
     """The double-double moment sums equal the 40-digit ones bit for bit,
     unless the exact sum lies within the kernel's error bound of a
@@ -489,22 +528,26 @@ class TestMomentsMatchMpmath:
     @given(right_halfplane_methods())
     @example(AWMethod(name="fma", weights=(1.0, 1.0),
                       nodes=(3 + 3j, 3 - 3j), reduced=False))
+    @example(AWMethod(name="subnormal", weights=(SUBNORMAL_W, -SUBNORMAL_W),
+                      nodes=(2 + 1j, 2 - 1j), reduced=False))
     @example(AWMethod(name="cancel", weights=(1 + 6.04e-64j, 1 - 6.04e-64j),
                       nodes=(3 + 3j, 3 - 3j), reduced=False))
     @example(AWMethod(name="normwise", weights=(2.5 - 2j, 2.5 + 2j),
                       nodes=(2 + 2.5j, 2 - 2.5j), reduced=False))
     @settings(max_examples=60, deadline=None)
     def test_random_methods(self, m):
-        # the kernel's range: a double-double result below ~2^-969 has
-        # no low part, and a subnormal one is rounded twice
-        assume(all(abs(x) >= 1e-250 for w in m.weights
-                   for x in (w.real, w.imag) if x))
+        # weights of any size, subnormal ones too: moments scales them
+        # into the kernel's range and rounds each sum once
         mom, sums = moments(m), moment_sums(m)
         for got, (exact, bound) in zip((mom.mu0, mom.mu1, mom.mu2), sums):
             with mpmath.workdps(DPS):
-                assert abs(got - exact) <= bound + math.ulp(got) / 2
+                # half an ulp in mpmath: it underflows in binary64
+                assert (abs(got - exact)
+                        <= bound + mpmath.mpf(math.ulp(got)) / 2)
             assert got == float(exact) or near_midpoint(exact, bound)
-        assert mom.mu1_error == pytest.approx(float(sums[1][1]), rel=1e-12)
+        # mu1_error, about 2^-100 of the sums, may itself be subnormal
+        assert mom.mu1_error == pytest.approx(float(sums[1][1]), rel=1e-12,
+                                              abs=2.0 ** -1073)
 
     @pytest.mark.parametrize("m", [
         *(euler_method(n) for n in (3, 7, 11, 15, 21)),
@@ -541,8 +584,12 @@ class TestMomentEstimate:
         assert second - first == pytest.approx(0.5 * nu2_tilde(m), rel=1e-6)
 
     def test_t_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t must be positive"):
             moment_error_estimate(zakian_method(1), 1.0, 1.0, 0.0)
+        # the second-order bound adds a term to the same estimate
+        with pytest.raises(ValueError, match="t must be positive"):
+            moment_error_bound_second_order(zakian_method(1), 1.0, 1.0, 1.0,
+                                            -1.0)
 
 
 class TestClassBounds:

@@ -72,6 +72,33 @@ class TestGeometry:
         with pytest.raises(ValueError):
             Rectangle(1.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("cls,args,field", [
+        (Disc, (complex("nan"), 1.0), "center"),
+        (Disc, (complex(1.0, math.inf), 1.0), "center"),
+        (Disc, (0j, math.nan), "radius"),
+        (Disc, (0j, math.inf), "radius"),
+        (RealSegment, (math.inf,), "length"),
+        (ImagSegment, (math.nan,), "half_width"),
+        (Rectangle, (math.nan, 0.0, -1.0, 1.0), "x_min"),
+        (Rectangle, (-1.0, math.inf, -1.0, 1.0), "x_max"),
+        (Rectangle, (-1.0, 0.0, -math.inf, 1.0), "y_min"),
+        (Rectangle, (-1.0, 0.0, -1.0, math.nan), "y_max"),
+    ])
+    def test_non_finite_field(self, cls, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, "):
+            cls(*args)
+
+    @pytest.mark.parametrize("obj,field", [
+        ({"kind": "disc", "center_re": "-1", "center_im": "nan",
+          "radius": "1"}, "center"),
+        ({"kind": "imag_segment", "half_width": "inf"}, "half_width"),
+        ({"kind": "rectangle", "x_min": "-inf", "x_max": "0",
+          "y_min": "-1", "y_max": "1"}, "x_min"),
+    ])
+    def test_non_finite_field_in_json(self, obj, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, "):
+            domain_from_json(obj)
+
     def test_scale(self):
         assert domain_scale(Disc(complex(-4.0), 4.0)) == 4.0
         assert domain_scale(RealSegment(7.0)) == 7.0
@@ -297,10 +324,16 @@ class TestSelectDomain:
 
     def test_matrix_exponential_paths(self):
         d = select_domain("matrix_exponential", d=5, lam=1.5)
-        assert isinstance(d, Rectangle)
+        assert d == fov_rectangle_bound(5, 1.5)
         Q = np.array([[-1.0, 1.0], [0.5, -0.5]])
         d2 = select_domain("matrix_exponential", Q=Q, t=2.0, generator=True)
         assert isinstance(d2, Rectangle) and d2.x_max <= 0.0
+
+    def test_dimension_only_rectangle_scales_with_t(self):
+        # e^{tQ} has the numerical range of tQ, whose rate is lam t
+        d = select_domain("matrix_exponential", d=5, lam=1.5, t=2.0)
+        assert d == fov_rectangle_bound(5, 3.0)
+        assert d != select_domain("matrix_exponential", d=5, lam=1.5)
 
     def test_laplace_stieltjes(self):
         assert select_domain("laplace_stieltjes", L=4.0) == RealSegment(4.0)

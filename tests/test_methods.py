@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awilt.diagnostics import eta_proxy
-from awilt.methods import (AWMethod, MethodMetadata, euler_method,
+from awilt.domains import Disc
+from awilt.methods import (FIGURES, AWMethod, MethodMetadata, euler_method,
                            gaver_method, load_method, method_from_json,
                            method_to_json, pair_conjugates, save_method,
                            talbot_method, to_full, to_reduced, zakian_method)
@@ -268,6 +269,22 @@ class TestPersistence:
         assert meta2.epsilon == meta.epsilon
         assert meta2.max_abs_weight == meta.max_abs_weight
         assert meta2.eta == meta.eta
+
+    def test_metadata_keys_in_figure_order(self):
+        meta = MethodMetadata(1.5e-13, 123.25, eta_proxy(1.5e-13, 123.25))
+        obj = method_to_json(talbot_method(6), meta)["metadata"]
+        assert FIGURES == ("epsilon", "max_abs_weight", "eta")
+        assert list(obj) == [*FIGURES, "domain"]
+        assert method_from_json(method_to_json(talbot_method(6), meta))[1] \
+            == meta
+
+    def test_non_finite_domain_refused(self):
+        obj = method_to_json(talbot_method(6), MethodMetadata(
+            domain=Disc(complex(-1.0), 1.0)))
+        obj["metadata"]["domain"]["radius"] = "nan"
+        with pytest.raises(ValueError, match="^radius must be finite, got "
+                                             "nan$"):
+            method_from_json(obj)
 
     def test_schema_version_checked(self):
         obj = method_to_json(zakian_method(2))

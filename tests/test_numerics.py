@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from awilt import numerics
 from awilt.errors import NumericalError
 from awilt.numerics import (U, DoubleDouble, _split, _two_prod, _two_sum,
-                            dense_eigenvalues, matrix_exponential,
+                            dense_eigenvalues, horner, matrix_exponential,
                             newton_polish, polynomial_roots,
                             smallest_singular_vector)
 
@@ -116,6 +116,27 @@ class TestMatrixExponential:
         A = A / max(np.linalg.norm(A), 1.0)
         P = matrix_exponential(A) @ matrix_exponential(-A)
         assert np.linalg.norm(P - np.eye(4)) < 1e-12
+
+
+class TestHorner:
+    def test_binary64_coefficients(self):
+        # 1 + 2 z + 3 z^2 at z = 2 and at the double-double 1 + 2^-60
+        z = DoubleDouble(np.array([2.0, 1.0]), np.array([0.0, 2.0 ** -60]))
+        p = horner([1.0, 2.0, 3.0], z)
+        assert p.hi.tolist() == [17.0, 6.0]
+        assert p.lo.tolist() == [0.0, 8 * 2.0 ** -60]
+
+    def test_double_double_coefficients(self):
+        # 1/3 + z/7 + z^2/11, its coefficients to 106 bits, at 1/2 + i/4
+        q = [Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)]
+        cs = [DoubleDouble(float(c), float(c - Fraction(float(c))))
+              for c in q]
+        p = horner(cs, np.array([0.5 + 0.25j]))
+        with mpmath.workdps(DPS):
+            z = mpmath.mpc(0.5, 0.25)
+            exact = sum(mpmath.mpf(c.numerator) / c.denominator * z ** k
+                        for k, c in enumerate(q))
+            assert abs(_mp(p[0]) - exact) <= 2.0 ** -100 * abs(exact)
 
 
 class TestPolynomialRoots:
