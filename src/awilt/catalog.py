@@ -315,7 +315,8 @@ def completely_monotone_demo():
                             singularities=(0.0,),
                             name="completely_monotone_demo"),
         f=f, f_prime=f_prime,
-        domain_recipe=lambda t: RealSegment(10.0 * max(1.0, t)))
+        domain_recipe=lambda t: select_domain("laplace_stieltjes",
+                                              L=10.0 * max(1.0, t)))
 
 
 _BUILDERS = {
@@ -340,7 +341,7 @@ def entry(name, params=None):
 def parse_kv(blob, complex_ok=False):
     """The CLI's ``k=v,k=a|b,...`` as a dict.  A value is a float, or a
     list of them when it holds '|'; with complex_ok, an item holding j is
-    complex."""
+    complex.  An item that is not finite raises ValueError."""
     out = {}
     for kv in blob.split(","):
         if "=" not in kv:
@@ -348,6 +349,8 @@ def parse_kv(blob, complex_ok=False):
         k, v = kv.split("=", 1)
         items = [complex(p) if complex_ok and ("j" in p or "J" in p)
                  else float(p) for p in v.strip().split("|")]
+        if not all(map(cmath.isfinite, items)):
+            raise ValueError(f"value not finite in {kv!r}")
         out[k.strip()] = items if len(items) > 1 else items[0]
     return out
 

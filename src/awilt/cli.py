@@ -78,6 +78,10 @@ def _parse_tgrid(text):
     a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1:
         raise ValueError("t-grid needs at least one point")
+    # b - a is not finite if a or b is not, or if the span overflows
+    if not math.isfinite(b - a):
+        raise ValueError(f"bad t-grid {text!r}: a, b and b - a must be "
+                         "finite")
     return np.linspace(a, b, n)
 
 

@@ -1,6 +1,6 @@
 """Evaluate an Abate-Whitt method against a Laplace-transform callable."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,6 +60,16 @@ def pointwise(f):
     """The evaluator that calls f, a function of one complex s, on each s
     of S in row order."""
     return lambda S: [[f(s) for s in row] for row in S.tolist()]
+
+
+def integrated(transform, name):
+    """The transform F(s)/s of the integral of f from 0 to t, F the
+    transform of f: its values are F's, each divided by its s, and 0
+    joins F's singularities."""
+    # transposed, the s axes are last, where S broadcasts over the values
+    return replace(transform, name=name,
+                   evaluator=lambda S: (transform.evaluator(S).T / S.T).T,
+                   singularities=transform.singularities + (0.0,))
 
 
 def _scaled_nodes(m, ts):
@@ -208,8 +218,8 @@ def invert(m, transform, t):
     value raises a `NumericalError`, and a failing evaluator its own
     error.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError("t must be positive and finite")
     (value,), (error,) = _grid(m, transform, [t])
     if error is not None:
         raise error
@@ -241,8 +251,8 @@ def invert_curve(m, transform, ts):
     ts = list(ts)
     if not ts:
         raise ValueError("empty t-grid")
-    if any(not t > 0 for t in ts):
-        raise ValueError("all t must be positive")
+    if any(not 0 < t < np.inf for t in ts):
+        raise ValueError("all t must be positive and finite")
     values, errors = _grid(m, transform, ts)
     return [CurvePoint(t=float(t), value=v,
                        error=None if e is None else str(e))

@@ -24,20 +24,24 @@ it selected.  Every node then takes one of three routes:
    fails, a path from the node before it, bisected where the selection
    is in doubt, whose nodes take routes 1 and 2 (:func:`_refined_path`).
 
+A node whose selection is in doubt only between two eigenvalues that
+agree, as at a branch point of psi_hat, is first solved from the mean of
+its two Schur bases (:func:`_branch_solve`); route 3 follows if that
+mean does not settle.
+
 Phase-type transforms solve (sI - Q) at all nodes of a t-grid in one
 stacked call.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import resolvent
+from .catalog import matrix_exp
 from .errors import RiccatiError, SpectralGapError
-from .invert import Transform
-from .numerics import matrix_exponential
+from .invert import Transform, integrated
 
 #: relative eigenvalue gap below which the sorted subspace split is ambiguous
 GAP_RTOL = 1e-8
@@ -114,27 +118,18 @@ class PhaseType:
 
 def phase_type_transform(p):
     """(pdf transform, cdf transform) of a phase-type distribution: the
-    pdf is alpha^T (sI - Q)^{-1} q, the cdf that over s.  Each evaluator
-    solves (sI - Q) at all the s of its array, the nodes of a whole
-    t-grid, in one stacked call."""
-    eigs = tuple(np.linalg.eigvals(p.Q))
-    pdf = resolvent(p.alpha, p.Q, p.exit_rates)
-
-    def cdf(S):
-        return pdf(S) / S
-
-    return (Transform(evaluator=pdf, conjugate_symmetric=True,
-                      singularities=eigs, name="phase_type_pdf"),
-            Transform(evaluator=cdf, conjugate_symmetric=True,
-                      singularities=eigs + (0.0,), name="phase_type_cdf"))
+    pdf is alpha^T (sI - Q)^{-1} q (:func:`catalog.matrix_exp`), the cdf
+    that over s.  Each evaluator solves (sI - Q) at all the s of its
+    array, the nodes of a whole t-grid, in one stacked call."""
+    pdf = replace(matrix_exp(p.alpha, p.Q, p.exit_rates).transform,
+                  name="phase_type_pdf")
+    return pdf, integrated(pdf, "phase_type_cdf")
 
 
 def phase_type_ground_truth(p, t):
     """(pdf(t), cdf(t)) via the matrix exponential."""
-    E = matrix_exponential(t * p.Q).real
-    pdf = float(p.alpha @ E @ p.exit_rates)
-    cdf = 1.0 - float(p.alpha @ E @ np.ones(p.dim))
-    return pdf, cdf
+    return (matrix_exp(p.alpha, p.Q, p.exit_rates).f(t),
+            1.0 - matrix_exp(p.alpha, p.Q, np.ones(p.dim)).f(t))
 
 
 @dataclass(frozen=True)
@@ -211,27 +206,35 @@ def _norm_inf(B):
     return np.abs(B).sum(axis=-1).max(axis=-1)
 
 
-def _residual(blocks, norms, X):
-    """The NARE residual R at X, its inf-norm, and the scale of the terms
-    the Newton gate holds it to, at one node or along a stack of them;
-    norms are the inf-norms of (A_pm, A_pp, A_mm, A_mp).
+def _nare(App, Apm, Amp, Amm, X):
+    """The NARE's left side A_pm + A_pp X + X A_mm + X A_mp X, its
+    residual at X, at one node or along a stack of them."""
+    return Apm + App @ X + X @ Amm + X @ Amp @ X
+
+
+def _residual(blocks, X):
+    """The NARE residual R at X, its inf-norm, and whether X is settled:
+    whether that norm is within 1e-12 of the scale of the terms, at one
+    node or along a stack of them.  A residual that is not finite is not
+    settled; numpy's floating-point warnings are off here, as a term that
+    overflows only makes it so.
 
     The gate is a backward error: the residual can only be expected to
     reach roundoff relative to the magnitude of the NARE terms, which is
     much larger than ||A|| when ||X|| is large (continuation at Re s < 0
     can make X big)."""
-    App, Apm, Amp, Amm = blocks
-    n_pm, n_pp, n_mm, n_mp = norms
-    R = Apm + App @ X + X @ Amm + X @ Amp @ X
-    nx = _norm_inf(X)
-    return R, _norm_inf(R), n_pm + n_pp * nx + nx * n_mm + nx * n_mp * nx
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = _nare(*blocks, X)
+        nx, res = _norm_inf(X), _norm_inf(R)
+        n_pp, n_pm, n_mp, n_mm = map(_norm_inf, blocks)
+        scale = n_pm + n_pp * nx + nx * n_mm + nx * n_mp * nx
+        return R, res, res <= 1e-12 * scale
 
 
 def _newton_refine(blocks, X, s):
     """Newton steps on the NARE from X at one s, each a Bartels-Stewart
     Sylvester solve: at least one and at most NEWTON_STEPS, stopping once
-    the residual is within 1e-12 of the scale of the terms
-    (:func:`_residual`), else RiccatiError.
+    X is settled (:func:`_residual`), else RiccatiError.
 
     That gate bounds the backward error only.  The forward error can reach
     about 1e-12 kappa, kappa the term scale over the separation of the
@@ -240,17 +243,17 @@ def _newton_refine(blocks, X, s):
     starts, can differ by as much.
     """
     App, Apm, Amp, Amm = blocks
-    norms = tuple(_norm_inf(B) for B in (Apm, App, Amm, Amp))
     for k in range(NEWTON_STEPS + 1):
-        R, res, scale = _residual(blocks, norms, X)
-        if k >= 1 and res <= 1e-12 * scale:
+        R, res, settled = _residual(blocks, X)
+        if k >= 1 and settled:
             return X
         if k == NEWTON_STEPS or not np.isfinite(res):
             raise RiccatiError(
                 f"Riccati residual {res:.3e} exceeds 1e-12 of the term scale "
                 f"at s={s}")
         try:
-            delta = _solve_sylvester(App + X @ Amp, Amm + Amp @ X, -R)
+            with np.errstate(over="ignore", invalid="ignore"):
+                delta = _solve_sylvester(App + X @ Amp, Amm + Amp @ X, -R)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise RiccatiError(f"Newton step failed at s={s}: {exc}") from None
         X = X + delta
@@ -283,15 +286,16 @@ def _each_node(f, *stacks):
 
 def _track(U, V, dm):
     """The indices of the dm columns of V (unit eigenvectors) nearest to
-    the span of the columns of U, or None if that choice is ambiguous: if
-    the dm-th of the distances is not below TRACK_RATIO times the
-    (dm+1)-th."""
+    the span of the columns of U or, if that choice is ambiguous (the
+    dm-th of the distances is not below TRACK_RATIO times the (dm+1)-th),
+    the pair of choices in doubt: those, and those with the (dm+1)-th
+    nearest in place of the dm-th."""
     Q = np.linalg.qr(U)[0]
     dist = np.linalg.norm(V - Q @ (Q.conj().T @ V), axis=0)
     order = np.argsort(dist, kind="stable")
     if dist[order[dm - 1]] < TRACK_RATIO * dist[order[dm]]:
         return order[:dm]
-    return None
+    return order[:dm], np.append(order[:dm - 1], order[dm])
 
 
 def _select(vals, vecs, ss, halves, dm, start=None):
@@ -304,7 +308,12 @@ def _select(vals, vecs, ss, halves, dm, start=None):
     split can pick another branch than the continuation.  A node with
     Re(s) < 0 takes the eigenvectors nearest (:func:`_track`) to the
     subspace the node before it took or, first in its half, to the span
-    of start.  It gets None if that choice is ambiguous or missing.
+    of start.  If that choice is ambiguous, the node gets the pair of
+    choices in doubt when the two eigenvalues they differ in agree, as at
+    a branch point of psi_hat, and None otherwise.  There the two form a
+    defective pair, whose computed values split by about the square root
+    of roundoff, so they agree within sqrt(GAP_RTOL) of the spectral
+    radius (at least 1).  A node with no subspace to track gets None.
     """
     order = np.argsort(vals.real, axis=-1, kind="stable")
     re = np.take_along_axis(vals.real, order, axis=-1)
@@ -321,6 +330,11 @@ def _select(vals, vecs, ss, halves, dm, start=None):
                                           f"at s={ss[k]}: gap {gap[k]:.3e}")
             elif U is not None:
                 sel[k] = _track(U, vecs[k], dm)
+                if isinstance(sel[k], tuple):
+                    a, b = (vals[k][c[-1]] for c in sel[k])
+                    if abs(a - b) > math.sqrt(GAP_RTOL) * max(
+                            np.abs(vals[k]).max(), 1.0):
+                        sel[k] = None
             U = (vecs[k][:, sel[k]] if isinstance(sel[k], np.ndarray)
                  else None)
     return sel
@@ -328,11 +342,18 @@ def _select(vals, vecs, ss, halves, dm, start=None):
 
 def _schur_solve(H, mu, dm, s):
     """The NARE solution at one s for the invariant subspace of H = H(s)
-    with eigenvalues mu: :func:`_newton_refine` from X0 = Q_bot Q_top^{-1},
-    Q the complex Schur basis reordered (LAPACK ztrsen) so that the
-    eigenvalues matched one to one to mu come first.  Q is unitary, so
-    Q_top stays well conditioned where the eigenvectors are nearly
-    parallel.  Raises RiccatiError."""
+    with eigenvalues mu: :func:`_newton_refine` from its Schur basis
+    (:func:`_schur_start`).  Raises RiccatiError."""
+    return _newton_refine(_riccati_blocks(H, dm), _schur_start(H, mu, dm, s),
+                          s)
+
+
+def _schur_start(H, mu, dm, s):
+    """X0 = Q_bot Q_top^{-1} for the invariant subspace of H = H(s) with
+    eigenvalues mu, Q the complex Schur basis reordered (LAPACK ztrsen) so
+    that the eigenvalues matched one to one to mu come first.  Q is
+    unitary, so Q_top stays well conditioned where the eigenvectors are
+    nearly parallel.  Raises RiccatiError."""
     from scipy.linalg import schur
     from scipy.linalg.lapack import ztrsen
     try:
@@ -344,16 +365,38 @@ def _schur_solve(H, mu, dm, s):
         _, Q, *_, info = ztrsen((~free).astype(np.int32), T, Q, job="N")
         if info:
             raise np.linalg.LinAlgError(f"ztrsen info {info}")
-        X0 = Q[dm:, :dm] @ np.linalg.inv(Q[:dm, :dm])
+        return Q[dm:, :dm] @ np.linalg.inv(Q[:dm, :dm])
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise RiccatiError(f"no Schur basis at s={s}: {exc}") from None
-    return _newton_refine(_riccati_blocks(H, dm), X0, s)
+
+
+def _branch_solve(H, mus, dm, s):
+    """The NARE solution at one s where the tracked choice is in doubt
+    between two sets mus of eigenvalues of H = H(s) that differ in one
+    pair that agrees (:func:`_select`), as at a branch point of psi_hat:
+    the mean of the two Schur-basis solutions (:func:`_schur_start`) if
+    it is settled (:func:`_residual`), else None.
+
+    At a branch point the two solutions meet in a double root, where a
+    Newton step is singular; each solves the NARE to roundoff, so the
+    residual of their mean is the quadratic term of their difference,
+    which is within the gate only if they agree within it.  Near a branch
+    point but not on it, the two solutions are on two branches, and the
+    mean is not settled."""
+    try:
+        Xa, Xb = (_schur_start(H, mu, dm, s) for mu in mus)
+    except RiccatiError:
+        return None
+    X = (Xa + Xb) / 2
+    return X if _residual(_riccati_blocks(H, dm), X)[2] else None
 
 
 def _stacked_solve(Hs, ss, dm, halves, start=None):
     """Each node s of ss from its eigenvectors of H(s) along the stack Hs,
     all nodes as one stack.  Returns, per node, its solution, the error
-    it raises, or None: a node with Re(s) < 0 that gets no selection.
+    it raises, or None: a node with Re(s) < 0 that gets no selection, or
+    whose choice in doubt between a pair (:func:`_select`) does not
+    settle by :func:`_branch_solve`.
 
     One eigen-solve gives each node's dm eigenvalues mu and eigenvectors
     V = [T; V_bot] (:func:`_select`, walking halves from start), and
@@ -361,29 +404,32 @@ def _stacked_solve(Hs, ss, dm, halves, start=None):
     B = A_mm + A_mp X0 is T diag(mu) T^{-1}, so the step A D + D B = -R,
     A = A_pp + X0 A_mp, is (A + mu_j I) Y_j = -(R T)_j with D = Y T^{-1},
     one stacked solve for all nodes (:func:`_solve_sylvester_eig`).  A
-    node whose X1 = X0 + D meets the 1e-12 gate of :func:`_newton_refine`
-    returns X1; any other (a singular T, a failed shifted solve, an unmet
-    gate) is solved alone from its Schur basis (:func:`_schur_solve`).
+    node whose X1 = X0 + D is settled (:func:`_residual`) returns X1;
+    any other (a singular T, a failed shifted solve, an unmet gate) is
+    solved alone from its Schur basis (:func:`_schur_solve`).
     """
     vals, vecs = np.linalg.eig(Hs)
     sel = _select(vals, vecs, ss, halves, dm, start)
-    out = [c if isinstance(c, Exception) else None for c in sel]
+    out = [_branch_solve(Hs[i], [vals[i][c] for c in choice], dm, ss[i])
+           if isinstance(choice, tuple)
+           else choice if isinstance(choice, Exception) else None
+           for i, choice in enumerate(sel)]
     nodes = np.array([i for i, choice in enumerate(sel)
                       if isinstance(choice, np.ndarray)], dtype=int)
     idx = np.array([sel[i] for i in nodes], dtype=int).reshape(-1, dm)
     mu = np.take_along_axis(vals[nodes], idx, axis=-1)
     V = np.take_along_axis(vecs[nodes], idx[:, None, :], axis=-1)
-    T, Tinv = V[:, :dm], _each_node(np.linalg.inv, V[:, :dm])
-    X0 = V[:, dm:] @ Tinv
     blocks = _riccati_blocks(Hs[nodes], dm)
     App, Apm, Amp, Amm = blocks
-    norms = tuple(_norm_inf(B) for B in (Apm, App, Amm, Amp))
-    R = _residual(blocks, norms, X0)[0]
-    Y = _each_node(_solve_sylvester_eig, App + X0 @ Amp, mu, -(R @ T))
-    X1 = X0 + Y @ Tinv
-    _, res, scale = _residual(blocks, norms, X1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        T, Tinv = V[:, :dm], _each_node(np.linalg.inv, V[:, :dm])
+        X0 = V[:, dm:] @ Tinv
+        R = _nare(*blocks, X0)
+        Y = _each_node(_solve_sylvester_eig, App + X0 @ Amp, mu, -(R @ T))
+        X1 = X0 + Y @ Tinv
+    settled = _residual(blocks, X1)[2]
     for j, i in enumerate(nodes):
-        if res[j] <= 1e-12 * scale[j]:
+        if settled[j]:
             out[i] = X1[j]
             continue
         try:
@@ -504,13 +550,9 @@ def fluid_psi_transform(model):
     def psi(S):
         return np.array([sweep_psi(model, row) for row in S])
 
-    def Psi(S):
-        return psi(S) / S[:, :, None, None]
-
-    return (Transform(evaluator=psi, conjugate_symmetric=True,
-                      name="fluid_psi"),
-            Transform(evaluator=Psi, conjugate_symmetric=True,
-                      singularities=(0.0,), name="fluid_Psi"))
+    psi = Transform(evaluator=psi, conjugate_symmetric=True,
+                    name="fluid_psi")
+    return psi, integrated(psi, "fluid_Psi")
 
 
 def psi_infinity(model):

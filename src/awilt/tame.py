@@ -45,7 +45,6 @@ class BarycentricApproximant:
 class AAAReport:
     residuals: tuple          # max residual on Z after each iteration
     epsilon: float
-    support_order: tuple      # support points in the order they were chosen
     termination: str          # tolerance | max_order | no_room_for_pair
     refits: tuple = ()        # orders of the fits build_tame abandoned
     pruned: int = 0           # poles build_tame's prune dropped
@@ -241,8 +240,6 @@ def _read_fit(support, values, iterates, residuals, fmax, max_order, tol):
         weights=iterates[i - 1] if i else np.array([1.0 + 0j]))
     report = AAAReport(residuals=tuple(residuals[:i]),
                        epsilon=residuals[i - 1] if i else fmax,
-                       support_order=tuple(complex(z)
-                                           for z in support[:order]),
                        termination=termination,
                        iterates=tuple(iterates[:i]))
     return b, report

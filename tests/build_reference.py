@@ -26,12 +26,12 @@ from awilt.tame import (AAAReport, BarycentricApproximant,
                         extract_residues)
 
 
-def _support_count(report, iterations):
+def _support_count(b, iterations):
     """Support points after the first ``iterations`` AAA iterations; an
     iteration adds one real point or a conjugate pair."""
     n = 0
     for _ in range(iterations):
-        n += 1 if _is_real(report.support_order[n]) else 2
+        n += 1 if _is_real(b.support[n]) else 2
     return n
 
 
@@ -54,7 +54,7 @@ def build_tame(domain, n_reduced_target, count=1000):
                 floor = 1e2 * U * float(np.max(np.abs(F)))
                 hit = [k for k, r in enumerate(report.residuals, start=1)
                        if r <= floor]
-                cap = (_support_count(report, hit[0]) if hit
+                cap = (_support_count(b, hit[0]) if hit
                        else max_order - 2)
                 max_order = min(max_order - 2, max(2, cap))
             else:
@@ -148,6 +148,5 @@ def aaa_fit_reference(F, Z, max_order, tol=0.0):
                                values=F[support].copy(),
                                weights=np.asarray(u, dtype=complex))
     report = AAAReport(residuals=tuple(history), epsilon=eps,
-                       support_order=tuple(complex(z) for z in pts[support]),
                        termination=termination)
     return b, report

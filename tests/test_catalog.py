@@ -257,6 +257,12 @@ class TestCompletelyMonotone:
         tol = 4e-15 if abs(s) > 50.0 else 1e-11
         assert abs(got - want) <= tol * abs(want)
 
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 2.5, 1e4])
+    def test_domain_recipe_is_the_laplace_stieltjes_segment(self, t):
+        # select_domain's laplace_stieltjes segment, L = 10 max(1, t)
+        e = completely_monotone_demo()
+        assert e.domain_recipe(t) == RealSegment(10.0 * max(1.0, t))
+
     def test_talbot_small_t(self):
         # beta/t reaches Re s > 709 here, where e^s alone overflows
         e = completely_monotone_demo()
@@ -291,6 +297,10 @@ class TestRegistry:
         assert got == [-1 + 2j, 3.0] and type(got[1]) is float
         with pytest.raises(ValueError, match="could not convert"):
             parse_kv("a=-1+2j")
+        for blob in ("a=nan", "a=1|-inf", "a=infj"):
+            with pytest.raises(ValueError) as exc:
+                parse_kv(blob, complex_ok=True)
+            assert str(exc.value) == f"value not finite in {blob!r}"
         with pytest.raises(ValueError, match=r"^bad key=value pair 'c'$"):
             parse_transform("builtin:exp_sum:c")
 

@@ -421,6 +421,45 @@ class TestNonFiniteMethod:
                                          "(nan")
 
 
+class TestNonFiniteNumbers:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,message", [
+        (["invert", "--t-grid", "1:inf:3"],
+         "bad t-grid '1:inf:3': a, b and b - a must be finite"),
+        # b - a overflows in np.linspace
+        (["invert", "--t-grid=-1e308:1e308:3"],
+         "bad t-grid '-1e308:1e308:3': a, b and b - a must be finite"),
+        (["diag", "--dirac-grid=0:inf:3"],
+         "bad t-grid '0:inf:3': a, b and b - a must be finite"),
+        (["diag", "--dirac-grid=nan:0:3"],
+         "bad t-grid 'nan:0:3': a, b and b - a must be finite"),
+        (["invert", "--t", "inf"], "t must be positive and finite"),
+        (["fluid", "--t", "inf"], "t must be positive and finite"),
+        (["diag", "--bounds", "ls:eps=nan,eta=1,mu_total=1"],
+         "value not finite in 'eps=nan'"),
+        (["invert", "--t", "1", "--transform",
+          "builtin:exp_sum:c=nan,a=-1"], "value not finite in 'c=nan'"),
+        (["invert", "--t", "1", "--transform",
+          "builtin:exp_sum:c=1|1,a=-1|infj"],
+         "value not finite in 'a=-1|infj'"),
+    ])
+    def test_usage_error(self, tmp_path, capsys, argv, message):
+        params = tmp_path / "e15.json"
+        save_method(params, euler_method(15))
+        model = tmp_path / "model.json"
+        save_model(model, make_experiment_model(5, 10, seed=1))
+        if argv[0] == "fluid":
+            argv = argv + ["--model", str(model)]
+        else:
+            argv = argv + ["--params", str(params)]
+        if argv[0] == "invert" and "--transform" not in argv:
+            argv += ["--transform", "builtin:exp_sum:c=1,a=-1"]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert json.loads(stderr) == {"error": "ValueError",
+                                      "message": message}
+
+
 class TestDiag:
     @pytest.fixture
     def zakian_params(self, tmp_path, capsys):

@@ -71,11 +71,10 @@ class TestInvert:
         b = invert(m, F, t / c)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
-    def test_t_must_be_positive(self):
-        with pytest.raises(ValueError):
-            invert(zakian_method(1), ONE_OVER_S, 0.0)
-        with pytest.raises(ValueError):
-            invert(zakian_method(1), ONE_OVER_S, -1.0)
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_t_must_be_positive(self, t):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            invert(zakian_method(1), ONE_OVER_S, t)
 
     def test_reduced_needs_symmetry_flag(self):
         F = Transform(pointwise(lambda s: 1.0 / s))  # symmetry not declared
@@ -142,8 +141,10 @@ class TestInvertCurve:
         m = zakian_method(1)
         with pytest.raises(ValueError):
             invert_curve(m, ONE_OVER_S, [])
-        with pytest.raises(ValueError):
-            invert_curve(m, ONE_OVER_S, [1.0, -2.0])
+        for ts in ([1.0, -2.0], [1.0, math.inf], [math.nan]):
+            with pytest.raises(ValueError,
+                               match="all t must be positive and finite"):
+                invert_curve(m, ONE_OVER_S, ts)
 
     def test_collision_flags_only_its_row(self):
         m = zakian_method(1)  # node 1: 1/t hits the pole 0.5 at t = 2 only

@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +14,7 @@ from awilt import queueing
 from awilt.errors import RiccatiError, SpectralGapError
 from awilt.invert import invert, invert_curve
 from awilt.methods import talbot_method, to_full
+from awilt.numerics import matrix_exponential
 from awilt.queueing import (FluidQueueModel, GeneratorMatrix,
                             PhaseType, _hamiltonian, _newton_refine,
                             _riccati_blocks, fluid_psi_transform,
@@ -226,6 +228,32 @@ class TestPhaseType:
         assert invert(m, pdf, t) == pytest.approx(pdf_t, abs=1e-8)
         assert invert(m, cdf, t) == pytest.approx(cdf_t, abs=1e-8)
 
+    def test_ground_truth_is_the_matrix_exponential(self):
+        # alpha^T e^{tQ} q and 1 - alpha^T e^{tQ} 1, bit for bit
+        rng = np.random.default_rng(3)
+        for d in (1, 3, 6):
+            Q = rng.random((d, d))
+            np.fill_diagonal(Q, -Q.sum(axis=1) - rng.random(d))
+            alpha = rng.random(d)
+            p = PhaseType(alpha=alpha / alpha.sum(), Q=Q)
+            for t in (0.3, 2.0, 17.0):
+                E = matrix_exponential(t * p.Q).real
+                want = (float(p.alpha @ E @ p.exit_rates),
+                        1.0 - float(p.alpha @ E @ np.ones(p.dim)))
+                assert phase_type_ground_truth(p, t) == want
+
+    def test_cdf_is_the_pdf_over_s(self):
+        p = PhaseType(alpha=np.array([0.2, 0.5, 0.3]),
+                      Q=np.array([[-3.0, 1.0, 0.5], [0.5, -2.0, 1.0],
+                                  [0.0, 0.5, -1.0]]))
+        pdf, cdf = phase_type_transform(p)
+        rng = np.random.default_rng(4)
+        S = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        assert (cdf.at_rows(S).tobytes()
+                == (pdf.evaluator(S) / S).tobytes())
+        assert cdf.singularities == pdf.singularities + (0.0,)
+        assert (cdf.name, cdf.conjugate_symmetric) == ("phase_type_cdf", True)
+
     def test_node_values_match_scalar(self):
         p = PhaseType(alpha=np.array([0.2, 0.5, 0.3]),
                       Q=np.array([[-3.0, 1.0, 0.5], [0.5, -2.0, 1.0],
@@ -376,7 +404,6 @@ class TestSolvePsi:
         assert sylvester_calls == []
         assert _residual_ok(model, s, X)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_residual_raises_before_a_step(self, bad,
                                                       sylvester_calls):
@@ -408,6 +435,69 @@ class TestSolvePsi:
         tol = 1e-10 * max(1.0, nx) * max(1.0, _condition(model, s, X) / 50)
         assert np.max(np.abs(X - ref)) <= tol
 
+    @pytest.mark.parametrize("s", [complex(-2.0, 0.0), complex(-2.0, -0.0)])
+    def test_branch_point_of_the_symmetric_model(self, s, schur_calls):
+        # H(-2) has the defective double eigenvalue 0, between whose
+        # computed eigenvectors the tracked choice stays in doubt;
+        # psi_hat(-2) = -1, the double root of x^2 + 2x + 1.  It is the
+        # mean of the two Schur-basis starts, with no Newton step, which
+        # is singular there.
+        X = solve_psi(_scalar_model(1.0, 1.0), s)
+        assert abs(X[0, 0] - (-1.0)) <= 1e-12
+        assert schur_calls == []
+
+    def test_branch_point_without_schur_bases_stays_in_doubt(self,
+                                                             monkeypatch):
+        # with no Schur basis for either choice the node is left to its
+        # path, whose last step stays in doubt, and the error names it
+        def failing(H, mu, dm, s):
+            raise RiccatiError(f"forced failure at s={s}")
+
+        monkeypatch.setattr(queueing, "_schur_start", failing)
+        with pytest.raises(RiccatiError, match=r"^no tracked path to "
+                           r"s=\(-2\+0j\): the step from z=.* to "
+                           r"z=\(-2\+0j\) is in doubt after 50 bisections$"):
+            solve_psi(_scalar_model(1.0, 1.0), complex(-2.0, 0.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), which=st.sampled_from([0, 1]),
+           offset=st.one_of(
+               st.sampled_from([0.0, 1e-6, -1e-6]),
+               st.floats(-math.pi, math.pi).map(
+                   lambda a: 1e-6 * complex(math.cos(a), math.sin(a)))),
+           sign=st.sampled_from([1.0, -1.0]))
+    @example(seed=237, which=0, offset=0.0, sign=1.0)
+    def test_branch_points_of_scalar_models(self, seed, which, offset,
+                                            sign):
+        # d+ = d- = 1: the NARE is a_mp x^2 - c x + a_pm = 0 with
+        # c = alpha s + beta, whose discriminant c^2 - k^2 has the zeros
+        # (+-k - beta) / alpha, the branch points of psi_hat.  Its
+        # continuation from Re s >= 0 is (c - sqrt(c - k) sqrt(c + k)) /
+        # (2 a_mp), principal roots, on the side of the sign of Im s where
+        # s is on the cut.  A solution within the Newton gate has
+        # |x - x1| |x - x2| <= h = 1e-12 scale / |a_mp|, so it lies within
+        # about min(sqrt(h), h / |x1 - x2|) of a root: either root at a
+        # branch point, the right one 1e-6 from it.
+        model = make_experiment_model(1, 1, seed)
+        (qp, _), (qm, _) = -model.gen.Q[0], model.gen.Q[1]
+        rp, rm = model.rates[0], -model.rates[1]
+        mp = mpmath.mp
+        with mpmath.workdps(50):
+            alpha = 1 / mp.mpf(rp) + 1 / mp.mpf(rm)
+            beta = mp.mpf(qp) / rp + mp.mpf(qm) / rm
+            k = 2 * mp.sqrt(mp.mpf(qp) * qm / (mp.mpf(rp) * rm))
+            a_mp = mp.mpf(qm) / rm
+            sb = float(((k, -k)[which] - beta) / alpha)
+            s = complex(sb + offset.real, offset.imag or sign * 0.0)
+            c = alpha * (mp.mpf(s.real) + 1j * (s.imag or sign * 1e-40)) + beta
+            root = mp.sqrt(c - k) * mp.sqrt(c + k)
+            x1, x2 = ((complex((c - r) / (2 * a_mp)) for r in (root, -root)))
+        X = solve_psi(model, s)
+        x = complex(X[0, 0])
+        App, Apm, Amp, Amm = (abs(complex(B[0, 0])) for B in _blocks(model, s))
+        h = 1e-12 * (Apm + App * abs(x) + abs(x) * Amm + Amp * abs(x) ** 2) / Amp
+        assert abs(x - x1) <= 4 * h / (abs(x1 - x2) + math.sqrt(h)), s
+
     def test_spectral_gap_detected_at_zero(self):
         # symmetric scalar model: double root of the NARE at s = 0
         model = _scalar_model(1.0, 1.0)
@@ -428,7 +518,32 @@ class TestSolveSylvester:
             B = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             assert queueing._norm_inf(B) == np.linalg.norm(B, np.inf)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("d_plus, d_minus, nodes", [(1, 1, 4),
+                                                        (3, 5, 6)])
+    def test_residual_is_the_gate_of_the_term_scale(self, d_plus, d_minus,
+                                                    nodes):
+        # R, its inf-norm and res <= 1e-12 (the term scale), per node of
+        # a stack, bit for bit as the gate was written out; X near a
+        # solution, so that some nodes settle and some do not
+        model = make_experiment_model(d_plus, d_minus, seed=2)
+        ss = [1.0 + 1j * k for k in range(nodes)]
+        blocks = _riccati_blocks(_hamiltonian(model)(ss), d_minus)
+        exact = np.array([solve_psi(model, s) for s in ss])
+        X = exact + np.logspace(-18, -8, nodes)[:, None, None]
+        App, Apm, Amp, Amm = blocks
+        R = Apm + App @ X + X @ Amm + X @ Amp @ X
+        nx = np.linalg.norm(X, np.inf, axis=(1, 2))
+        n_pm, n_pp, n_mm, n_mp = (np.linalg.norm(B, np.inf, axis=(1, 2))
+                                  for B in (Apm, App, Amm, Amp))
+        res = np.linalg.norm(R, np.inf, axis=(1, 2))
+        settled = res <= 1e-12 * (n_pm + n_pp * nx + nx * n_mm
+                                  + nx * n_mp * nx)
+        got = queueing._residual(blocks, X)
+        assert got[0].tobytes() == R.tobytes()
+        assert got[1].tobytes() == res.tobytes()
+        assert list(got[2]) == list(settled)
+        assert settled.any() and not settled.all()
+
     def test_non_finite_operand_raises_riccati_error(self):
         # A finite residual whose Newton operand App + X Amp overflows:
         # Apm + App X cancels to 0, so R = X Amp X = 1e308.
@@ -450,6 +565,16 @@ class TestFluidTransforms:
         b = Psi(s)
         assert a.shape == (2, 3)
         assert np.max(np.abs(a / s - b)) < 1e-14
+
+    def test_Psi_is_psi_over_s(self):
+        model = make_experiment_model(2, 3, seed=1)
+        psi, Psi = fluid_psi_transform(model)
+        nodes = np.array(to_full(talbot_method(8)).nodes)
+        S = nodes[None, :] / np.array([[0.5], [2.0]])
+        assert (Psi.at_rows(S).tobytes()
+                == (psi.evaluator(S) / S[:, :, None, None]).tobytes())
+        assert Psi.singularities == (0.0,)
+        assert (Psi.name, Psi.conjugate_symmetric) == ("fluid_Psi", True)
 
     def test_cdf_curve_monotone(self):
         model = make_experiment_model(2, 2, seed=3)
@@ -615,7 +740,6 @@ class TestSweepPsi:
         _assert_matches_reference(model, ss)
         assert sorted(schur_calls, key=ss.index) == ss
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("spoil", [1e-6, np.nan])
     def test_unsettled_nodes_take_the_schur_basis(self, monkeypatch, spoil):
         # node 0 is solved as it is alone; node 1's X0 residual overflows;

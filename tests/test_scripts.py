@@ -70,3 +70,32 @@ def test_reads_zero_names_benchmark_metrics(record_bench):
         bench = json.load(fh)
     assert set(record_bench.READS_ZERO) <= {m["name"]
                                             for m in bench["per_layer"]}
+
+
+def test_count_lines_leaves_out_blanks_comments_and_docstrings(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "count_lines", os.path.join(SCRIPTS, "count_lines.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    path = tmp_path / "fixture.py"
+    path.write_text('''"""Module docstring,
+on two lines."""
+
+import os  # a comment after code
+
+
+class A:
+    """Class docstring."""
+    # a comment alone
+
+    def f(self, x):
+        """Function
+        docstring."""
+        text = """a string that
+is no docstring"""
+        return (x +
+                len(text))
+''')
+    # 17 lines, 7 of code: the import, the class and def lines, and the
+    # two lines each of the string `text` and of the sum
+    assert mod.count(str(path)) == (17, 7)
