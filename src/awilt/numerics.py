@@ -221,14 +221,19 @@ def smallest_singular_vector(A):
     A must have at least as many rows as columns and finite entries
     (not checked here: `tame.aaa_fit` checks each column it adds).
 
+    A real matrix is factored in float64 (dgeqrf, dgesdd) and gives a
+    real u; any other is factored in complex128 (zgeqrf, zgesdd).
+
     u is the last right singular vector of the R factor of A = QR (Chan's
-    R-SVD), so Q and the left singular vectors are never formed.  LAPACK's
-    zgesdd factors A by QR first itself when m >= floor(17 n / 9), so
-    from there (in particular for m >= 2n, as in every AAA step of a
-    TAME build) u has the bits of the last right singular vector of a
-    plain SVD of A; below that ratio it agrees to rounding.
+    R-SVD), so Q and the left singular vectors are never formed.  LAPACK
+    factors A by QR first itself when m >= floor(17 n / 9) (zgesdd) or
+    m >= floor(11 n / 6) (dgesdd), so from there (in particular for
+    m >= 2n, as in every AAA step of a TAME build) u has the bits of the
+    last right singular vector of a plain SVD of A; below that ratio it
+    agrees to rounding.
     """
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
+    A = A.astype(np.result_type(A, np.float64), copy=False)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
         raise ValueError("need a matrix with rows >= cols")
     _, _, Vh = np.linalg.svd(np.linalg.qr(A, mode="r"), full_matrices=False)

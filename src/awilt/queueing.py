@@ -171,7 +171,8 @@ def _hamiltonian(model):
     Its entries are computed as C^{-1}(Q - sI), C = diag(|r_i|), with the
     rows of the plus states negated, so each is that entry, or its exact
     negative, bit for bit (signed zeros included).  The model's constants
-    are taken here, once per solve.
+    are taken here, once per solve.  An entry that overflows is left
+    inf or nan, without a warning (:func:`_stacked_solve` refuses it).
     """
     order = np.concatenate([model.minus_idx, model.plus_idx])
     Q = model.gen.Q[np.ix_(order, order)]
@@ -180,7 +181,9 @@ def _hamiltonian(model):
     dm = model.d_minus
 
     def H(ss):
-        out = c_inv * (Q - np.asarray(ss, dtype=complex)[:, None, None] * eye)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = c_inv * (Q - np.asarray(ss, dtype=complex)[:, None, None]
+                           * eye)
         np.negative(out[:, dm:], out=out[:, dm:])
         return out
 
@@ -406,8 +409,13 @@ def _stacked_solve(Hs, ss, dm, halves, start=None):
     one stacked solve for all nodes (:func:`_solve_sylvester_eig`).  A
     node whose X1 = X0 + D is settled (:func:`_residual`) returns X1;
     any other (a singular T, a failed shifted solve, an unmet gate) is
-    solved alone from its Schur basis (:func:`_schur_solve`).
+    solved alone from its Schur basis (:func:`_schur_solve`).  A node
+    whose H(s) is not finite raises RiccatiError before any solve.
     """
+    finite = np.isfinite(Hs).all(axis=(1, 2))
+    if not finite.all():
+        raise RiccatiError(
+            f"H(s) is not finite at s={ss[int(np.argmin(finite))]}")
     vals, vecs = np.linalg.eig(Hs)
     sel = _select(vals, vecs, ss, halves, dm, start)
     out = [_branch_solve(Hs[i], [vals[i][c] for c in choice], dm, ss[i])
@@ -514,6 +522,13 @@ def sweep_psi(model, ss):
     solve, is tracked along a bisected path from the node before it, or
     from +-i|s| if it is the first of its half (:func:`_refined_path`).
 
+    For Re s >= 0, |psi_hat_ij(s)| <= Psi_ij, and each row of Psi sums to
+    at most 1: a node there whose solution has a row sum of |X_ij| above
+    1 + 1e-6 fails with RiccatiError (the eigen-solve's absolute error
+    reaches the real parts the sorted split goes by once |s| passes
+    about 1e15).  So does a node whose H(s) is not finite, before any
+    solve (:func:`_stacked_solve`).
+
     Returns the list of solutions in the order of ss.  A node that fails
     raises its error; of several, the first in that walk (upper
     half-plane first) is raised.
@@ -528,6 +543,17 @@ def sweep_psi(model, ss):
                                                        ss[k].real)))
               for half in halves]
     out = _stacked_solve(H(ss), ss, model.d_minus, halves)
+    # the row sums of |X| at Re s >= 0, all at once; one that overflows
+    # breaks the bound as well
+    bounded = [k for k, X in enumerate(out)
+               if ss[k].real >= 0 and isinstance(X, np.ndarray)]
+    if bounded:
+        with np.errstate(over="ignore"):
+            rows = _norm_inf(np.array([out[k] for k in bounded]))
+        for j in np.flatnonzero(rows > 1 + 1e-6):
+            k = bounded[j]
+            out[k] = RiccatiError(f"psi_hat row sum {rows[j]:.3e} exceeds 1 "
+                                  f"at s={ss[k]}, where Re s >= 0 bounds it")
     for half in halves:
         for prev, k in zip([None] + half, half):
             if isinstance(out[k], np.ndarray):

@@ -118,9 +118,12 @@ def aaa_fit(F, Z, max_order, tol=0.0):
     one slot is left.  The Cauchy and Loewner matrices are kept over all
     of Z for the whole fit: a support point's columns are computed once,
     when it is added, and each iteration takes the rows of the points not
-    yet in support.  A new column that is not finite on those rows (Z
-    holds a support point twice, say) raises ValueError in the iteration
-    that adds it.  Returns ``(BarycentricApproximant, AAAReport)``; the
+    yet in support.  They are float64 when Z and F have no imaginary
+    part (a real segment's grid and e^z on it), so each least-squares
+    step is real, and complex128 otherwise; the fit is complex128 either
+    way.  A new column that is not finite on those rows (Z holds a
+    support point twice, say) raises ValueError in the iteration that
+    adds it.  Returns ``(BarycentricApproximant, AAAReport)``; the
     report keeps the weights of every iteration (``iterates``), so a fit
     at a smaller budget or a larger tolerance can be read off it.
     """
@@ -138,13 +141,17 @@ def aaa_fit(F, Z, max_order, tol=0.0):
     if partner is None:
         raise _NotConjugateSymmetric("Z is not closed under conjugation, or "
                                      "F is not conjugate-symmetric on Z")
+    # real data (a real segment's grid) keep the matrices real
+    fit_pts, fit_F = pts, F
+    if not (pts.imag.any() or F.imag.any()):
+        pts, F = pts.real, F.real
 
     # Column 0 holds the u0 term (a constant 1 in the Cauchy matrix, and a
     # support column's expression at f = 0 in the Loewner matrix), and
     # column 1 + k the k-th support point, filled once when it is added.
-    cauchy = np.ones((len(pts), max_order + 1), dtype=complex)
+    cauchy = np.ones((len(pts), max_order + 1), dtype=pts.dtype)
     loewner = np.empty_like(cauchy)
-    loewner[:, 0] = F * cauchy[:, 0] - cauchy[:, 0] * 0j
+    loewner[:, 0] = F * cauchy[:, 0] - cauchy[:, 0] * 0
     support = []          # indices into pts
     pairs = []            # positions in u of a conjugate pair's first point
     active = np.ones(len(pts), dtype=bool)
@@ -194,9 +201,9 @@ def aaa_fit(F, Z, max_order, tol=0.0):
         err[~np.isfinite(err)] = np.inf
         residual[rows] = err
         history.append(float(residual[rows].max()))
-        iterates.append(u)
+        iterates.append(u.astype(complex, copy=False))
 
-    return _read_fit(pts[support], F[support], iterates, history,
+    return _read_fit(fit_pts[support], fit_F[support], iterates, history,
                      float(np.max(np.abs(F))), max_order, tol)
 
 

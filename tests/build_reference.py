@@ -9,8 +9,9 @@ budget down by 2.  The tests compare `build_tame` with it.
 
 Also `aaa_fit_reference`: the AAA loop as it was before it kept its
 Cauchy and Loewner matrices across iterations.  It rebuilds both on the
-free rows every iteration and takes a plain SVD of the Loewner matrix.
-The tests compare `aaa_fit` with it bit for bit.
+free rows every iteration and takes a plain SVD of the Loewner matrix,
+in float64 when Z and F have no imaginary part and in complex128
+otherwise.  The tests compare `aaa_fit` with it bit for bit.
 """
 
 from dataclasses import replace
@@ -79,6 +80,9 @@ def aaa_fit_reference(F, Z, max_order, tol=0.0):
     pts = np.asarray(Z, dtype=complex)
     F = np.asarray(F, dtype=complex)
     partner = _conjugate_partners(pts, F)
+    out = pts, F
+    if not (np.any(pts.imag) or np.any(F.imag)):
+        pts, F = pts.real, F.real
     support = []          # indices into pts
     groups = []           # positions in `support` added together (1 or 2)
     u = None
@@ -125,8 +129,8 @@ def aaa_fit_reference(F, Z, max_order, tol=0.0):
                 u[1 + g[0]] = a
                 u[1 + g[1]] = a.conjugate()
             else:
-                u[1 + g[0]] = complex(u[1 + g[0]].real)
-        u[0] = complex(u[0].real)
+                u[1 + g[0]] = u[1 + g[0]].real
+        u[0] = u[0].real
         nrm = np.linalg.norm(u)
         if nrm > 0:
             u = u / nrm
@@ -144,8 +148,7 @@ def aaa_fit_reference(F, Z, max_order, tol=0.0):
     if u is None:
         u = np.array([1.0 + 0j])
     eps = history[-1] if history else float(np.max(np.abs(F)))
-    b = BarycentricApproximant(support=pts[support].copy(),
-                               values=F[support].copy(),
+    b = BarycentricApproximant(support=out[0][support], values=out[1][support],
                                weights=np.asarray(u, dtype=complex))
     report = AAAReport(residuals=tuple(history), epsilon=eps,
                        termination=termination)

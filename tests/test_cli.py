@@ -705,6 +705,19 @@ class TestFluid:
         assert json.loads(stderr) == {"error": "ValueError",
                                       "message": message}
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_hamiltonian_exits_1(self, tmp_path, capsys):
+        # at t = 1e-306, Talbot-24's nodes beta / t overflow H(s)
+        path = tmp_path / "two_state.json"
+        path.write_text(json.dumps({"Q": [[-1.0, 1.0], [1.0, -1.0]],
+                                    "rates": [1.0, -1.0]}))
+        code, stdout, stderr = run(capsys, "fluid", "--model", str(path),
+                                   "--t", "1e-306", "--method", "talbot:24")
+        assert code == 1 and stdout == ""
+        err = json.loads(stderr)
+        assert err["error"] == "RiccatiError"
+        assert err["message"].startswith("H(s) is not finite at s=")
+
     def test_bad_t(self, model_file, capsys):
         code, _, _ = run(capsys, "fluid", "--model", model_file,
                          "--t", "-1.0")

@@ -53,15 +53,22 @@ class TestSmallestSingularVector:
         v = v / np.linalg.norm(v)
         assert np.linalg.norm(A @ u) <= np.linalg.norm(A @ v) + 1e-10
 
+    @pytest.mark.parametrize("draw", [
+        _random_complex, lambda rng, shape: rng.standard_normal(shape)],
+        ids=["complex", "real"])
     @given(n=st.integers(1, 70), extra=st.integers(0, 140),
            seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
-    def test_tall_matches_plain_svd_bitwise(self, n, extra, seed, log_scale):
-        # zgesdd itself factors A by QR first from m >= floor(17n/9) < 2n
-        A = 10.0 ** log_scale * _random_complex(
-            np.random.default_rng(seed), (2 * n + extra, n))
+    def test_tall_matches_plain_svd_bitwise(self, draw, n, extra, seed,
+                                            log_scale):
+        # zgesdd (dgesdd) itself factors A by QR first from
+        # m >= floor(17n/9) (floor(11n/6)) < 2n; a real A gives a real u
+        A = 10.0 ** log_scale * draw(np.random.default_rng(seed),
+                                     (2 * n + extra, n))
         want = np.linalg.svd(A, full_matrices=False)[2][-1].conj()
-        assert smallest_singular_vector(A).tobytes() == want.tobytes()
+        u = smallest_singular_vector(A)
+        assert u.dtype == A.dtype
+        assert u.tobytes() == want.tobytes()
 
     @given(n=st.integers(1, 70), extra=st.integers(0, 69),
            seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-3.0, 3.0))

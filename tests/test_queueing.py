@@ -267,6 +267,21 @@ class TestPhaseType:
 
 
 class TestSolvePsi:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_hamiltonian_raises(self):
+        # |s| / min |r_i| passes the float range, so H(s) holds an inf
+        with pytest.raises(RiccatiError,
+                           match=r"^H\(s\) is not finite at s=1e\+308j$"):
+            solve_psi(make_experiment_model(5, 10, 1), 1e308j)
+
+    @pytest.mark.parametrize("s", [10 ** 15.5 * 1j, 1e16j, 1e20j])
+    def test_row_sum_above_one_raises(self, s):
+        # |psi_hat_ij(s)| <= Psi_ij for Re s >= 0; the sorted split gave
+        # row sums of |X| of 1.6e17, 4.7e17 and 6.5e21 at these s
+        with pytest.raises(RiccatiError, match=r"^psi_hat row sum .* exceeds "
+                                               r"1 at s="):
+            solve_psi(make_experiment_model(5, 10, 1), s)
+
     def test_scalar_closed_form(self):
         model = _scalar_model(1.0, 1.0)
         for s in (0.1, 1.0, 4.0, 2.0 + 1.0j, 0.5 - 2.0j):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import warnings
 
@@ -221,6 +222,31 @@ class TestAAAFit:
         with pytest.raises(ValueError, match="non-finite entries"):
             aaa_fit(np.exp(Z), Z, 8)
         assert steps == [True] * (iteration - 1)
+
+    @pytest.mark.parametrize("dom, dtype", [
+        (RealSegment(100.0), np.float64),
+        (Disc(complex(-4.0), 4.0), np.complex128),
+        (ImagSegment(80.0), np.complex128),
+        (Rectangle(-3.0, 0.0, -2.0, 2.0), np.complex128),
+    ], ids=["rseg", "disc", "iseg", "rect"])
+    def test_least_squares_dtype_follows_the_data(self, dom, dtype,
+                                                  monkeypatch):
+        # a real grid and real values give float64 matrices and vectors;
+        # the fit itself is complex on every grid
+        seen = set()
+        svd = tame.smallest_singular_vector
+
+        def spy(A):
+            u = svd(A)
+            seen.update((A.dtype, u.dtype))
+            return u
+
+        monkeypatch.setattr(tame, "smallest_singular_vector", spy)
+        Z = discretize(dom, 400)
+        b, _ = aaa_fit(np.exp(Z), Z, max_order=8)
+        assert seen == {np.dtype(dtype)}
+        assert {b.support.dtype, b.values.dtype, b.weights.dtype} == {
+            np.dtype(np.complex128)}
 
     @pytest.mark.parametrize("dom,count", [
         (Disc(complex(0.0), 1.0), 10),
@@ -632,8 +658,12 @@ class TestBuildTame:
                 build_tame(Disc(complex(700.0), 20.0), 3)
 
     def test_pole_inside_domain_raises(self):
-        with pytest.raises(PoleInsideDomainError, match=r"pole \(-8\.96"):
-            build_tame(RealSegment(1000.0), 12)
+        dom = RealSegment(1000.0)
+        with pytest.raises(PoleInsideDomainError) as info:
+            build_tame(dom, 12)
+        pole = re.fullmatch(r"pole \((.+)\) lies inside or on the domain "
+                            r"RealSegment\(length=1000\.0\)", str(info.value))
+        assert distance_to(dom, complex(pole[1])) == 0.0
 
 
 class TestBuildMatchesReference:
