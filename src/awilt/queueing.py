@@ -29,6 +29,12 @@ agree, as at a branch point of psi_hat, is first solved from the mean of
 its two Schur bases (:func:`_branch_solve`); route 3 follows if that
 mean does not settle.
 
+For Re(s) >= 0, |psi_hat_ij(s)| <= Psi_ij, and each row of Psi sums to
+at most 1.  That certificate lives in :func:`_stacked_solve`, which makes
+every sorted solution: a Re(s) >= 0 solution whose row sum of |X_ij| is
+above 1 + 1e-6 is a RiccatiError there, whether it is a node of a sweep,
+the start of a refined path at +-i|s|, or a step of one.
+
 Phase-type transforms solve (sI - Q) at all nodes of a t-grid in one
 stacked call.
 """
@@ -56,6 +62,15 @@ PATH_DEPTH = 50
 NEWTON_STEPS = 12
 
 
+def _finite(name, a):
+    """a as a float array, or ValueError naming the field name if an entry
+    is not finite: the rule of domain shapes and of `catalog.parse_kv`."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 @dataclass(frozen=True)
 class GeneratorMatrix:
     Q: np.ndarray
@@ -63,7 +78,7 @@ class GeneratorMatrix:
     lam: float = None                # uniformization rate
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
+        Q = _finite("Q", self.Q)
         object.__setattr__(self, "Q", Q)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
@@ -84,7 +99,7 @@ class GeneratorMatrix:
         dmax = float(np.max(np.abs(np.diag(Q))))
         if lam is None:
             lam = dmax
-        elif lam < dmax * (1.0 - 1e-12):
+        elif _finite("lam", lam) < dmax * (1.0 - 1e-12):
             raise ValueError("uniformization rate below max |Q_ii|")
         object.__setattr__(self, "lam", float(lam))
 
@@ -99,7 +114,7 @@ class PhaseType:
     Q: np.ndarray                    # subgenerator
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
+        alpha = _finite("alpha", self.alpha)
         object.__setattr__(self, "alpha", alpha)
         # validates; rows sum to <= 0, so the exit rates are nonnegative
         GeneratorMatrix(self.Q, kind="subgenerator")
@@ -138,7 +153,7 @@ class FluidQueueModel:
     rates: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rates, dtype=float)
+        r = _finite("rates", self.rates)
         object.__setattr__(self, "rates", r)
         if len(r) != self.gen.dim:
             raise ValueError("rates length must match generator dimension")
@@ -411,6 +426,13 @@ def _stacked_solve(Hs, ss, dm, halves, start=None):
     any other (a singular T, a failed shifted solve, an unmet gate) is
     solved alone from its Schur basis (:func:`_schur_solve`).  A node
     whose H(s) is not finite raises RiccatiError before any solve.
+
+    Last, each solution at Re(s) >= 0 is held to the bound of psi_hat
+    there: one whose row sum of |X_ij| is above 1 + 1e-6 (or overflows)
+    is replaced by a RiccatiError naming s, all nodes in one pass (the
+    eigen-solve's absolute error reaches the real parts the sorted split
+    goes by once |s| passes about 1e15).  This is the only place the
+    bound is checked, so every caller's sorted solutions carry it.
     """
     finite = np.isfinite(Hs).all(axis=(1, 2))
     if not finite.all():
@@ -444,6 +466,15 @@ def _stacked_solve(Hs, ss, dm, halves, start=None):
             out[i] = _schur_solve(Hs[i], mu[j], dm, ss[i])
         except RiccatiError as exc:
             out[i] = exc
+    bounded = [i for i, X in enumerate(out)
+               if ss[i].real >= 0 and isinstance(X, np.ndarray)]
+    if bounded:
+        with np.errstate(over="ignore"):
+            rows = _norm_inf(np.array([out[i] for i in bounded]))
+        for j in np.flatnonzero(rows > 1 + 1e-6):
+            i = bounded[j]
+            out[i] = RiccatiError(f"psi_hat row sum {rows[j]:.3e} exceeds 1 "
+                                  f"at s={ss[i]}, where Re s >= 0 bounds it")
     return out
 
 
@@ -451,22 +482,26 @@ def _refined_path(H, dm, s, before):
     """psi_hat at one s with Re(s) < 0, tracked along a path to it from
     before, the node before s and its solution (z0, X0), or, if there is
     none or z0 is 0, from the sorted solve at z0 = +-i|s| (then the path is
-    the arc of :func:`solve_psi`).  A step of the path solves its end alone
-    by :func:`_stacked_solve`, tracking the span of [I; X] at its start.
-    A step that this does not settle is bisected, linearly in log z, and
-    a step still in doubt after PATH_DEPTH bisections raises RiccatiError.
+    the arc of :func:`solve_psi`).  The start and each step's end are
+    solved alone by the same call of :func:`_stacked_solve`, a step
+    tracking the span of [I; X] at its start, so the start, and any step
+    with Re z >= 0, is held to the row-sum bound there.  A start that
+    fails raises its error, naming s and the start.  A step that does not
+    settle is bisected, linearly in log z, and a step still in doubt
+    after PATH_DEPTH bisections raises RiccatiError.
     """
+    def lone(z, start=None):
+        return _stacked_solve(H([z]), [z], dm, [[0]], start)[0]
+
     if before is None or before[0] == 0:
         z0 = complex(0.0, math.copysign(abs(s), s.imag))
-        X0 = _stacked_solve(H([z0]), [z0], dm, [[0]])[0]
-        if isinstance(X0, Exception):
-            raise X0
-    else:
-        z0, X0 = before
+        before = z0, lone(z0)
+        if isinstance(before[1], Exception):
+            raise type(before[1])(
+                f"no path to s={s} from its start: {before[1]}")
 
     def step(za, Xa, zb, depth):
-        Xb = _stacked_solve(H([zb]), [zb], dm, [[0]],
-                            np.concatenate([np.eye(dm), Xa]))[0]
+        Xb = lone(zb, np.concatenate([np.eye(dm), Xa]))
         if isinstance(Xb, np.ndarray):
             return Xb
         if depth == PATH_DEPTH:
@@ -479,7 +514,7 @@ def _refined_path(H, dm, s, before):
                          + math.atan2(zb.imag, zb.real)) / 2)
         return step(zm, step(za, Xa, zm, depth + 1), zb, depth + 1)
 
-    return step(z0, X0, s, 0)
+    return step(*before, s, 0)
 
 
 def solve_psi(model, s):
@@ -500,7 +535,11 @@ def solve_psi(model, s):
     bisecting each step whose choice is in doubt (:func:`_refined_path`).
     This is the branch that continuing from |s| on the real axis gives:
     the arc from |s| to z0 stays in Re z >= 0, where psi_hat is analytic
-    and the sorted solve is the minimal solution.
+    and the sorted solve is the minimal solution.  The start z0 is held
+    to the row-sum bound of Re z >= 0 like any sorted solution
+    (:func:`_stacked_solve`): at -1e15 + 1e15i on
+    ``make_experiment_model(5, 10, 1)`` it fails it, and RiccatiError
+    names both s and z0.
 
     This is :func:`sweep_psi` of the one node s.
     """
@@ -524,10 +563,10 @@ def sweep_psi(model, ss):
 
     For Re s >= 0, |psi_hat_ij(s)| <= Psi_ij, and each row of Psi sums to
     at most 1: a node there whose solution has a row sum of |X_ij| above
-    1 + 1e-6 fails with RiccatiError (the eigen-solve's absolute error
-    reaches the real parts the sorted split goes by once |s| passes
-    about 1e15).  So does a node whose H(s) is not finite, before any
-    solve (:func:`_stacked_solve`).
+    1 + 1e-6 fails with RiccatiError, as does the start of a refined
+    path; :func:`_stacked_solve` holds every sorted solution to that
+    bound.  A node whose H(s) is not finite fails there too, before any
+    solve.
 
     Returns the list of solutions in the order of ss.  A node that fails
     raises its error; of several, the first in that walk (upper
@@ -543,17 +582,6 @@ def sweep_psi(model, ss):
                                                        ss[k].real)))
               for half in halves]
     out = _stacked_solve(H(ss), ss, model.d_minus, halves)
-    # the row sums of |X| at Re s >= 0, all at once; one that overflows
-    # breaks the bound as well
-    bounded = [k for k, X in enumerate(out)
-               if ss[k].real >= 0 and isinstance(X, np.ndarray)]
-    if bounded:
-        with np.errstate(over="ignore"):
-            rows = _norm_inf(np.array([out[k] for k in bounded]))
-        for j in np.flatnonzero(rows > 1 + 1e-6):
-            k = bounded[j]
-            out[k] = RiccatiError(f"psi_hat row sum {rows[j]:.3e} exceeds 1 "
-                                  f"at s={ss[k]}, where Re s >= 0 bounds it")
     for half in halves:
         for prev, k in zip([None] + half, half):
             if isinstance(out[k], np.ndarray):

@@ -296,12 +296,16 @@ def _pencil_eigenvalues(b):
     return dense_eigenvalues(A, B)
 
 
+def _coincide(x, y):
+    """Whether x[i] and y[j] coincide, |x[i] - y[j]| <= 1e-12 (1 + |x[i]|),
+    for each i (rows) and j (columns)."""
+    return np.abs(x[:, None] - y) <= 1e-12 * (1.0 + np.abs(x))[:, None]
+
+
 def _first_close_pair(points):
-    """Lowest i with |points[j] - points[i]| <= 1e-12 (1 + |points[i]|) for
-    some j > i, or None."""
-    near = (np.abs(points[None, :] - points[:, None])
-            <= 1e-12 * (1.0 + np.abs(points))[:, None])
-    hit = np.triu(near, k=1).any(axis=1)
+    """Lowest i such that points[i] and some points[j], j > i, coincide
+    (:func:`_coincide`), or None."""
+    hit = np.triu(_coincide(points, points), k=1).any(axis=1)
     return int(np.argmax(hit)) if hit.any() else None
 
 
@@ -340,8 +344,7 @@ def extract_residues(b, poles):
     poles get conjugate weights up to rounding; `pair_conjugates` makes
     them exact."""
     poles = np.asarray(poles, dtype=complex)
-    near = (np.abs(poles[:, None] - b.support)
-            <= 1e-12 * (1.0 + np.abs(poles))[:, None]).any(axis=1)
+    near = _coincide(poles, b.support).any(axis=1)
     merged = _first_close_pair(poles)
     if near.any() and (merged is None or np.argmax(near) <= merged):
         raise NumericalError("pole coincides with a support point")

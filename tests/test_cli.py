@@ -706,6 +706,32 @@ class TestFluid:
                                       "message": message}
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text,message", [
+        # a NaN state is in neither plus_idx nor minus_idx
+        ('{"Q": [[-2, 1, 1], [1, -2, 1], [1, 1, -2]], '
+         '"rates": [1, -1, NaN]}', "rates must be finite"),
+        # a NaN in Q would reach H(s) and exit 1, as a numerical failure
+        ('{"Q": [[-1, NaN], [1, -1]], "rates": [1, -1]}',
+         "Q must be finite"),
+        # lam sets the preset radius --method tame asks for
+        ('{"Q": [[-1, 1], [1, -1]], "rates": [1, -1], "lam": NaN}',
+         "lam must be finite"),
+        ('{"Q": [[-1, 1], [1, -1]], "rates": [1, -1], "lam": Infinity}',
+         "lam must be finite"),
+    ])
+    def test_non_finite_model_entry_exits_2(self, tmp_path, capsys, text,
+                                            message):
+        # json reads NaN and Infinity literals; each method exits 2
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for method in ("talbot:20", "tame"):
+            code, stdout, stderr = run(capsys, "fluid", "--model", str(path),
+                                       "--t", "1.0", "--method", method)
+            assert code == 2 and stdout == ""
+            assert json.loads(stderr) == {"error": "ValueError",
+                                          "message": message}
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_hamiltonian_exits_1(self, tmp_path, capsys):
         # at t = 1e-306, Talbot-24's nodes beta / t overflow H(s)
         path = tmp_path / "two_state.json"

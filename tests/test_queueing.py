@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 from unittest import mock
 
 import mpmath
@@ -192,6 +194,15 @@ class TestGeneratorMatrix:
         with pytest.raises(ValueError):
             GeneratorMatrix(np.array([[-2.0, 2.0], [1.0, -1.0]]), lam=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        # a NaN off the diagonal passes every check that compares it
+        with pytest.raises(ValueError, match=r"^Q must be finite$"):
+            GeneratorMatrix(np.array([[-1.0, bad], [1.0, -1.0]]))
+        # a NaN or infinite lam passes the floor check
+        with pytest.raises(ValueError, match=r"^lam must be finite$"):
+            GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]), lam=bad)
+
 
 class TestPhaseType:
     def test_alpha_validated(self):
@@ -201,6 +212,12 @@ class TestPhaseType:
         with pytest.raises(ValueError):
             PhaseType(alpha=np.array([-1.0, 2.0]),
                       Q=np.array([[-1.0, 0.5], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, bad):
+        # a NaN passes the stochastic-vector check
+        with pytest.raises(ValueError, match=r"^alpha must be finite$"):
+            PhaseType(alpha=np.array([bad]), Q=np.array([[-1.0]]))
 
     def test_exponential_transform(self):
         p = PhaseType(alpha=np.array([1.0]), Q=np.array([[-1.0]]))
@@ -274,13 +291,31 @@ class TestSolvePsi:
                            match=r"^H\(s\) is not finite at s=1e\+308j$"):
             solve_psi(make_experiment_model(5, 10, 1), 1e308j)
 
-    @pytest.mark.parametrize("s", [10 ** 15.5 * 1j, 1e16j, 1e20j])
-    def test_row_sum_above_one_raises(self, s):
+    @pytest.mark.parametrize("s, digest", [
+        (10 ** 15.5 * 1j, None), (1e16j, None), (1e20j, None),
+        (-1e15 + 1e15j, None),
+        (-1e14 + 1e14j, "737c9ddf0b42682fbef832dfab286a11"
+                        "bc897b045d887119b7bc2e4fc653ccf8"),
+        (-1 + 1j, "a01e4c20a81edb609ea8ff209cd6f924"
+                  "00324c37f3ba31eb99fcc88b0f7ee811")])
+    def test_row_sum_above_one_raises(self, s, digest):
         # |psi_hat_ij(s)| <= Psi_ij for Re s >= 0; the sorted split gave
-        # row sums of |X| of 1.6e17, 4.7e17 and 6.5e21 at these s
-        with pytest.raises(RiccatiError, match=r"^psi_hat row sum .* exceeds "
-                                               r"1 at s="):
-            solve_psi(make_experiment_model(5, 10, 1), s)
+        # row sums of |X| of 1.6e17, 4.7e17 and 6.5e21 at the first three
+        # s, and of 5.8e16 at i|s|, where the path to -1e15 + 1e15i starts
+        # (it returned that X with no error).  A path that starts within
+        # the bound keeps its bits: the sha256 of X's bytes, as before the
+        # start was held to it
+        model = make_experiment_model(5, 10, 1)
+        if digest:
+            X = solve_psi(model, s)
+            assert hashlib.sha256(X.tobytes()).hexdigest() == digest
+            return
+        path, at = ("", s) if s.real >= 0 else (
+            f"no path to s={s} from its start: ", 1414213562373095j)
+        with pytest.raises(RiccatiError, match=(
+                rf"^{re.escape(path)}psi_hat row sum .* exceeds 1 "
+                rf"at s={re.escape(str(at))}, where Re s >= 0 bounds it$")):
+            solve_psi(model, s)
 
     def test_scalar_closed_form(self):
         model = _scalar_model(1.0, 1.0)
@@ -857,7 +892,7 @@ class TestSweepPsi:
 
     def test_failed_start_of_the_arc_raises(self, monkeypatch):
         # no route solves the sorted start 2j of the lone node's arc, and
-        # its error is raised
+        # its error is raised, naming the node as well
         monkeypatch.setattr(queueing, "_solve_sylvester_eig",
                             lambda a, mu, q: np.full(q.shape, np.nan))
 
@@ -865,7 +900,9 @@ class TestSweepPsi:
             raise RiccatiError(f"forced failure at s={s}")
 
         monkeypatch.setattr(queueing, "_schur_solve", failing)
-        with pytest.raises(RiccatiError, match=r"^forced failure at s=2j$"):
+        with pytest.raises(RiccatiError, match=r"^no path to s=\(-2\+0j\) "
+                                               r"from its start: forced "
+                                               r"failure at s=2j$"):
             solve_psi(_scalar_model(), complex(-2.0, 0.0))
 
     def test_failed_schur_reordering_raises(self, monkeypatch):
@@ -960,19 +997,22 @@ class TestSweepPsi:
         assert abs(X[0, 0] - (-1j)) <= 1e-12
 
     def test_singular_tracked_basis_is_left_to_the_refined_path(self):
-        # the Re s < 0 node tracks the eigenvector (-0.05, 1) of the node
-        # before it to its eigenvector (0, 1), whose minus part T is 0, as
-        # is Q_top of its Schur basis: it gets that error, which sweep_psi
-        # answers with a refined path
-        before = np.array([[1.0, 0.1], [0.0, -1.0]], dtype=complex)
+        # the Re s < 0 node, first in its half, tracks the span of start,
+        # the eigenvector (-0.05, 1), to its eigenvector (0, 1), whose minus
+        # part T is 0, as is Q_top of its Schur basis: it gets that error,
+        # which sweep_psi answers with a refined path.  The Re s >= 0 node
+        # solved with it, whose row sum 0.25 meets the bound, is unaffected
+        before = np.array([[-1.0, 0.0], [0.5, 1.0]], dtype=complex)
         bad = np.array([[2.0, 0.0], [1.0, -1.0]], dtype=complex)
         X, left = queueing._stacked_solve(np.array([before, bad]),
-                                          [1.0, -1.0 + 1.0j], 1, [[0, 1]])
+                                          [1.0, -1.0 + 1.0j], 1, [[0], [1]],
+                                          np.array([[1.0], [-20.0]]))
         assert type(left) is RiccatiError
         assert str(left) == ("no Schur basis at s=(-1+1j): "
                              "Singular matrix")
         alone, = queueing._stacked_solve(before[None], [1.0], 1, [[0]])
         assert X.tobytes() == alone.tobytes()
+        assert X[0, 0] == -0.25
 
     @settings(max_examples=40, deadline=None)
     @given(d_plus=st.integers(1, 5), d_minus=st.integers(1, 5),
@@ -1080,3 +1120,12 @@ class TestExperimentModel:
             FluidQueueModel(gen=GeneratorMatrix(np.array([[-1.0, 1.0],
                                                           [1.0, -1.0]])),
                             rates=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, bad):
+        # a NaN state is in neither plus_idx nor minus_idx, so psi_hat
+        # would lose a row or a column
+        with pytest.raises(ValueError, match=r"^rates must be finite$"):
+            FluidQueueModel(gen=GeneratorMatrix(np.array(
+                [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])),
+                rates=np.array([1.0, -1.0, bad]))
