@@ -1,7 +1,6 @@
-"""Built-in test transforms with analytic ground truth and derivatives.
+"""Built-in test transforms with analytic ground truth.
 
-Each entry bundles a Laplace transform, the exact time-domain function,
-its derivative when available, a class tag (se, me, wave, ls, option),
+Each entry bundles a Laplace transform, the exact time-domain function
 and a recommended domain recipe t -> Omega for building adapted methods.
 
 Each transform is one numpy formula, its ``evaluator``: it takes an array
@@ -28,8 +27,6 @@ class CatalogEntry:
     name: str
     transform: Transform
     f: object                     # ground truth t -> value
-    f_prime: object = None        # derivative t -> value, when available
-    class_tag: str = "other"      # se | me | wave | ls | option
     domain_recipe: object = None  # t -> Domain suggestion
 
 
@@ -82,24 +79,20 @@ def exp_sum(c, a):
         return _maybe_real(sum(cm * cmath.exp(am * t)
                                for cm, am in zip(cs, As)), scale)
 
-    def f_prime(t):
-        return _maybe_real(sum(cm * am * cmath.exp(am * t)
-                               for cm, am in zip(cs, As)), scale)
-
     return CatalogEntry(
-        name="exp_sum", class_tag="se",
+        name="exp_sum", f=f,
         transform=Transform(evaluator=F, conjugate_symmetric=symmetric,
                             singularities=tuple(As), name="exp_sum"),
-        f=f, f_prime=f_prime,
         domain_recipe=lambda t: _bounding_rectangle([am * t for am in As]))
 
 
 def monomial_exp(b, a):
-    """f(t) = t^b exp(a t) / b!, transform 1 / (s - a)^(b+1)."""
+    """f(t) = t^b exp(a t) / b!, transform 1 / (s - a)^(b+1), for an
+    integer 0 <= b <= 170: 171! overflows binary64."""
+    if b not in range(171):
+        raise ValueError(f"b must be an integer from 0 to 170, not b={b!r}")
     b = int(b)
     a = complex(a)
-    if b < 0:
-        raise ValueError("b must be a nonnegative integer")
     fact = float(math.factorial(b))
 
     def F(S):
@@ -108,18 +101,11 @@ def monomial_exp(b, a):
     def f(t):
         return _maybe_real(t ** b * cmath.exp(a * t) / fact)
 
-    def f_prime(t):
-        val = a * t ** b * cmath.exp(a * t) / fact
-        if b >= 1:
-            val += t ** (b - 1) * cmath.exp(a * t) / math.factorial(b - 1)
-        return _maybe_real(val)
-
     return CatalogEntry(
-        name="monomial_exp", class_tag="me",
+        name="monomial_exp", f=f,
         transform=Transform(evaluator=F,
                             conjugate_symmetric=a.imag == 0.0,
                             singularities=(a,), name="monomial_exp"),
-        f=f, f_prime=f_prime,
         domain_recipe=lambda t: _bounding_rectangle([a * t, 0.0]))
 
 
@@ -148,37 +134,26 @@ def matrix_exp(v, Q, u):
     def f(t):
         return float(v @ matrix_exponential(t * Q).real @ u)
 
-    def f_prime(t):
-        return float(v @ Q @ matrix_exponential(t * Q).real @ u)
-
     return CatalogEntry(
-        name="matrix_exp", class_tag="me",
+        name="matrix_exp", f=f,
         transform=Transform(evaluator=resolvent(v, Q, u),
                             conjugate_symmetric=True, singularities=eigs,
                             name="matrix_exp"),
-        f=f, f_prime=f_prime,
         domain_recipe=lambda t: select_domain("matrix_exponential", Q=Q,
                                               t=t))
 
 
-def _wave(name, F, f, slope, corner):
+def _wave(name, F, f):
     """A wave entry: its transform F has poles at 0 and i pi (2k + 1), of
     which those with |k| < 40 are declared, and its Omega is i[-80, 80]
-    for every t.  f' is slope(t) away from the integers; at an integer f
-    has a ``corner`` (a kink or a jump), and f' raises ValueError."""
+    for every t."""
     poles = (0.0,) + tuple(1j * math.pi * (2 * k + 1) * sgn
                            for k in range(40) for sgn in (1, -1))
-
-    def f_prime(t):
-        if abs(t - round(t)) < _JUMP_TOL:
-            raise ValueError(f"derivative undefined at {corner} t={t}")
-        return slope(t)
-
     return CatalogEntry(
-        name=name, class_tag="wave",
+        name=name, f=f,
         transform=Transform(evaluator=F, conjugate_symmetric=True,
                             singularities=poles, name=name),
-        f=f, f_prime=f_prime, domain_recipe=lambda t: ImagSegment(80.0))
+        domain_recipe=lambda t: ImagSegment(80.0))
 
 
 def triangular_wave():
@@ -192,8 +167,7 @@ def triangular_wave():
         frac = t - math.floor(t)
         return frac if math.floor(t) % 2 == 0 else 1.0 - frac
 
-    return _wave("triangular_wave", F, f,
-                 lambda t: 1.0 if math.floor(t) % 2 == 0 else -1.0, "kink")
+    return _wave("triangular_wave", F, f)
 
 
 def square_wave():
@@ -208,7 +182,7 @@ def square_wave():
             raise ValueError(f"value undefined this close to the jump t={t}")
         return float(math.floor(t) % 2)
 
-    return _wave("square_wave", F, f, lambda t: 0.0, "jump")
+    return _wave("square_wave", F, f)
 
 
 def _norm_cdf(x):
@@ -262,11 +236,10 @@ def bs_call(q_price, strike, rate, sigma):
         return Q * _norm_cdf(d_plus) - K * math.exp(-R * t) * _norm_cdf(d_minus)
 
     return CatalogEntry(
-        name="bs_call", class_tag="option",
+        name="bs_call", f=f,
         transform=Transform(evaluator=F, conjugate_symmetric=True,
                             singularities=(0.0, -R, s_branch),
                             name="bs_call"),
-        f=f, f_prime=None,
         domain_recipe=lambda t: RealSegment(max(1.0, 2.0 * t)))
 
 
@@ -306,15 +279,11 @@ def completely_monotone_demo():
     def f(t):
         return 1.0 / (1.0 + t)
 
-    def f_prime(t):
-        return -1.0 / (1.0 + t) ** 2
-
     return CatalogEntry(
-        name="completely_monotone_demo", class_tag="ls",
+        name="completely_monotone_demo", f=f,
         transform=Transform(evaluator=_exp_e1, conjugate_symmetric=True,
                             singularities=(0.0,),
                             name="completely_monotone_demo"),
-        f=f, f_prime=f_prime,
         domain_recipe=lambda t: select_domain("laplace_stieltjes",
                                               L=10.0 * max(1.0, t)))
 

@@ -252,13 +252,18 @@ def cmd_diag(args):
 # -- fluid -------------------------------------------------------------------
 
 def _load_model(path):
+    """The fluid-queue model in a `save_model` file.  JSON of the wrong
+    type (a list for the object) raises ValueError."""
     with open(path) as fh:
         obj = json.load(fh)
-    gen = GeneratorMatrix(np.asarray(obj["Q"], dtype=float),
-                          kind=obj.get("kind", "generator"),
-                          lam=obj.get("lam"))
-    return FluidQueueModel(gen=gen, rates=np.asarray(obj["rates"],
-                                                     dtype=float))
+    try:
+        gen = GeneratorMatrix(np.asarray(obj["Q"], dtype=float),
+                              kind=obj.get("kind", "generator"),
+                              lam=obj.get("lam"))
+        return FluidQueueModel(gen=gen, rates=np.asarray(obj["rates"],
+                                                         dtype=float))
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed model file {path}: {exc}") from None
 
 
 def save_model(path, model):
@@ -307,8 +312,8 @@ def _matrix_err(ref, val):
 def _fixed_methods(args):
     """(label, method, None) for each built-in generator at each N' it
     supports, then the --cme-params method or a notice that it is absent.
-    An N' a generator cannot build in binary64 (zakian above 26) gets a
-    notice instead."""
+    An N' a generator cannot build in binary64 (zakian above 26, or one
+    whose build overflows) gets a notice instead."""
     methods = []
     for label, gen in _GENERATORS.items():
         for np_ in range(1, (6 if args.quick else args.nprime_max) + 1):
@@ -316,7 +321,7 @@ def _fixed_methods(args):
                 methods.append((label, gen(np_), None))
             except ValueError:
                 continue
-            except NumericalError as exc:
+            except (NumericalError, OverflowError) as exc:
                 _fail({"notice": f"{label} N'={np_}: {exc}"})
     if args.cme_params:
         methods.append(("cme", load_method(args.cme_params)[0], None))
@@ -569,7 +574,7 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as exc:  # --help
         return exc.code
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         _fail({"error": type(exc).__name__, "message": str(exc)})
         return 1
     except (ValueError, OSError, KeyError) as exc:

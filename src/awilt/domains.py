@@ -237,14 +237,14 @@ def fov_hermitian_bound(A, generator=False):
 
 
 def select_domain(problem_class, *, lam=None, t=None, Q=None, d=None,
-                  L=None, r=None, generator=False):
+                  L=None, generator=False):
     """Omega per problem class.
 
     fluid_queue: the disc B(-lam t, lam t).  matrix_exponential: the
     Hermitian box of t Q (`fov_hermitian_bound`), or from the dimension d
     and the uniformization rate lam alone `fov_rectangle_bound(d, lam t)`;
-    t defaults to 1.  laplace_stieltjes: [-L, 0].  generic: the disc, the
-    real and the imaginary segment of radius r.
+    t defaults to 1.  laplace_stieltjes: [-L, 0].  Any other class raises
+    ValueError.
     """
     if problem_class == "fluid_queue":
         if lam is None or t is None or lam <= 0 or t <= 0:
@@ -262,10 +262,6 @@ def select_domain(problem_class, *, lam=None, t=None, Q=None, d=None,
         if L is None or L <= 0:
             raise ValueError("laplace_stieltjes needs L > 0")
         return RealSegment(L)
-    if problem_class == "generic":
-        if r is None or r <= 0:
-            raise ValueError("generic needs r > 0")
-        return Disc(complex(-r), r), RealSegment(r), ImagSegment(r)
     raise ValueError(f"unknown problem class {problem_class!r}")
 
 

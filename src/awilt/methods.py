@@ -324,9 +324,11 @@ def save_method(path, m, metadata=None):
 
 
 def load_method(path):
+    """(method, metadata) from a parameter file.  A file that is not JSON,
+    or holds a value of the wrong type (a list for the object, a number
+    for a node), raises ValueError."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return method_from_json(json.load(fh))
+        except (json.JSONDecodeError, AttributeError, TypeError) as exc:
             raise ValueError(f"malformed parameter file {path}: {exc}") from None
-    return method_from_json(obj)

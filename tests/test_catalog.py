@@ -64,10 +64,8 @@ class TestExpSum:
     def test_values(self):
         e = exp_sum([1.0], [-1.0])
         assert e.f(1.0) == pytest.approx(math.exp(-1.0))
-        assert e.f_prime(1.0) == pytest.approx(-math.exp(-1.0))
         assert e.transform(1.0) == pytest.approx(0.5)
         assert e.transform.singularities == ((-1 + 0j),)
-        assert e.class_tag == "se"
 
     def test_conjugate_closure_detection(self):
         closed = exp_sum([1.0 + 1.0j, 1.0 - 1.0j], [-1.0 + 2.0j, -1.0 - 2.0j])
@@ -81,7 +79,6 @@ class TestExpSum:
         e = exp_sum(1.0, 1.0j)
         assert not e.transform.conjugate_symmetric
         assert e.f(1.0) == cmath.exp(1.0j)
-        assert e.f_prime(1.0) == 1.0j * cmath.exp(1.0j)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -100,14 +97,11 @@ class TestMonomialExp:
         e = monomial_exp(1, -1.0)  # f = t e^{-t}
         assert e.f(2.0) == pytest.approx(2.0 * math.exp(-2.0))
         assert e.transform(1.0) == pytest.approx(0.25)  # 1/(s+1)^2
-        # derivative against finite differences
-        h = 1e-6
-        fd = (e.f(2.0 + h) - e.f(2.0 - h)) / (2 * h)
-        assert e.f_prime(2.0) == pytest.approx(fd, rel=1e-8)
 
     def test_b_validation(self):
-        with pytest.raises(ValueError):
-            monomial_exp(-1, -1.0)
+        for b in (-1, 2.5, -0.5, 171):
+            with pytest.raises(ValueError, match=f"not b={b!r}$"):
+                monomial_exp(b, -1.0)
 
 
 class TestMatrixExp:
@@ -119,9 +113,6 @@ class TestMatrixExp:
         import scipy.linalg
         want = float(v @ scipy.linalg.expm(1.5 * Q) @ u)
         assert e.f(1.5) == pytest.approx(want, rel=1e-12)
-        h = 1e-6
-        fd = (e.f(1.5 + h) - e.f(1.5 - h)) / (2 * h)
-        assert e.f_prime(1.5) == pytest.approx(fd, rel=1e-7)
         # transform at a right-half-plane point vs explicit resolvent
         s = 1.0 + 1.0j
         want_F = complex(v @ np.linalg.inv(s * np.eye(2) - Q) @ u)
@@ -143,25 +134,17 @@ class TestWaves:
         assert e.f(0.25) == pytest.approx(0.25)
         assert e.f(1.25) == pytest.approx(0.75)  # descending segment
         assert e.f(2.25) == pytest.approx(0.25)  # period 2
-        assert e.f_prime(0.5) == 1.0 and e.f_prime(1.5) == -1.0
 
     def test_triangular_kink_flagged(self):
         e = triangular_wave()
-        with pytest.raises(ValueError):
-            e.f_prime(1.0)
-        with pytest.raises(ValueError):
-            e.f_prime(2.0 + 1e-10)
-        e.f(1.0)  # the value itself is defined at kinks
+        assert e.f(1.0) == 1.0  # the value itself is defined at kinks
 
     def test_square_values_and_jumps(self):
         e = square_wave()
         assert e.f(0.5) == 0.0 and e.f(1.5) == 1.0 and e.f(2.5) == 0.0
-        assert e.f_prime(0.5) == 0.0
         for t in (1.0, 3.0 - 1e-10):
             with pytest.raises(ValueError):
                 e.f(t)
-            with pytest.raises(ValueError):
-                e.f_prime(t)
 
     def test_square_transform_exact_point(self):
         # F(1) = 1/(1 + e) exactly
@@ -239,7 +222,6 @@ class TestCompletelyMonotone:
     def test_values(self):
         e = completely_monotone_demo()
         assert e.f(1.0) == 0.5
-        assert e.f_prime(1.0) == -0.25
         # E1(1) * e = 0.5963473623...
         assert complex(e.transform(1.0 + 0j)).real == pytest.approx(
             math.e * 0.21938393439552026, rel=1e-12)
@@ -289,7 +271,7 @@ class TestRegistry:
 
     def test_parse_no_params(self):
         e = parse_transform("builtin:square_wave")
-        assert e.class_tag == "wave"
+        assert e.name == "square_wave"
 
     def test_parse_kv(self):
         assert parse_kv(" c = 1|2 ,a=-1") == {"c": [1.0, 2.0], "a": -1.0}

@@ -21,7 +21,8 @@ from awilt.domains import discretize, parse_domain
 from awilt.errors import NumericalError
 from awilt.invert import invert
 from awilt.methods import (AWMethod, euler_method, load_method,
-                           method_to_json, save_method, to_full)
+                           method_to_json, save_method, talbot_method,
+                           to_full)
 from awilt.queueing import make_experiment_model, solve_psi
 from awilt.tame import preset_tame
 
@@ -214,6 +215,37 @@ class TestUsageErrors:
                                    "--t", "1.0")
         assert code == 2 and stdout == ""
         assert "paired flags" in json.loads(stderr)["message"]
+
+    @pytest.mark.parametrize("argv,code,error", [
+        (["invert", "--params", "list.json", "--transform",
+          "builtin:exp_sum:c=1,a=-1", "--t", "1"], 2, "ValueError"),
+        (["diag", "--params", "list.json"], 2, "ValueError"),
+        (["invert", "--params", "int_node.json", "--transform",
+          "builtin:exp_sum:c=1,a=-1", "--t", "1"], 2, "ValueError"),
+        (["diag", "--params", "int_node.json"], 2, "ValueError"),
+        (["fluid", "--model", "list.json", "--t", "1"], 2, "ValueError"),
+        (["invert", "--params", "t8.json", "--transform",
+          "builtin:monomial_exp:b=200,a=-1", "--t", "1"], 2, "ValueError"),
+        # the first N' whose nodes or weights overflow binary64
+        (["gen", "--method", "euler", "--nprime", "1851", "--out",
+          "out.json"], 1, "OverflowError"),
+        (["gen", "--method", "talbot", "--nprime", "1775", "--out",
+          "out.json"], 1, "OverflowError"),
+    ])
+    def test_no_traceback(self, tmp_path, monkeypatch, capsys, argv, code,
+                          error):
+        # a file of the wrong structure is a usage error, an overflow a
+        # numerical one; each is one JSON line
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "list.json").write_text("[1, 2]")
+        obj = method_to_json(talbot_method(8))
+        save_method(tmp_path / "t8.json", talbot_method(8))
+        obj["nodes"][0] = 1
+        (tmp_path / "int_node.json").write_text(json.dumps(obj))
+        got, stdout, stderr = run(capsys, *argv)
+        assert got == code and stdout == ""
+        assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr
+        assert json.loads(stderr)["error"] == error
 
 
 class TestParseMethod:
@@ -781,6 +813,20 @@ class TestBench:
                 capsys.readouterr().err.splitlines()] == [
             {"notice": "zakian N'=27: root polish did not converge"},
             {"notice": "no --cme-params file given; CME rows omitted"}]
+
+    def test_fixed_methods_note_an_overflow(self, monkeypatch, capsys):
+        # a build that overflows binary64 gets a notice, as zakian's does
+        def talbot(nprime):
+            if nprime == 3:
+                raise OverflowError("math range error")
+            return talbot_method(nprime)
+        monkeypatch.setitem(cli._GENERATORS, "talbot", talbot)
+        methods = _fixed_methods(argparse.Namespace(
+            quick=True, nprime_max=25, cme_params=None))
+        assert [m for label, m, _ in methods if label == "talbot"] == [
+            talbot_method(n) for n in (2, 4, 5, 6)]
+        assert json.loads(capsys.readouterr().err.splitlines()[0]) == {
+            "notice": "talbot N'=3: math range error"}
 
     def test_error_rows_skip_failed_inversions(self, capsys):
         # a node on the transform's pole fails to invert and gets a

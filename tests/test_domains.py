@@ -338,21 +338,18 @@ class TestSelectDomain:
     def test_laplace_stieltjes(self):
         assert select_domain("laplace_stieltjes", L=4.0) == RealSegment(4.0)
 
-    def test_generic_triple(self):
-        triple = select_domain("generic", r=2.0)
-        assert triple == (Disc(complex(-2.0), 2.0), RealSegment(2.0),
-                          ImagSegment(2.0))
-
     def test_unknown_class(self):
         with pytest.raises(ValueError):
-            select_domain("nope", r=1.0)
+            select_domain("nope")
+        with pytest.raises(ValueError,
+                           match="^unknown problem class 'generic'$"):
+            select_domain("generic")
         with pytest.raises(ValueError):
             select_domain("fluid_queue", lam=1.0)
 
     @pytest.mark.parametrize("problem_class,kwargs", [
         ("matrix_exponential", {"d": 5}),
         ("laplace_stieltjes", {"L": 0.0}),
-        ("generic", {}),
     ])
     def test_missing_or_bad_arguments(self, problem_class, kwargs):
         with pytest.raises(ValueError, match=f"{problem_class} needs"):
